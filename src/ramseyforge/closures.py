@@ -118,19 +118,31 @@ class ClosureViolation:
         return f"{self.entry.symbol}@{self.prefix}: {self.reason}"
 
 
-def closed_violation(A: Structure, U: ClosureDescription) -> Optional[ClosureViolation]:
-    for entry in U:
-        _entry_arity(A, entry)
-        roots = _root_prefixes(A, entry)
-        groups = _closure_groups(A, entry)
-        for prefix, ts in groups.items():
-            if prefix not in roots:
-                return ClosureViolation(entry, prefix, "tuple at a non-root prefix")
-            if len(ts) > 1:
-                return ClosureViolation(entry, prefix, "out-degree above one")
+def _entry_violation(
+    A: Structure, entry: ClosureEntry, need_tuple_at_roots: bool
+) -> Optional[ClosureViolation]:
+    """The first violation of one entry: tuples at non-root prefixes and
+    out-degrees above one, then (for closedness) roots without a tuple."""
+    _entry_arity(A, entry)
+    roots = _root_prefixes(A, entry)
+    groups = _closure_groups(A, entry)
+    for prefix, ts in groups.items():
+        if prefix not in roots:
+            return ClosureViolation(entry, prefix, "tuple at a non-root prefix")
+        if len(ts) > 1:
+            return ClosureViolation(entry, prefix, "out-degree above one")
+    if need_tuple_at_roots:
         for prefix in roots:
             if prefix not in groups:
                 return ClosureViolation(entry, prefix, "root embedding without a tuple")
+    return None
+
+
+def closed_violation(A: Structure, U: ClosureDescription) -> Optional[ClosureViolation]:
+    for entry in U:
+        found = _entry_violation(A, entry, need_tuple_at_roots=True)
+        if found is not None:
+            return found
     return None
 
 
@@ -140,14 +152,9 @@ def is_U_closed(A: Structure, U: ClosureDescription) -> bool:
 
 def semi_closed_violation(A: Structure, U: ClosureDescription) -> Optional[ClosureViolation]:
     for entry in U:
-        _entry_arity(A, entry)
-        roots = _root_prefixes(A, entry)
-        groups = _closure_groups(A, entry)
-        for prefix, ts in groups.items():
-            if prefix not in roots:
-                return ClosureViolation(entry, prefix, "tuple at a non-root prefix")
-            if len(ts) > 1:
-                return ClosureViolation(entry, prefix, "out-degree above one")
+        found = _entry_violation(A, entry, need_tuple_at_roots=False)
+        if found is not None:
+            return found
     return None
 
 

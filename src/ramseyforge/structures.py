@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ge, itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import LanguageMismatchError, MorphismError, StructureError
@@ -71,7 +73,12 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    __slots__ = ("language", "vertices", "_relations", "_key", "_hash", "_adj")
+    # ``_adj`` and the four search caches below it are filled lazily, per
+    # instance; see ``search_morphisms``.
+    __slots__ = (
+        "language", "vertices", "_relations", "_key", "_hash", "_adj",
+        "_plans", "_profile", "_incidence", "_nbhd",
+    )
 
     def __init__(
         self,
@@ -109,6 +116,10 @@ class Structure:
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_plans", None)
+        object.__setattr__(self, "_profile", None)
+        object.__setattr__(self, "_incidence", None)
+        object.__setattr__(self, "_nbhd", None)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -119,8 +130,9 @@ class Structure:
             raise StructureError(f"unknown symbol {name!r}") from None
 
     @property
-    def relations(self) -> dict[str, frozenset]:
-        return dict(self._relations)
+    def relations(self) -> Mapping[str, frozenset]:
+        """Read-only view of symbol -> tuples; no copy is made."""
+        return MappingProxyType(self._relations)
 
     def all_tuples(self) -> Iterator[tuple[str, tuple[str, ...]]]:
         for name in sorted(self._relations):
@@ -315,7 +327,12 @@ def _is_hom_embedding(source: Structure, target: Structure, d: Mapping[str, str]
         for v in adj[u]:
             if u < v and d[u] == d[v]:
                 return False
-    # reflection on spans that sit inside an irreducible substructure
+    return _reflects_on_spans(source, target, d)
+
+
+def _reflects_on_spans(source: Structure, target: Structure, d: Mapping[str, str]) -> bool:
+    """Every target tuple pulls back along d on each choice of preimages
+    that sits inside an irreducible substructure of the source."""
     preim: dict[str, list[str]] = {}
     for v, w in d.items():
         preim.setdefault(w, []).append(v)
@@ -371,26 +388,102 @@ def hom_embedding_oracle(f: Morphism) -> bool:
 # enumeration
 
 
-def _forward_ok(source, target, d, newly: str) -> bool:
-    """All source tuples fully assigned after mapping `newly` land in target."""
-    for name, ts in source._relations.items():
-        tt = target.tuples(name)
-        for t in ts:
-            if newly in t and all(v in d for v in t):
-                if tuple(d[v] for v in t) not in tt:
-                    return False
-    return True
+def _source_plan(A: Structure, pinned: tuple[str, ...]) -> tuple:
+    """The search plan of A for a tuple of pinned vertices, cached on A.
+
+    Returns ``(order, checks, unary, occurrences, earlier)``.  ``order`` is
+    the search order: the pinned vertices, then the others in sorted order.
+    For each depth i, ``checks[i]`` holds ``(name, getter)`` for every tuple
+    of arity at least 2 whose last vertex in that order is ``order[i]``,
+    where the getter reads the tuple's image off the partial map;
+    ``unary[i]`` names the unary symbols holding ``(order[i],)``;
+    ``occurrences[i]`` counts the occurrences of ``order[i]`` in all those
+    tuples; ``earlier[i]`` lists the Gaifman neighbours of ``order[i]``
+    that come before it.
+    """
+    plans = A._plans
+    if plans is None:
+        plans = {}
+        object.__setattr__(A, "_plans", plans)
+    plan = plans.get(pinned)
+    if plan is None:
+        rest = set(A.vertices).difference(pinned)
+        order = pinned + tuple(v for v in A.vertices if v in rest)
+        depth = {v: i for i, v in enumerate(order)}
+        checks: list[list] = [[] for _ in order]
+        unary: list[list] = [[] for _ in order]
+        occurrences = [0] * len(order)
+        for name, ts in A._relations.items():
+            for t in sorted(ts):
+                i = max(map(depth.__getitem__, t))
+                occurrences[i] += t.count(order[i])
+                if len(t) == 1:
+                    unary[i].append(name)
+                else:
+                    checks[i].append((name, itemgetter(*t)))
+        adj = A.adjacency()
+        earlier = tuple(
+            tuple(u for u in order[:i] if u in adj[v]) for i, v in enumerate(order)
+        )
+        plan = (order, tuple(map(tuple, checks)), tuple(map(tuple, unary)),
+                tuple(occurrences), earlier)
+        plans[pinned] = plan
+    return plan
 
 
-def _vertex_profile(A: Structure) -> dict[str, tuple]:
-    """Per-vertex occurrence counts by (symbol, position), for pruning."""
-    prof: dict[str, dict] = {v: {} for v in A.vertices}
-    for name, ts in A._relations.items():
-        for t in ts:
-            for i, v in enumerate(t):
-                key = (name, i)
-                prof[v][key] = prof[v].get(key, 0) + 1
-    return {v: p for v, p in prof.items()}
+def _index(B: Structure) -> tuple[dict[str, list[tuple]], dict[str, list[int]]]:
+    """Incidence lists and vertex profiles of B, built in one pass and
+    cached on B.
+
+    ``incidence[w]`` lists the tuples of B (of any symbol) that contain w,
+    once per occurrence of w.  ``profile[w]`` counts w's occurrences by
+    (symbol, position); the slots run over the language's symbols in
+    declaration order and over each symbol's positions, so profiles of two
+    structures over one language compare slot by slot.
+    """
+    if B._incidence is None:
+        base, width = {}, 0
+        for name, arity in B.language.symbols:
+            base[name] = width
+            width += arity
+        incidence: dict[str, list[tuple]] = {w: [] for w in B.vertices}
+        profile = {w: [0] * width for w in B.vertices}
+        for name, ts in B._relations.items():
+            for t in ts:
+                for i, w in enumerate(t, base[name]):
+                    incidence[w].append(t)
+                    profile[w][i] += 1
+        object.__setattr__(B, "_incidence", incidence)
+        object.__setattr__(B, "_profile", profile)
+    return B._incidence, B._profile
+
+
+class _Neighbourhoods(dict):
+    """w -> the Gaifman neighbourhood of w, with w itself when ``closed``,
+    as ``(sorted tuple, set)``; each entry is built on first lookup from
+    the incidence lists of ``_index``."""
+
+    __slots__ = ("incidence", "closed")
+
+    def __init__(self, incidence: dict[str, list[tuple]], closed: bool):
+        super().__init__()
+        self.incidence = incidence
+        self.closed = closed
+
+    def __missing__(self, w: str) -> tuple[tuple, frozenset]:
+        s = frozenset().union(*self.incidence[w])
+        s = s | {w} if self.closed else s - {w}
+        hit = self[w] = (tuple(sorted(s)), s)
+        return hit
+
+
+def _neighbourhoods(B: Structure, closed: bool) -> _Neighbourhoods:
+    cache = B._nbhd
+    if cache is None:
+        incidence = _index(B)[0]
+        cache = (_Neighbourhoods(incidence, False), _Neighbourhoods(incidence, True))
+        object.__setattr__(B, "_nbhd", cache)
+    return cache[closed]
 
 
 def search_morphisms(
@@ -402,9 +495,43 @@ def search_morphisms(
 ) -> Iterator[Morphism]:
     """Backtracking enumeration of morphisms A -> B of the given kind.
 
-    ``fixed`` pins part of the map.  Deterministic: source vertices are
-    processed in sorted order and candidates tried in sorted order, so the
-    output order is the lexicographic order of assignment vectors.
+    ``fixed`` pins part of the map.  Deterministic: pinned source vertices
+    come first in sorted order, then the others in sorted order; at each
+    depth candidates are tried in B's sorted vertex order.  So the output
+    order is the lexicographic order of assignment vectors, and it does not
+    depend on the hash seed.
+
+    The search is indexed.  Every pruning below removes only partial maps
+    that cannot extend to a morphism of the requested kind, so the output,
+    order included, is that of trying every target vertex at every depth.
+
+    - **Compiled source plan.**  Once per source and tuple of pinned
+      vertices (cached on A), each source tuple is assigned to the depth of
+      its last vertex in the search order.  At depth i only those tuples
+      are checked against B; together they cover every tuple exactly once.
+    - **Neighbour-drawn candidates.**  The plan also lists, per depth, the
+      Gaifman neighbours u of ``v = order[i]`` placed earlier.  u and v
+      share a source tuple, so their images share a target tuple or
+      coincide: v's image lies in ``adj_B(d[u]) | {d[u]}``, and in
+      ``adj_B(d[u])`` alone when the map must separate u and v (injective
+      kinds and homomorphism-embeddings).  The candidates are the first
+      such neighbourhood, kept as a sorted tuple, filtered by membership in
+      the others; with no earlier neighbour they are all of B's vertices.
+      No set is ever iterated to order candidates.
+    - **Incremental reflection** (embeddings).  When v is mapped to w, the
+      occurrences of w in target tuples inside the image are counted.  The
+      depth's source tuples map injectively onto some of those tuples, with
+      w occurring where v did, so every one of them pulls back to a source
+      tuple exactly when the count equals v's occurrences in the depth's
+      source tuples.  A partial map that fails cannot extend to an
+      embedding.  Monomorphisms and embeddings also skip targets whose
+      (symbol, position) occurrence counts fall below v's.
+
+    The plan, the incidence lists and profiles, and the sorted
+    neighbourhoods are filled lazily on the structures themselves, so their
+    set-up is paid once per structure, and the profile test once per depth
+    and call.  Homomorphism-embeddings are checked for reflection on
+    irreducible spans once complete.
     """
     if A.language != B.language:
         raise LanguageMismatchError("morphism search requires a shared language")
@@ -412,61 +539,83 @@ def search_morphisms(
         raise MorphismError(f"unknown morphism kind {kind!r}")
     injective = require_injective or kind in ("monomorphism", "embedding")
     pairwise = kind == "homomorphism-embedding"
+    reflect = kind == "embedding"
+    profiles = kind in ("monomorphism", "embedding")
     fixed = dict(fixed or {})
-    for v, w in fixed.items():
-        if v not in set(A.vertices) or w not in set(B.vertices):
-            raise MorphismError("fixed assignment uses undeclared vertices")
+    if fixed:
+        a_verts, b_verts = set(A.vertices), set(B.vertices)
+        for v, w in fixed.items():
+            if v not in a_verts or w not in b_verts:
+                raise MorphismError("fixed assignment uses undeclared vertices")
 
     if injective and len(A.vertices) > len(B.vertices):
         return
 
-    order = [v for v in A.vertices if v not in fixed]
-    order = sorted(fixed) + order
-    prune_profiles = kind in ("monomorphism", "embedding")
-    profA = _vertex_profile(A) if prune_profiles else None
-    profB = _vertex_profile(B) if prune_profiles else None
-    adjA = A.adjacency()
-
+    order, plan_checks, plan_unary, occurrences, earlier = _source_plan(
+        A, tuple(sorted(fixed))
+    )
+    n = len(order)
+    rels = B._relations
+    checks = [[(rels[name], get) for name, get in cs] for cs in plan_checks]
+    unary = [[rels[name] for name in us] for us in plan_unary]
+    nbhd = _neighbourhoods(B, not (injective or pairwise))
+    inc, prof_b = _index(B)
+    prof_a = _index(A)[1] if profiles else None
+    fits: list[Optional[set]] = [None] * n
     d: dict[str, str] = {}
+    used: set[str] = set()
 
-    def candidates(v):
-        if v in fixed:
-            return [fixed[v]]
-        return B.vertices
-
-    def extend(i: int) -> Iterator[dict]:
-        if i == len(order):
-            yield dict(d)
-            return
+    def extend(i: int) -> Iterator[Morphism]:
         v = order[i]
-        used = set(d.values()) if injective else None
-        for w in candidates(v):
+        nbrs = earlier[i]
+        if v in fixed:
+            cands = (fixed[v],)
+        elif nbrs:
+            cands = nbhd[d[nbrs[0]]][0]
+            nbrs = nbrs[1:]
+        else:
+            cands = B.vertices
+        for u in nbrs:
+            allowed = nbhd[d[u]][1]
+            cands = [w for w in cands if w in allowed]
+        if profiles:
+            ok = fits[i]
+            if ok is None:
+                # the targets whose (symbol, position) counts cover v's
+                pa = prof_a[v]
+                ok = fits[i] = {w for w in B.vertices if all(map(ge, prof_b[w], pa))}
+            cands = [w for w in cands if w in ok]
+        checks_i, unary_i, occ = checks[i], unary[i], occurrences[i]
+        last = i + 1 == n
+        for w in cands:
             if injective and w in used:
                 continue
-            if pairwise and any(
-                (u in d and d[u] == w) for u in adjA[v]
-            ):
-                continue
-            if profA is not None:
-                # an embedding cannot send v somewhere with fewer
-                # occurrences in any (symbol, position) slot
-                pa, pb = profA[v], profB[w]
-                if any(pb.get(k, 0) < c for k, c in pa.items()):
-                    continue
             d[v] = w
-            if _forward_ok(A, B, d, v):
-                yield from extend(i + 1)
-            del d[v]
+            for rel in unary_i:
+                if (w,) not in rel:
+                    break
+            else:
+                for rel, get in checks_i:
+                    if get(d) not in rel:
+                        break
+                else:
+                    if injective:
+                        used.add(w)
+                        if reflect and sum(map(used.issuperset, inc[w])) != occ:
+                            used.discard(w)
+                            continue
+                    if not last:
+                        yield from extend(i + 1)
+                    elif not pairwise or _reflects_on_spans(A, B, d):
+                        yield Morphism(A, B, tuple(zip(A.vertices, map(d.__getitem__, A.vertices))), kind)
+                    if injective:
+                        used.discard(w)
+        d.pop(v, None)
 
-    for full in extend(0):
-        m = Morphism.make(A, B, full, kind)
-        if kind == "embedding":
-            if not _reflects_on_image(A, B, full):
-                continue
-        elif kind == "homomorphism-embedding":
-            if not _is_hom_embedding(A, B, full):
-                continue
-        yield m
+    if n == 0:
+        yield Morphism(A, B, (), kind)
+    else:
+        yield from extend(0)
 
 
 def enumerate_morphisms(A: Structure, B: Structure, kind: str) -> list[Morphism]:
@@ -488,11 +637,12 @@ def copies_of(A: Structure, B: Structure) -> dict[frozenset, list[Morphism]]:
 
 def induced_substructure(A: Structure, S: Iterable[str]) -> Structure:
     S = set(S)
+    verts = set(A.vertices)
     for v in S:
-        if v not in set(A.vertices):
+        if v not in verts:
             raise StructureError(f"unknown vertex {v!r}")
     rels = {
-        name: [t for t in ts if all(v in S for v in t)]
+        name: [t for t in ts if S.issuperset(t)]
         for name, ts in A._relations.items()
     }
     return Structure(A.language, sorted(S), rels)

@@ -1,0 +1,112 @@
+"""Reference morphism search: the unindexed backtracker.
+
+This is the search ``structures.search_morphisms`` used before it compiled
+per-source plans.  It tries every target vertex at every depth, rescans all
+source tuples after each assignment and checks reflection only on complete
+maps.  It is slow and obviously faithful to the definitions, so the tests
+compare the indexed search against it, map for map and in order.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Mapping, Optional
+
+from ramseyforge.errors import LanguageMismatchError, MorphismError
+from ramseyforge.structures import (
+    MORPHISM_KINDS,
+    Morphism,
+    Structure,
+    _is_hom_embedding,
+    _reflects_on_image,
+)
+
+
+def _forward_ok(source, target, d, newly: str) -> bool:
+    """All source tuples fully assigned after mapping `newly` land in target."""
+    for name, ts in source._relations.items():
+        tt = target.tuples(name)
+        for t in ts:
+            if newly in t and all(v in d for v in t):
+                if tuple(d[v] for v in t) not in tt:
+                    return False
+    return True
+
+
+def _vertex_profile(A: Structure) -> dict[str, dict]:
+    """Per-vertex occurrence counts by (symbol, position), for pruning."""
+    prof: dict[str, dict] = {v: {} for v in A.vertices}
+    for name, ts in A._relations.items():
+        for t in ts:
+            for i, v in enumerate(t):
+                key = (name, i)
+                prof[v][key] = prof[v].get(key, 0) + 1
+    return prof
+
+
+def oracle_search(
+    A: Structure,
+    B: Structure,
+    kind: str,
+    fixed: Optional[Mapping[str, str]] = None,
+    require_injective: bool = False,
+) -> Iterator[Morphism]:
+    """Same contract and output order as ``search_morphisms``."""
+    if A.language != B.language:
+        raise LanguageMismatchError("morphism search requires a shared language")
+    if kind not in MORPHISM_KINDS:
+        raise MorphismError(f"unknown morphism kind {kind!r}")
+    injective = require_injective or kind in ("monomorphism", "embedding")
+    pairwise = kind == "homomorphism-embedding"
+    fixed = dict(fixed or {})
+    for v, w in fixed.items():
+        if v not in set(A.vertices) or w not in set(B.vertices):
+            raise MorphismError("fixed assignment uses undeclared vertices")
+
+    if injective and len(A.vertices) > len(B.vertices):
+        return
+
+    order = [v for v in A.vertices if v not in fixed]
+    order = sorted(fixed) + order
+    prune_profiles = kind in ("monomorphism", "embedding")
+    profA = _vertex_profile(A) if prune_profiles else None
+    profB = _vertex_profile(B) if prune_profiles else None
+    adjA = A.adjacency()
+
+    d: dict[str, str] = {}
+
+    def candidates(v):
+        if v in fixed:
+            return [fixed[v]]
+        return B.vertices
+
+    def extend(i: int) -> Iterator[dict]:
+        if i == len(order):
+            yield dict(d)
+            return
+        v = order[i]
+        used = set(d.values()) if injective else None
+        for w in candidates(v):
+            if injective and w in used:
+                continue
+            if pairwise and any(
+                (u in d and d[u] == w) for u in adjA[v]
+            ):
+                continue
+            if profA is not None:
+                pa, pb = profA[v], profB[w]
+                if any(pb.get(k, 0) < c for k, c in pa.items()):
+                    continue
+            d[v] = w
+            if _forward_ok(A, B, d, v):
+                yield from extend(i + 1)
+            del d[v]
+
+    for full in extend(0):
+        m = Morphism.make(A, B, full, kind)
+        if kind == "embedding":
+            if not _reflects_on_image(A, B, full):
+                continue
+        elif kind == "homomorphism-embedding":
+            if not _is_hom_embedding(A, B, full):
+                continue
+        yield m
