@@ -121,18 +121,19 @@ class ClosureViolation:
 def _entry_violation(
     A: Structure, entry: ClosureEntry, need_tuple_at_roots: bool
 ) -> Optional[ClosureViolation]:
-    """The first violation of one entry: tuples at non-root prefixes and
-    out-degrees above one, then (for closedness) roots without a tuple."""
+    """The first violation of one entry, prefixes in sorted order: tuples at
+    non-root prefixes and out-degrees above one, then (for closedness) roots
+    without a tuple."""
     _entry_arity(A, entry)
     roots = _root_prefixes(A, entry)
     groups = _closure_groups(A, entry)
-    for prefix, ts in groups.items():
+    for prefix in sorted(groups):
         if prefix not in roots:
             return ClosureViolation(entry, prefix, "tuple at a non-root prefix")
-        if len(ts) > 1:
+        if len(groups[prefix]) > 1:
             return ClosureViolation(entry, prefix, "out-degree above one")
     if need_tuple_at_roots:
-        for prefix in roots:
+        for prefix in sorted(roots):
             if prefix not in groups:
                 return ClosureViolation(entry, prefix, "root embedding without a tuple")
     return None

@@ -8,6 +8,7 @@ complete colouring search deciding C -> (B)^A_k at desk scale.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -105,6 +106,97 @@ def partite_copies(system: PartiteSystem) -> list[Morphism]:
 
 
 # ---------------------------------------------------------------------------
+# the colouring search
+
+
+def colouring_search(
+    n: int,
+    k: int,
+    groups: Sequence[Sequence[int]],
+    node_budget: Optional[int] = None,
+) -> tuple[Optional[list[int]], int]:
+    """Complete search for a k-colouring of 0..n-1 that leaves no group
+    monochromatic.  Returns (colouring, nodes); the colouring is None when
+    every colouring has a monochromatic group.
+
+    Copies are coloured in index order, colours ascending, with copy 0
+    pinned to colour 0 (permuting colours is a symmetry), so the colouring
+    found is the lexicographically least good one with copy 0 coloured 0.
+    Forward checking: once every member of a group but the last carries
+    colour c, c is ruled out at the last member, and a branch dies as soon
+    as some uncoloured copy has all k colours ruled out.  A node is one
+    colour given to one copy where it was not ruled out; with copy 0 pinned
+    a complete search takes at most (k^n - 1)/(k - 1) nodes for k >= 2.
+    Raises CapError once more than ``node_budget`` nodes would be needed.
+    """
+    if k < 1:
+        raise PreconditionError("at least one colour is required")
+    masks = []
+    for g in groups:
+        m = 0
+        for i in g:
+            m |= 1 << i
+        if m & (m - 1) == 0:
+            # at most one distinct member: monochromatic under every colouring
+            return None, 0
+        masks.append(m)
+    if n == 0:
+        return [], 0
+    # Colouring a group's second-largest member leaves only its largest
+    # uncoloured: file the group there as (the other members, the largest).
+    triggers: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for m in masks:
+        top = 1 << (m.bit_length() - 1)
+        rest = m ^ top
+        triggers[rest.bit_length() - 1].append((rest, top))
+
+    colouring = [0] * n
+    mono = [0] * k  # mono[c]: copies coloured c
+    banned = [0] * k  # banned[c]: uncoloured copies where c is ruled out
+    saved = [0] * n  # banned[colouring[i]] before copy i was coloured
+    budget = math.inf if node_budget is None else node_budget
+    nodes = 0
+    i, c = 0, 0
+    while True:
+        bit = 1 << i
+        limit = 1 if i == 0 else k
+        while c < limit and banned[c] & bit:
+            c += 1
+        if c == limit:
+            if i == 0:
+                return None, nodes
+            i -= 1
+            c = colouring[i]
+            mono[c] ^= 1 << i
+            banned[c] = saved[i]
+            c += 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise CapError(f"colouring search ran out of its {budget} node budget")
+        with_c = mono[c] | bit
+        ban = 0
+        for rest, top in triggers[i]:
+            if rest & with_c == rest:
+                ban |= top
+        if ban:
+            dead = ban
+            for d in range(k):
+                if d != c:
+                    dead &= banned[d]
+            if dead:
+                c += 1
+                continue
+        colouring[i] = c
+        mono[c] = with_c
+        saved[i] = banned[c]
+        banned[c] |= ban
+        if i + 1 == n:
+            return colouring, nodes
+        i, c = i + 1, 0
+
+
+# ---------------------------------------------------------------------------
 # Hales-Jewett
 
 
@@ -155,10 +247,12 @@ def hales_jewett_N(
     t: int, k: int, cap: int = 8, colouring_cap: int = 2**24
 ) -> HalesJewettResult:
     """Least N such that every k-colouring of the N-cube over t letters has
-    a monochromatic combinatorial line, by exhaustive enumeration.
+    a monochromatic combinatorial line, by complete colouring search over
+    the points with the lines as groups.
 
     Inconclusive (with the best lower bound) once k^(t^N) exceeds the
-    colouring cap or N exceeds ``cap``.
+    colouring cap or N exceeds ``cap``.  ``colourings_examined`` counts the
+    search nodes over all dimensions tried.
     """
     if t < 1 or k < 1:
         raise PreconditionError("alphabet and colour counts must be positive")
@@ -174,15 +268,9 @@ def hales_jewett_N(
         line_sets = [
             tuple(index[p] for p in pts) for _, pts in lines_for(t, N)
         ]
-        all_mono = True
-        for colouring in itertools.product(range(k), repeat=points):
-            examined += 1
-            if not any(
-                len({colouring[i] for i in line}) == 1 for line in line_sets
-            ):
-                all_mono = False
-                break
-        if all_mono:
+        colouring, nodes = colouring_search(points, k, line_sets)
+        examined += nodes
+        if colouring is None:
             return HalesJewettResult(N, N, True, examined)
         lower = N + 1
     return HalesJewettResult(None, lower, False, examined)
@@ -770,42 +858,6 @@ def _has_mono(colouring: Sequence[int], groups: Sequence[tuple]) -> bool:
     return False
 
 
-def _search_refutation(
-    n: int, k: int, groups: Sequence[tuple]
-) -> tuple[Optional[list[int]], int]:
-    """Complete backtracking search for a colouring with no monochromatic
-    group.  Returns (colouring, nodes examined); None when every colouring
-    has a monochromatic group."""
-    if any(len(g) <= 1 for g in groups):
-        return None, 0
-    # evaluate each group once its largest index is coloured
-    by_last: list[list[tuple]] = [[] for _ in range(n)]
-    for g in groups:
-        by_last[max(g)].append(g)
-    colouring = [0] * n
-    examined = 0
-
-    def rec(i: int) -> bool:
-        nonlocal examined
-        # colour-permutation symmetry: the first copy may be pinned to 0
-        for c in range(1 if i == 0 else k):
-            colouring[i] = c
-            examined += 1
-            ok = True
-            for g in by_last[i]:
-                c0 = colouring[g[0]]
-                if all(colouring[j] == c0 for j in g[1:]):
-                    ok = False
-                    break
-            if ok and (i + 1 == n or rec(i + 1)):
-                return True
-        return False
-
-    if n and rec(0):
-        return list(colouring), examined
-    return None, examined
-
-
 def verify_arrow(
     C: Structure,
     A: Structure,
@@ -819,8 +871,16 @@ def verify_arrow(
     """Decide whether every k-colouring of the copies of A in C leaves some
     copy of B monochromatic.
 
-    Exhaustive (complete search) when k^(#copies of A) fits the cap, else
-    sampled: refutation-capable only, inconclusive without a counterexample.
+    ``exhaustive`` runs the complete colouring search (``colouring_search``)
+    with ``exhaustive_cap`` as its node budget and raises CapError only when
+    the budget runs out.  A refutation carries the lexicographically least
+    good colouring with the first copy coloured 0; "proved" comes only from
+    a finished complete search.  ``auto`` tries the complete search first
+    and samples only when it hits the cap; ``sampled`` draws ``sample``
+    random colourings and can refute but never prove.  For k >= 2 every
+    instance with k^(#copies of A) within the cap finishes within it.  The
+    default cap of 2^24 nodes bounds a hopeless search to a few tens of
+    seconds.
     """
     if k < 1:
         raise PreconditionError("at least one colour is required")
@@ -832,22 +892,21 @@ def verify_arrow(
         return ArrowReport(
             "refuted", tuple([0] * n), copies_a, copies_b, "degenerate", 0
         )
-    feasible = k**n <= exhaustive_cap if n else True
-    if mode == "auto":
-        mode = "exhaustive" if feasible else "sampled"
-    if mode == "exhaustive":
-        if not feasible:
-            raise CapError(
-                "colouring space exceeds the exhaustive cap", projected=k**n
-            )
-        colouring, examined = _search_refutation(n, k, groups)
-        if colouring is None:
+    if mode in ("auto", "exhaustive"):
+        try:
+            colouring, examined = colouring_search(n, k, groups, exhaustive_cap)
+        except CapError:
+            if mode == "exhaustive":
+                raise
+            mode = "sampled"
+        else:
+            if colouring is None:
+                return ArrowReport(
+                    "proved", None, copies_a, copies_b, "exhaustive", examined
+                )
             return ArrowReport(
-                "proved", None, copies_a, copies_b, "exhaustive", examined
+                "refuted", tuple(colouring), copies_a, copies_b, "exhaustive", examined
             )
-        return ArrowReport(
-            "refuted", tuple(colouring), copies_a, copies_b, "exhaustive", examined
-        )
     if mode != "sampled":
         raise PreconditionError(f"unknown mode {mode!r}")
     rng = random.Random(seed)

@@ -101,6 +101,19 @@ class TestArrowCli:
         )
         assert code == 0 and payload["holds"] == "proved"
 
+    def test_exhaustive_k6_triangles_proved(self, files, capsys, tmp_path):
+        # R(3,3) = 6; the cap counts search nodes, not 2^15 edge colourings
+        k6 = tmp_path / "K6.rsf"
+        rsf.dump(complete_graph(6), k6)
+        code, payload = run_json(
+            capsys,
+            ["ramsey", "arrow", str(k6), files["K2.rsf"], files["K3.rsf"],
+             "-k", "2", "--mode", "exhaustive"],
+        )
+        assert code == 0 and payload["holds"] == "proved"
+        assert payload["mode"] == "exhaustive"
+        assert 0 < payload["colourings_examined"] < 2**15
+
     def test_hj_inconclusive_is_exit_two(self, files, capsys):
         code, payload = run_json(capsys, ["ramsey", "hj", "-t", "3", "-k", "2"])
         assert code == 2 and not payload["conclusive"]

@@ -21,6 +21,7 @@ from ramseyforge.ramsey import (
     PartiteSystem,
     arrow_certificate_refutes,
     admissible_reorder,
+    colouring_search,
     distance_lift_fixture,
     graph_distances,
     hales_jewett_N,
@@ -40,6 +41,7 @@ from ramseyforge.structures import (
     verify_morphism,
 )
 
+from colouring_oracle import oracle_search
 from conftest import random_graph
 
 OV = Structure(ORDERED_GRAPH, ["1"], {"leq": [("1", "1")]})
@@ -78,6 +80,15 @@ class TestHalesJewett:
         # colouring the two singleton points differently kills every line
         result = hales_jewett_N(2, 2)
         assert result.value != 1
+
+    def test_three_letter_cube_has_a_good_colouring(self):
+        # a 2-colouring of [3]^3 with no monochromatic line: HJ(3,2) >= 4
+        index = {p: i for i, p in enumerate(itertools.product(range(3), repeat=3))}
+        line_sets = [tuple(index[p] for p in pts) for _, pts in lines_for(3, 3)]
+        colouring, nodes = colouring_search(27, 2, line_sets)
+        assert colouring is not None and nodes > 0
+        for line in line_sets:
+            assert len({colouring[i] for i in line}) == 2
 
 
 class TestPartiteSystem:
@@ -251,6 +262,38 @@ class TestArrow:
         a = verify_arrow(p3, K1, k2, 2)
         b = verify_arrow(p3, K1, k2, 2)
         assert a == b
+
+    def test_auto_proves_k8_triangles_by_complete_search(self):
+        # 2^28 edge colourings exceed the cap, but the search needs far
+        # fewer nodes than that
+        report = verify_arrow(complete_graph(8), complete_graph(2), complete_graph(3), 2)
+        assert report.holds == "proved" and report.mode == "exhaustive"
+
+    def test_exhaustive_raises_when_nodes_run_out(self):
+        with pytest.raises(CapError):
+            verify_arrow(
+                complete_graph(8), complete_graph(2), complete_graph(3), 2,
+                mode="exhaustive", exhaustive_cap=100,
+            )
+
+    def test_auto_samples_when_nodes_run_out(self):
+        report = verify_arrow(
+            complete_graph(8), complete_graph(2), complete_graph(3), 2,
+            mode="auto", exhaustive_cap=100,
+        )
+        assert report.holds == "inconclusive" and report.mode == "sampled"
+
+    @pytest.mark.parametrize("n, b, k", [(5, 3, 2), (7, 3, 3), (8, 4, 2)])
+    def test_refuting_colouring_is_the_oracle_s(self, n, b, k):
+        from ramseyforge.ramsey import _mono_sets
+
+        C, A, B = complete_graph(n), complete_graph(2), complete_graph(b)
+        report = verify_arrow(C, A, B, k)
+        a_images, _, groups = _mono_sets(C, A, B)
+        colouring, nodes = oracle_search(len(a_images), k, groups)
+        assert report.holds == "refuted"
+        assert report.colouring == tuple(colouring)
+        assert report.colourings_examined <= nodes
 
 
 class TestConstruction:

@@ -1,7 +1,8 @@
-"""Morphism search output must not depend on PYTHONHASHSEED.
+"""Search output and reports must not depend on PYTHONHASHSEED.
 
-The search draws candidates from neighbourhood sets; this runs a fixed set
-of searches in fresh interpreters under different hash seeds and requires
+The morphism search draws candidates from neighbourhood sets, and the
+closure checks collect prefixes in sets; this runs fixed searches and
+reports in fresh interpreters under different hash seeds and requires
 byte-identical output.
 """
 
@@ -49,10 +50,30 @@ for name, found in searches:
 """
 
 
-def _run(hashseed: str) -> str:
+REPORTS_SCRIPT = r"""
+import random
+from ramseyforge.build import POINTED, complete_graph
+from ramseyforge.closures import closed_violation, closure_description
+from ramseyforge.ramsey import verify_arrow
+from ramseyforge.structures import Structure
+
+# 40 of the 64 U pairs on eight vertices: several prefixes violate the
+# closure at once, so the report depends on which one is checked first.
+rng = random.Random(11)
+verts = [f"x{i}" for i in range(8)]
+pairs = rng.sample([(u, v) for u in verts for v in verts], 40)
+A = Structure(POINTED, verts, {"U": pairs})
+U = closure_description(("U", Structure(POINTED, ["1"], {})))
+print("closure violation", closed_violation(A, U), sep="\t")
+report = verify_arrow(complete_graph(5), complete_graph(2), complete_graph(3), 2)
+print("K5 arrow", report.holds, sorted(report.certificate().items()), sep="\t")
+"""
+
+
+def _run(hashseed: str, script: str = SCRIPT) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -64,3 +85,12 @@ def test_search_output_identical_across_hash_seeds():
     counts = [int(line.split("\t")[1]) for line in outputs[0].splitlines()]
     # every search finds something, so the comparison is not vacuous
     assert len(counts) == 4 and all(c > 0 for c in counts)
+
+
+def test_closure_violation_and_arrow_certificate_identical_across_hash_seeds():
+    outputs = [_run(seed, REPORTS_SCRIPT) for seed in ("0", "1", "2", "3")]
+    assert all(out == outputs[0] for out in outputs[1:])
+    closure, arrow = outputs[0].splitlines()
+    # the smallest violating prefix is reported, and K5 does not arrow
+    assert closure == "closure violation\tU@('x0',): tuple at a non-root prefix"
+    assert arrow.startswith("K5 arrow\trefuted\t")
