@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import metric as metric_mod
 from .build import POSET, ORDERED_GRAPH, linear_order_tuples
@@ -116,10 +116,18 @@ def holes(A: Structure) -> list[tuple[str, str]]:
 
 
 class ClassPlugin:
-    """A pluggable class of finite irreducible structures."""
+    """A pluggable class of finite irreducible structures.
+
+    Patterns are described pair by pair: a pattern on k vertices is a
+    vector of pair states, one for each pair (i, j) with i < j in
+    ``itertools.combinations`` order, and ``pair_flip[s]`` is the state the
+    pair shows when read the other way round.  A plugin supplies the flip
+    table and ``_pattern(k, states)``, which builds the structure.
+    """
 
     name: str
     language: Language
+    pair_flip: tuple[int, ...]
 
     def membership(self, A: Structure) -> bool:
         raise NotImplementedError
@@ -127,11 +135,16 @@ class ClassPlugin:
     def try_strong_completion(self, A: Structure) -> CompletionResult:
         raise NotImplementedError
 
+    def _pattern(self, k: int, states: Sequence[int]) -> Structure:
+        raise NotImplementedError
+
     def patterns(self, k: int) -> Iterator[Structure]:
         """All candidate structures on k vertices, up to isomorphism, drawn
         from the plugin's pattern class (structures admitting a completion
         into the ambient irreducible class)."""
-        raise NotImplementedError
+        flip = self.pair_flip
+        for states in _canonical_pair_vectors(k, len(flip), flip):
+            yield self._pattern(k, states)
 
     # -- shared machinery ---------------------------------------------------
 
@@ -142,20 +155,40 @@ class ClassPlugin:
     def obstacles_up_to(self, n: int) -> list[Structure]:
         """Minimal structures with no strong completion, at most n vertices.
 
-        Minimality: every proper induced substructure strongly completes
-        (completability is hereditary, so checking co-dimension one
-        substructures suffices)."""
+        Assumes that completability is hereditary (an induced substructure
+        of a structure that strongly completes strongly completes too) and
+        invariant under isomorphism.  Then a pattern is minimal when every
+        part that drops one vertex completes, and a pattern with a failing
+        part fails.  Dropping a vertex from a pair vector is a fixed index
+        selection that gives the part's vector on the previous size,
+        relabelled in order; the failing vectors of that size are kept with
+        all their images under vertex permutations, so each part's verdict
+        is one set lookup.  Only patterns whose parts all complete are built
+        and tried; those that fail are the obstacles.
+        """
+        flip = self.pair_flip
+        empty_ok = self.try_strong_completion(self._pattern(0, ())).ok
+        failing: set[tuple[int, ...]] = set() if empty_ok else {()}
         out = []
-        for P in self.patterns_up_to(n):
-            if self.try_strong_completion(P).ok:
-                continue
-            if all(
-                self.try_strong_completion(
-                    induced_substructure(P, set(P.vertices) - {v})
-                ).ok
-                for v in P.vertices
-            ):
-                out.append(P)
+        for k in range(1, n + 1):
+            drops = _vertex_drops(k)
+            # nothing reads the failing vectors of the last size
+            reads = _pair_perm_reads(k, flip) if k < n else None
+            failing_k: set[tuple[int, ...]] = set()
+            for vec in _canonical_pair_vectors(k, len(flip), flip):
+                if any(tuple([vec[p] for p in drop]) in failing for drop in drops):
+                    fails = True
+                else:
+                    P = self._pattern(k, vec)
+                    fails = not self.try_strong_completion(P).ok
+                    if fails:
+                        out.append(P)
+                if fails and reads is not None:
+                    failing_k.add(vec)
+                    failing_k.update(
+                        tuple([table[vec[p]] for p, table in read]) for read in reads
+                    )
+            failing = failing_k
         out.sort(key=canonical_key)
         return out
 
@@ -164,28 +197,40 @@ def _pattern_vertices(k: int) -> list[str]:
     return [f"v{i}" for i in range(k)]
 
 
-def _dedupe(structures: Iterable[Structure]) -> Iterator[Structure]:
-    seen = set()
-    for A in structures:
-        key = canonical_key(A)
-        if key not in seen:
-            seen.add(key)
-            yield A
+def _pair_perm_reads(
+    k: int, flip: Sequence[int]
+) -> list[tuple[tuple[int, Sequence[int]], ...]]:
+    """How each non-identity vertex permutation reads a pair vector.
 
-
-def _pair_perm_maps(k: int) -> list[list[tuple[int, bool]]]:
+    Row ``read`` of permutation sigma has one entry ``(p, table)`` per
+    pair position q: the image vector takes ``table[vec[p]]`` at q, where p
+    is the pair that sigma carries onto pair q, and ``table`` is ``flip``
+    when sigma reverses it.
+    """
     pairs = list(itertools.combinations(range(k), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    maps = []
+    index = {pair: q for q, pair in enumerate(pairs)}
+    same = tuple(range(len(flip)))
+    flip = tuple(flip)
+    reads = []
     for sigma in itertools.permutations(range(k)):
         if sigma == tuple(range(k)):
             continue
-        row = []
-        for (i, j) in pairs:
+        read: list = [None] * len(pairs)
+        for p, (i, j) in enumerate(pairs):
             a, b = sigma[i], sigma[j]
-            row.append((index[(a, b)], False) if a < b else (index[(b, a)], True))
-        maps.append(row)
-    return maps
+            if a < b:
+                read[index[(a, b)]] = (p, same)
+            else:
+                read[index[(b, a)]] = (p, flip)
+        reads.append(tuple(read))
+    return reads
+
+
+def _vertex_drops(k: int) -> list[tuple[int, ...]]:
+    """Per vertex v, the pair positions avoiding v: selecting them from a
+    vector on k vertices gives the vector of the part without v."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return [tuple(q for q, pair in enumerate(pairs) if v not in pair) for v in range(k)]
 
 
 def _canonical_pair_vectors(
@@ -195,23 +240,89 @@ def _canonical_pair_vectors(
 
     A state describes one unordered pair; ``flip[s]`` is the state seen when
     the pair's orientation reverses.  Only lexicographically minimal vectors
-    are yielded, so the output is duplicate-free up to isomorphism.
+    are yielded, in lexicographic order, so the output is duplicate-free up
+    to isomorphism.
+
+    Orderly generation (Read 1978; McKay 1998): positions are filled depth
+    first, states ascending.  Each non-identity permutation compares its
+    image with the vector from its first undecided position on, as soon as
+    both that position and the position it reads are set.  A smaller image
+    prunes the prefix, since every extension keeps that smaller image; a
+    larger one retires the permutation for the subtree; an equal one steps
+    on.  A permutation waits in the bucket of the position whose setting
+    makes its next comparison possible.
     """
-    maps = _pair_perm_maps(k)
     npairs = k * (k - 1) // 2
-    for vec in itertools.product(range(num_states), repeat=npairs):
-        minimal = True
-        for row in maps:
-            out = [0] * npairs
-            for p in range(npairs):
-                q, fl = row[p]
-                s = vec[p]
-                out[q] = flip[s] if fl else s
-            if tuple(out) < vec:
-                minimal = False
-                break
-        if minimal:
-            yield vec
+    if npairs == 0:
+        yield ()
+        return
+    # a permutation: (read, ready) where ready[q] = max(q, position read at q)
+    perms = []
+    for read in _pair_perm_reads(k, flip):
+        ready = tuple(max(q, p) for q, (p, _) in enumerate(read))
+        perms.append((read, ready))
+    waiting: list[list[tuple[tuple, int]]] = [[] for _ in range(npairs)]
+    for perm in perms:
+        waiting[perm[1][0]].append((perm, 0))
+    vec = [0] * npairs
+    states = range(num_states)
+
+    def extend(m: int) -> Iterator[tuple[int, ...]]:
+        last = m == npairs - 1
+        for s in states:
+            vec[m] = s
+            moved = []
+            pruned = False
+            for perm, q in waiting[m]:
+                read, ready = perm
+                while True:
+                    p, table = read[q]
+                    diff = table[vec[p]] - vec[q]
+                    if diff:
+                        break
+                    q += 1
+                    if q == npairs:
+                        break
+                    if ready[q] > m:
+                        waiting[ready[q]].append((perm, q))
+                        moved.append(ready[q])
+                        break
+                if diff < 0:
+                    pruned = True
+                    break
+            if not pruned:
+                if last:
+                    yield tuple(vec)
+                else:
+                    yield from extend(m + 1)
+            for pos in moved:
+                waiting[pos].pop()
+
+    yield from extend(0)
+
+
+# ---------------------------------------------------------------------------
+# oriented pair states, shared by posets and ordered graphs
+
+# 0 hole, 1/2 ordered one way, 3/4 ordered one way plus a second relation;
+# the odd state orders the pair's first vertex below its second.
+_ORIENTED_FLIP = (0, 2, 1, 4, 3)
+
+
+def _oriented_pairs(
+    verts: Sequence[str], states: Sequence[int]
+) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """The strict order pairs and the second relation's pairs (oriented
+    like the order) of an oriented pair-state vector."""
+    order, second = [], []
+    for (u, v), s in zip(itertools.combinations(verts, 2), states):
+        if s == 0:
+            continue
+        a, b = (u, v) if s in (1, 3) else (v, u)
+        order.append((a, b))
+        if s in (3, 4):
+            second.append((a, b))
+    return order, second
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +451,7 @@ class PosetPlugin(ClassPlugin):
 
     name = "posets"
     language = POSET
+    pair_flip = _ORIENTED_FLIP
 
     def membership(self, A: Structure) -> bool:
         leq, prec = A.tuples("leq"), A.tuples("prec")
@@ -443,22 +555,12 @@ class PosetPlugin(ClassPlugin):
             raise StructureError("poset completion produced a non-member")
         return CompletionResult("completed", completed=completed)
 
-    def patterns(self, k: int) -> Iterator[Structure]:
+    def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, 1/2 order one way, 3/4 order plus prec
         verts = _pattern_vertices(k)
-        pairs = list(itertools.combinations(verts, 2))
+        leq, prec = _oriented_pairs(verts, states)
         diag = [(v, v) for v in verts]
-        for states in _canonical_pair_vectors(k, 5, (0, 2, 1, 4, 3)):
-            leq = list(diag)
-            prec = list(diag)
-            for (u, v), s in zip(pairs, states):
-                if s == 0:
-                    continue
-                a, b = (u, v) if s in (1, 3) else (v, u)
-                leq.append((a, b))
-                if s in (3, 4):
-                    prec.append((a, b))
-            yield Structure(POSET, verts, {"leq": leq, "prec": prec})
+        return Structure(POSET, verts, {"leq": diag + leq, "prec": diag + prec})
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +578,7 @@ class MetricPlugin(ClassPlugin):
             )
         self.S = S
         self.language = metric_mod.metric_language(S)
+        self.pair_flip = tuple(range(len(S) + 1))
         from .rsf import format_rational
 
         self.name = "metric:" + ",".join(format_rational(q) for q in S.sorted())
@@ -529,19 +632,16 @@ class MetricPlugin(ClassPlugin):
             ),
         )
 
-    def patterns(self, k: int) -> Iterator[Structure]:
+    def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, i >= 1 the i-th smallest distance
         verts = _pattern_vertices(k)
-        pairs = list(itertools.combinations(verts, 2))
         vals = self.S.sorted()
-        flip = tuple(range(len(vals) + 1))
-        for states in _canonical_pair_vectors(k, len(vals) + 1, flip):
-            dist = {
-                (u, v): vals[s - 1]
-                for (u, v), s in zip(pairs, states)
-                if s != 0
-            }
-            yield metric_mod.sgraph_to_structure(SGraph(verts, dist), self.S)
+        dist = {
+            pair: vals[s - 1]
+            for pair, s in zip(itertools.combinations(verts, 2), states)
+            if s != 0
+        }
+        return metric_mod.sgraph_to_structure(SGraph(verts, dist), self.S)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +658,7 @@ class ForbiddenPlugin(ClassPlugin):
     """
 
     language = ORDERED_GRAPH
+    pair_flip = _ORIENTED_FLIP
 
     def __init__(self, forbidden: Sequence[Structure], name: str = "forbidden"):
         self.forbidden = tuple(forbidden)
@@ -660,23 +761,15 @@ class ForbiddenPlugin(ClassPlugin):
             )
         return CompletionResult("completed", completed=completed)
 
-    def patterns(self, k: int) -> Iterator[Structure]:
+    def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, 1/2 order one way, 3/4 order plus an edge
         verts = _pattern_vertices(k)
-        pairs = list(itertools.combinations(verts, 2))
+        leq, edges = _oriented_pairs(verts, states)
         diag = [(v, v) for v in verts]
-        for states in _canonical_pair_vectors(k, 5, (0, 2, 1, 4, 3)):
-            leq = list(diag)
-            edges = []
-            for (u, v), s in zip(pairs, states):
-                if s == 0:
-                    continue
-                a, b = (u, v) if s in (1, 3) else (v, u)
-                leq.append((a, b))
-                if s in (3, 4):
-                    edges.append((a, b))
-                    edges.append((b, a))
-            yield Structure(ORDERED_GRAPH, verts, {"leq": leq, "E": edges})
+        return Structure(
+            ORDERED_GRAPH, verts,
+            {"leq": diag + leq, "E": edges + [(b, a) for a, b in edges]},
+        )
 
 
 def kfree_plugin(k: int) -> ForbiddenPlugin:

@@ -8,7 +8,9 @@ fold-lengths of walks compute the pointwise-least metric completion.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -33,7 +35,12 @@ def _coerce(x) -> Fraction:
 
 @dataclass(frozen=True)
 class DistanceSet:
-    """A finite set of positive exact rationals."""
+    """A finite set of positive exact rationals.
+
+    Tables derived from the set (sorted values, ranks, truncated addition
+    on ranks, symbol names, the 4-values verdict, jump numbers) are
+    computed on first use and kept on the instance.
+    """
 
     distances: frozenset[Fraction]
 
@@ -46,53 +53,105 @@ class DistanceSet:
         object.__setattr__(self, "distances", vals)
 
     def sorted(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self.distances))
+        return self._values
 
     def __contains__(self, x) -> bool:
         return _coerce(x) in self.distances
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.sorted())
+        return iter(self._values)
 
     def __len__(self) -> int:
         return len(self.distances)
 
     @property
     def max(self) -> Fraction:
-        return max(self.distances)
+        return self._values[-1]
 
     @property
     def min(self) -> Fraction:
-        return min(self.distances)
+        return self._values[0]
+
+    # cached_property writes the instance __dict__ directly, so it works on
+    # the frozen dataclass; the cached fields take no part in eq or hash.
+
+    @functools.cached_property
+    def _values(self) -> tuple[Fraction, ...]:
+        return tuple(sorted(self.distances))
+
+    @functools.cached_property
+    def _rank(self) -> dict[Fraction, int]:
+        """Position of each distance in sorted order."""
+        return {q: r for r, q in enumerate(self._values)}
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, ...]:
+        """The sorted distances times the lcm of their denominators: exact
+        integers in the same order and with the same sums compared."""
+        scale = math.lcm(*(q.denominator for q in self._values))
+        return tuple(q.numerator * (scale // q.denominator) for q in self._values)
+
+    @functools.cached_property
+    def _oplus_rank(self) -> tuple[tuple[int, ...], ...]:
+        """Truncated addition on ranks: entry [r][s] is the rank of
+        a (+) b for the distances a, b of ranks r, s."""
+        vals = self._scaled
+        table = []
+        for a in vals:
+            row = []
+            top = 0
+            for b in vals:
+                s = a + b
+                while top + 1 < len(vals) and vals[top + 1] <= s:
+                    top += 1
+                row.append(top)
+            table.append(tuple(row))
+        return tuple(table)
+
+    @functools.cached_property
+    def _symbols(self) -> tuple[str, ...]:
+        """Relation names ``d:<q>`` of the distances, in sorted order."""
+        from .rsf import format_rational
+
+        return tuple(f"d:{format_rational(q)}" for q in self._values)
+
+    @functools.cached_property
+    def _four_values(self) -> tuple[bool, Optional[tuple]]:
+        vals = self._scaled
+        ranks = range(len(vals))
+        for a, b, c, d in itertools.product(ranks, repeat=4):
+            for x in ranks:
+                if _triangle(vals[a], vals[b], vals[x]) and _triangle(
+                    vals[c], vals[d], vals[x]
+                ):
+                    if not any(
+                        _triangle(vals[a], vals[c], vals[y])
+                        and _triangle(vals[b], vals[d], vals[y])
+                        for y in ranks
+                    ):
+                        return False, tuple(self._values[r] for r in (a, b, c, d, x))
+                    break
+        return True, None
+
+    @functools.cached_property
+    def _jumps(self) -> frozenset[Fraction]:
+        vals, table = self._values, self._oplus_rank
+        return frozenset(vals[r] for r in range(len(vals) - 1) if table[r][r] == r)
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[DistanceSet, ...]:
+        return _block_search(self)
 
 
 def distance_set(*values) -> DistanceSet:
     return DistanceSet(values)
 
 
-_OPLUS_MEMO: dict[frozenset, dict] = {}
-_FOUR_VALUES_MEMO: dict[frozenset, tuple] = {}
-_JUMP_MEMO: dict[frozenset, frozenset] = {}
-
-
-def _oplus_table(S: DistanceSet) -> dict:
-    table = _OPLUS_MEMO.get(S.distances)
-    if table is None:
-        vals = S.sorted()
-        table = {}
-        for a in vals:
-            for b in vals:
-                s = a + b
-                table[(a, b)] = max(x for x in vals if x <= s)
-        _OPLUS_MEMO[S.distances] = table
-    return table
-
-
 def oplus(S: DistanceSet, a, b) -> Fraction:
     """Truncated addition: the largest element of S not above a + b."""
-    a, b = _coerce(a), _coerce(b)
+    rank = S._rank
     try:
-        return _oplus_table(S)[(a, b)]
+        return S._values[S._oplus_rank[rank[_coerce(a)]][rank[_coerce(b)]]]
     except KeyError:
         raise PreconditionError("oplus arguments must lie in the distance set")
 
@@ -103,25 +162,7 @@ def _triangle(a: Fraction, b: Fraction, c: Fraction) -> bool:
 
 def four_values(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
     """Two-triangle exchange condition; witness (a,b,c,d,x) on failure."""
-    cached = _FOUR_VALUES_MEMO.get(S.distances)
-    if cached is not None:
-        return cached
-    vals = S.sorted()
-    result: tuple = (True, None)
-    done = False
-    for a, b, c, d in itertools.product(vals, repeat=4):
-        if done:
-            break
-        for x in vals:
-            if _triangle(a, b, x) and _triangle(c, d, x):
-                if not any(
-                    _triangle(a, c, y) and _triangle(b, d, y) for y in vals
-                ):
-                    result = (False, (a, b, c, d, x))
-                    done = True
-                break
-    _FOUR_VALUES_MEMO[S.distances] = result
-    return result
+    return S._four_values
 
 
 def is_associative(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
@@ -135,15 +176,7 @@ def is_associative(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
 
 def jump_numbers(S: DistanceSet) -> frozenset[Fraction]:
     """Non-maximal a with a (+) a = a: truncated addition stalls at a."""
-    cached = _JUMP_MEMO.get(S.distances)
-    if cached is None:
-        top = S.max
-        table = _oplus_table(S)
-        cached = frozenset(
-            a for a in S.distances if a != top and table[(a, a)] == a
-        )
-        _JUMP_MEMO[S.distances] = cached
-    return cached
+    return S._jumps
 
 
 def blocks(S: DistanceSet) -> tuple[DistanceSet, ...]:
@@ -152,6 +185,10 @@ def blocks(S: DistanceSet) -> tuple[DistanceSet, ...]:
     Asserts the decomposition facts: the blocks partition S and each block's
     maximum is a jump number of S or max(S).
     """
+    return S._blocks
+
+
+def _block_search(S: DistanceSet) -> tuple[DistanceSet, ...]:
     if len(S) > 16:
         raise PreconditionError("blocks guard: more than 16 distances")
     vals = S.sorted()
@@ -281,9 +318,7 @@ class SGraph:
 
 
 def metric_language(S: DistanceSet, ordered: bool = False) -> Language:
-    from .rsf import format_rational
-
-    symbols = [(f"d:{format_rational(q)}", 2) for q in S.sorted()]
+    symbols = [(name, 2) for name in S._symbols]
     if ordered:
         symbols.append(("leq", 2))
         return Language(tuple(symbols), "leq")
@@ -291,15 +326,14 @@ def metric_language(S: DistanceSet, ordered: bool = False) -> Language:
 
 
 def sgraph_to_structure(G: SGraph, S: DistanceSet) -> Structure:
-    from .rsf import format_rational
-
-    rels: dict[str, list] = {f"d:{format_rational(q)}": [] for q in S.sorted()}
+    names, rank = S._symbols, S._rank
+    rels: dict[str, list] = {name: [] for name in names}
     for (u, v), q in G.dist.items():
-        name = f"d:{format_rational(q)}"
-        if name not in rels:
+        r = rank.get(q)
+        if r is None:
             raise StructureError(f"distance {q} not in the distance set")
-        rels[name].append((u, v))
-        rels[name].append((v, u))
+        rels[names[r]].append((u, v))
+        rels[names[r]].append((v, u))
     return Structure(metric_language(S), G.vertices, rels)
 
 
@@ -309,11 +343,8 @@ def structure_to_sgraph(A: Structure, S: DistanceSet) -> SGraph:
     Raises when the structure is not a well-formed S-graph (loops, one-way
     tuples, or two distances on a pair).
     """
-    from .rsf import format_rational
-
     dist: dict[tuple[str, str], Fraction] = {}
-    for q in S.sorted():
-        name = f"d:{format_rational(q)}"
+    for q, name in zip(S._values, S._symbols):
         ts = A.tuples(name)
         for (u, v) in ts:
             if u == v:
@@ -368,18 +399,20 @@ def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
         raise PreconditionError(f"distance set fails the 4-values condition at {witness}")
     if not G.values() <= S.distances:
         raise PreconditionError("graph uses distances outside the set")
+    # Floyd-Warshall on ranks into S.sorted(): truncated addition maps S x S
+    # into S and ranks keep the order, so every comparison, the walk and the
+    # certificate are as they would be on the distances themselves.
+    vals, rank, table = S._values, S._rank, S._oplus_rank
     verts = list(G.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    INF = None
-    d: list[list[Optional[Fraction]]] = [[INF] * n for _ in range(n)]
+    d: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     nxt: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for (u, v), q in G.dist.items():
         i, j = idx[u], idx[v]
-        d[i][j] = d[j][i] = q
+        d[i][j] = d[j][i] = rank[q]
         nxt[i][j] = j
         nxt[j][i] = i
-    table = _oplus_table(S)
     for k in range(n):
         dk = d[k]
         for i in range(n):
@@ -387,13 +420,14 @@ def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
             if dik is None or i == k:
                 continue
             di = d[i]
+            row = table[dik]
             for j in range(i + 1, n):
                 if j == k:
                     continue
                 dkj = dk[j]
                 if dkj is None:
                     continue
-                cand = table[(dik, dkj)]
+                cand = row[dkj]
                 if di[j] is None or cand < di[j]:
                     di[j] = cand
                     d[j][i] = cand
@@ -402,19 +436,19 @@ def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
     # check recorded distances are the minima
     for (u, v), q in sorted(G.dist.items()):
         i, j = idx[u], idx[v]
-        if d[i][j] < q:
+        if d[i][j] < rank[q]:
             walk = _reconstruct(nxt, idx, verts, u, v)
             walk = _cut_loops(walk)
             return MetricCompletionResult(
                 "no-completion",
                 None,
-                NonMetricCertificate((u, v), q, d[i][j], tuple(walk)),
+                NonMetricCertificate((u, v), q, vals[d[i][j]], tuple(walk)),
             )
     out: dict[tuple[str, str], Fraction] = {}
-    top = S.max
+    top = len(vals) - 1
     for u, v in G.pairs():
         i, j = idx[u], idx[v]
-        out[(u, v)] = d[i][j] if d[i][j] is not None else top
+        out[(u, v)] = vals[d[i][j] if d[i][j] is not None else top]
     return MetricCompletionResult("completed", SGraph(verts, out), None)
 
 

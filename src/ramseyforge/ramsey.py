@@ -876,11 +876,13 @@ def verify_arrow(
     the budget runs out.  A refutation carries the lexicographically least
     good colouring with the first copy coloured 0; "proved" comes only from
     a finished complete search.  ``auto`` tries the complete search first
-    and samples only when it hits the cap; ``sampled`` draws ``sample``
-    random colourings and can refute but never prove.  For k >= 2 every
-    instance with k^(#copies of A) within the cap finishes within it.  The
-    default cap of 2^24 nodes bounds a hopeless search to a few tens of
-    seconds.
+    with min(``exhaustive_cap``, ``sample`` x #copies of A) nodes, the
+    number of colour draws sampling would make anyway, and samples only
+    when that budget runs out; ``sampled`` draws ``sample`` random
+    colourings and can refute but never prove.  For k >= 2 every instance
+    with k^(#copies of A) within the budget finishes within it.  The
+    default cap of 2^24 nodes bounds a hopeless ``exhaustive`` search to
+    a few tens of seconds.
     """
     if k < 1:
         raise PreconditionError("at least one colour is required")
@@ -893,8 +895,9 @@ def verify_arrow(
             "refuted", tuple([0] * n), copies_a, copies_b, "degenerate", 0
         )
     if mode in ("auto", "exhaustive"):
+        budget = exhaustive_cap if mode == "exhaustive" else min(exhaustive_cap, sample * n)
         try:
-            colouring, examined = colouring_search(n, k, groups, exhaustive_cap)
+            colouring, examined = colouring_search(n, k, groups, budget)
         except CapError:
             if mode == "exhaustive":
                 raise

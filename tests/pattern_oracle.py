@@ -1,0 +1,165 @@
+"""Reference pattern enumeration, obstacle search and metric completion.
+
+These are the versions ``completion`` and ``metric`` used before pattern
+generation became orderly, obstacle minimality was read off the previous
+size and metric completion ran on distance ranks:
+
+- ``canonical_pair_vectors`` walks every pair-state vector and keeps those
+  that no vertex permutation makes lexicographically smaller;
+- ``obstacles_up_to`` builds every pattern, tries to complete it and, when
+  it fails, builds and completes each one-vertex-deleted part;
+- ``complete_metric_graph`` runs Floyd-Warshall on ``Fraction`` distances
+  through a ``Fraction``-keyed truncated-addition table;
+- ``four_values``, ``jump_numbers`` and ``oplus_table`` compute on
+  ``Fraction`` distances what the distance set now keeps as cached tables.
+
+They are slow and obviously faithful to the definitions, so the tests
+compare the fast paths against them, output for output and in order.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, Optional, Sequence
+
+from ramseyforge.errors import PreconditionError
+from ramseyforge.metric import (
+    DistanceSet,
+    MetricCompletionResult,
+    NonMetricCertificate,
+    SGraph,
+    _cut_loops,
+    _reconstruct,
+    _triangle,
+)
+from ramseyforge.structures import Structure, canonical_key, induced_substructure
+
+
+def pair_perm_maps(k: int) -> list[list[tuple[int, bool]]]:
+    pairs = list(itertools.combinations(range(k), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    maps = []
+    for sigma in itertools.permutations(range(k)):
+        if sigma == tuple(range(k)):
+            continue
+        row = []
+        for (i, j) in pairs:
+            a, b = sigma[i], sigma[j]
+            row.append((index[(a, b)], False) if a < b else (index[(b, a)], True))
+        maps.append(row)
+    return maps
+
+
+def canonical_pair_vectors(
+    k: int, num_states: int, flip: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    maps = pair_perm_maps(k)
+    npairs = k * (k - 1) // 2
+    for vec in itertools.product(range(num_states), repeat=npairs):
+        minimal = True
+        for row in maps:
+            out = [0] * npairs
+            for p in range(npairs):
+                q, fl = row[p]
+                s = vec[p]
+                out[q] = flip[s] if fl else s
+            if tuple(out) < vec:
+                minimal = False
+                break
+        if minimal:
+            yield vec
+
+
+def obstacles_up_to(plugin, n: int) -> list[Structure]:
+    out = []
+    for P in plugin.patterns_up_to(n):
+        if plugin.try_strong_completion(P).ok:
+            continue
+        if all(
+            plugin.try_strong_completion(
+                induced_substructure(P, set(P.vertices) - {v})
+            ).ok
+            for v in P.vertices
+        ):
+            out.append(P)
+    out.sort(key=canonical_key)
+    return out
+
+
+def oplus_table(S: DistanceSet) -> dict:
+    vals = S.sorted()
+    table = {}
+    for a in vals:
+        for b in vals:
+            s = a + b
+            table[(a, b)] = max(x for x in vals if x <= s)
+    return table
+
+
+def four_values(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
+    vals = S.sorted()
+    for a, b, c, d in itertools.product(vals, repeat=4):
+        for x in vals:
+            if _triangle(a, b, x) and _triangle(c, d, x):
+                if not any(_triangle(a, c, y) and _triangle(b, d, y) for y in vals):
+                    return False, (a, b, c, d, x)
+                break
+    return True, None
+
+
+def jump_numbers(S: DistanceSet) -> frozenset:
+    table = oplus_table(S)
+    return frozenset(a for a in S.distances if a != S.max and table[(a, a)] == a)
+
+
+def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
+    ok, witness = four_values(S)
+    if not ok:
+        raise PreconditionError(f"distance set fails the 4-values condition at {witness}")
+    if not G.values() <= S.distances:
+        raise PreconditionError("graph uses distances outside the set")
+    verts = list(G.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    d: list[list[Optional[object]]] = [[None] * n for _ in range(n)]
+    nxt: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    for (u, v), q in G.dist.items():
+        i, j = idx[u], idx[v]
+        d[i][j] = d[j][i] = q
+        nxt[i][j] = j
+        nxt[j][i] = i
+    table = oplus_table(S)
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            if dik is None or i == k:
+                continue
+            di = d[i]
+            for j in range(i + 1, n):
+                if j == k:
+                    continue
+                dkj = dk[j]
+                if dkj is None:
+                    continue
+                cand = table[(dik, dkj)]
+                if di[j] is None or cand < di[j]:
+                    di[j] = cand
+                    d[j][i] = cand
+                    nxt[i][j] = nxt[i][k]
+                    nxt[j][i] = nxt[j][k]
+    for (u, v), q in sorted(G.dist.items()):
+        i, j = idx[u], idx[v]
+        if d[i][j] < q:
+            walk = _cut_loops(_reconstruct(nxt, idx, verts, u, v))
+            return MetricCompletionResult(
+                "no-completion",
+                None,
+                NonMetricCertificate((u, v), q, d[i][j], tuple(walk)),
+            )
+    out = {}
+    top = S.max
+    for u, v in G.pairs():
+        i, j = idx[u], idx[v]
+        out[(u, v)] = d[i][j] if d[i][j] is not None else top
+    return MetricCompletionResult("completed", SGraph(verts, out), None)

@@ -283,6 +283,27 @@ class TestArrow:
         )
         assert report.holds == "inconclusive" and report.mode == "sampled"
 
+    def test_auto_samples_after_sample_times_copies_nodes(self, monkeypatch):
+        # K17 arrows (K3)^edge_3 (R(3,3,3) = 17), but the complete search
+        # needs far more than 50 x 136 nodes, so auto falls back to its 50
+        # samples at once instead of spending the 2^24-node cap first
+        from ramseyforge import ramsey
+
+        budgets = []
+
+        def spy(n, k, groups, node_budget=None):
+            budgets.append(node_budget)
+            return colouring_search(n, k, groups, node_budget)
+
+        monkeypatch.setattr(ramsey, "colouring_search", spy)
+        report = verify_arrow(
+            complete_graph(17), complete_graph(2), complete_graph(3), 3,
+            mode="auto", sample=50,
+        )
+        assert budgets == [50 * 136]
+        assert report.holds == "inconclusive" and report.mode == "sampled"
+        assert report.colourings_examined == 50
+
     @pytest.mark.parametrize("n, b, k", [(5, 3, 2), (7, 3, 3), (8, 4, 2)])
     def test_refuting_colouring_is_the_oracle_s(self, n, b, k):
         from ramseyforge.ramsey import _mono_sets

@@ -1,9 +1,9 @@
 """Search output and reports must not depend on PYTHONHASHSEED.
 
-The morphism search draws candidates from neighbourhood sets, and the
-closure checks collect prefixes in sets; this runs fixed searches and
-reports in fresh interpreters under different hash seeds and requires
-byte-identical output.
+The morphism search draws candidates from neighbourhood sets, the closure
+checks collect prefixes in sets, and obstacle search keeps failing pattern
+vectors in sets; this runs fixed searches and reports in fresh interpreters
+under different hash seeds and requires byte-identical output.
 """
 
 import os
@@ -70,6 +70,25 @@ print("K5 arrow", report.holds, sorted(report.certificate().items()), sep="\t")
 """
 
 
+COMPLETION_SCRIPT = r"""
+from ramseyforge.completion import get_plugin, kfree_plugin
+from ramseyforge.metric import SGraph, sgraph_to_structure
+
+for plugin in (get_plugin("posets"), kfree_plugin(3)):
+    found = plugin.obstacles_up_to(4)
+    rels = [[(name, sorted(P.tuples(name))) for name in P.language.names()] for P in found]
+    print(plugin.name, len(found), rels, sep="\t")
+
+# a one-three cycle: no completion, and a certificate naming the walk
+m13 = get_plugin("metric:1,3")
+verts = [f"c{i}" for i in range(5)]
+dist = {(verts[i], verts[i + 1]): 1 for i in range(4)}
+dist[(verts[0], verts[4])] = 3
+result = m13.try_strong_completion(sgraph_to_structure(SGraph(verts, dist), m13.S))
+print("one-three certificate", result.status, result.certificate.to_obj(), sep="\t")
+"""
+
+
 def _run(hashseed: str, script: str = SCRIPT) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -94,3 +113,12 @@ def test_closure_violation_and_arrow_certificate_identical_across_hash_seeds():
     # the smallest violating prefix is reported, and K5 does not arrow
     assert closure == "closure violation\tU@('x0',): tuple at a non-root prefix"
     assert arrow.startswith("K5 arrow\trefuted\t")
+
+
+def test_obstacles_and_metric_certificate_identical_across_hash_seeds():
+    outputs = [_run(seed, COMPLETION_SCRIPT) for seed in ("0", "1", "2", "3")]
+    assert all(out == outputs[0] for out in outputs[1:])
+    posets, kfree, cycle = outputs[0].splitlines()
+    # both obstacle lists are nonempty, and the cycle does not complete
+    assert int(posets.split("\t")[1]) > 0 and int(kfree.split("\t")[1]) > 0
+    assert cycle.startswith("one-three certificate\tno-completion\t{'kind': 'non-metric-cycle'")
