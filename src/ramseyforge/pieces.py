@@ -9,9 +9,11 @@ structures avoiding homomorphism-embeddings from F.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
 from .structures import (
@@ -20,6 +22,7 @@ from .structures import (
     Structure,
     are_isomorphic,
     canonical_key,
+    compile_search,
     connected_components,
     induced_substructure,
     is_connected,
@@ -181,7 +184,6 @@ class PieceFamily:
                 raise PreconditionError("family members must be connected")
         self.language = lang
         self.members = members
-        self.member_keys = frozenset(canonical_key(M) for M in members)
         self._members_by_sig: dict[tuple, list[Structure]] = {}
         for M in members:
             self._members_by_sig.setdefault(_size_signature(M), []).append(M)
@@ -198,21 +200,30 @@ class PieceFamily:
                         piece_pool.setdefault(piece.rooted().key(), piece)
                         comp = RootedStructure(co_body, tuple(order))
                         complement_pool.setdefault(comp.key(), comp)
-        self.pieces = [piece_pool[k] for k in sorted(piece_pool)]
-        self.complements = [complement_pool[k] for k in sorted(complement_pool)]
+        piece_keys = sorted(piece_pool)
+        self.pieces = [piece_pool[k] for k in piece_keys]
+        self._complement_keys = tuple(sorted(complement_pool))
+        self.complements = [complement_pool[k] for k in self._complement_keys]
 
+        # Rooted keys are computed once, in the pools above; everything
+        # below looks them up.
         self._inc_cache: dict[tuple, frozenset] = {}
-        groups: dict[tuple[int, frozenset], list[Piece]] = {}
-        for piece in self.pieces:
-            inc = self.incompatibility_keys(piece.rooted())
-            groups.setdefault((piece.width, inc), []).append(piece)
-        ordered = sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[1][0].rooted().key())
-        )
+        groups: dict[tuple[int, frozenset], tuple[tuple, list[Piece]]] = {}
+        for key, piece in zip(piece_keys, self.pieces):
+            group = (piece.width, self._incompatibility(piece.rooted(), key))
+            groups.setdefault(group, (key, []))[1].append(piece)
+        # classes by width, then by the key of their first piece
+        ordered = sorted(groups.items(), key=lambda kv: (kv[0][0], kv[1][0]))
         self.classes = tuple(
             PieceClass(i, width, tuple(ps))
-            for i, ((width, _), ps) in enumerate(ordered)
+            for i, ((width, _), (_, ps)) in enumerate(ordered)
         )
+        self._class_index = {group: i for i, (group, _) in enumerate(ordered)}
+
+    @functools.cached_property
+    def member_keys(self) -> frozenset:
+        """Canonical keys of the members, computed on first use."""
+        return frozenset(canonical_key(M) for M in self.members)
 
     def is_member(self, A: Structure) -> bool:
         """Isomorphic to some family member (by backtracking search)."""
@@ -222,32 +233,30 @@ class PieceFamily:
         return False
 
     def incompatibility_keys(self, P: RootedStructure) -> frozenset:
-        cached = self._inc_cache.get(P.key())
-        if cached is not None:
-            return cached
-        keys = set()
-        for D in self.complements:
-            if D.width != P.width:
-                continue
-            glued = piece_glue(P, D)
-            if glued is not None and self.is_member(glued):
-                keys.add(D.key())
-        result = frozenset(keys)
-        self._inc_cache[P.key()] = result
-        return result
+        return self._incompatibility(P, P.key())
+
+    def _incompatibility(self, P: RootedStructure, key: tuple) -> frozenset:
+        """The keys of the complements gluing with P to a member; ``key``
+        is P's rooted key, which indexes the cache."""
+        cached = self._inc_cache.get(key)
+        if cached is None:
+            cached = self._inc_cache[key] = frozenset(
+                D_key
+                for D, D_key in zip(self.complements, self._complement_keys)
+                if D.width == P.width
+                and (glued := piece_glue(P, D)) is not None
+                and self.is_member(glued)
+            )
+        return cached
 
     def incompatibility_set(self, P: RootedStructure) -> list[RootedStructure]:
         keys = self.incompatibility_keys(P)
-        return [D for D in self.complements if D.key() in keys]
+        return [
+            D for D, D_key in zip(self.complements, self._complement_keys) if D_key in keys
+        ]
 
     def class_of(self, P: RootedStructure) -> Optional[int]:
-        inc = self.incompatibility_keys(P)
-        for cls in self.classes:
-            if cls.width == P.width and self.incompatibility_keys(
-                cls.pieces[0].rooted()
-            ) == inc:
-                return cls.index
-        return None
+        return self._class_index.get((P.width, self.incompatibility_keys(P)))
 
 
 def _size_signature(A: Structure) -> tuple:
@@ -370,7 +379,10 @@ class LiftedStructure:
             isinstance(other, LiftedStructure)
             and self.base == other.base
             and self.ext == other.ext
-            and self.family.member_keys == other.family.member_keys
+            and (
+                self.family is other.family
+                or self.family.member_keys == other.family.member_keys
+            )
         )
 
     def __hash__(self):
@@ -381,26 +393,40 @@ def _root_tuples(A: Structure, width: int) -> Iterator[tuple[str, ...]]:
     yield from itertools.permutations(A.vertices, width)
 
 
-def _piece_roots_in(piece: Piece, A: Structure, at: tuple[str, ...]) -> bool:
-    fixed = dict(zip(piece.root, at))
-    for _ in search_morphisms(
-        piece.body, A, "homomorphism-embedding", fixed=fixed
-    ):
-        return True
-    return False
+def _roots_in(piece: Piece, A: Structure) -> Callable[[tuple[str, ...]], bool]:
+    """Does some homomorphism-embedding of the piece into A send its root
+    onto a given tuple?  One compiled search, pinned at the sorted root and
+    run once per tuple; the first map decides."""
+    pinned = tuple(sorted(piece.root))
+    where = [piece.root.index(v) for v in pinned]
+    # the images of the pinned vertices, read off a root tuple
+    values = itemgetter(*where) if len(where) > 1 else tuple
+    run = compile_search(piece.body, A, "homomorphism-embedding", pinned)
+
+    def found(at: tuple[str, ...]) -> bool:
+        return next(run(values(at)), None) is not None
+
+    return found
 
 
 def canonical_lift(A: Structure, family) -> LiftedStructure:
     """Tuples of class i: roots of homomorphism-embeddings of class-i pieces
-    into A that are injective on the root."""
+    into A that are injective on the root.
+
+    Each class piece is compiled into one search into A
+    (``structures.compile_search``), which runs once per root tuple of the
+    class's width, in ``itertools.permutations`` order; the pieces of a
+    class are tried in order until one roots at the tuple.
+    """
     family = family if isinstance(family, PieceFamily) else PieceFamily(family)
     if A.language != family.language:
         raise PreconditionError("lift base must share the family's language")
-    ext: dict[int, set] = {cls.index: set() for cls in family.classes}
+    ext: dict[int, set] = {}
     for cls in family.classes:
-        for at in _root_tuples(A, cls.width):
-            if any(_piece_roots_in(piece, A, at) for piece in cls.pieces):
-                ext[cls.index].add(at)
+        roots_in = [_roots_in(piece, A) for piece in cls.pieces]
+        ext[cls.index] = {
+            at for at in _root_tuples(A, cls.width) if any(found(at) for found in roots_in)
+        }
     return LiftedStructure.make(A, ext, family)
 
 

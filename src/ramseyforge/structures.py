@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from operator import ge, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import LanguageMismatchError, MorphismError, StructureError
 
@@ -73,11 +73,11 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # ``_adj`` and the four search caches below it are filled lazily, per
+    # ``_adj`` and the five search caches below it are filled lazily, per
     # instance; see ``search_morphisms``.
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash", "_adj",
-        "_plans", "_profile", "_incidence", "_nbhd",
+        "_plans", "_obligations", "_profile", "_incidence", "_nbhd",
     )
 
     def __init__(
@@ -117,6 +117,7 @@ class Structure:
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_plans", None)
+        object.__setattr__(self, "_obligations", None)
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_nbhd", None)
@@ -431,6 +432,63 @@ def _source_plan(A: Structure, pinned: tuple[str, ...]) -> tuple:
     return plan
 
 
+def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
+    """The span obligations of A, filed by depth of the plan for a tuple of
+    pinned vertices and cached on A next to the plan.
+
+    An obligation is a tuple s of A's vertices, of a symbol R's arity, with
+    s not in R^A and ``set(s)`` inside an irreducible induced substructure
+    of A.  A homomorphism d that separates Gaifman neighbours is a
+    homomorphism-embedding iff d(s) lies outside R^B for every obligation:
+    a target tuple that fails to pull back on an irreducible span is the
+    image of one.  Only tuples whose distinct members are pairwise Gaifman
+    neighbours can be obligations, so only those vertex sets are tested,
+    each once.
+
+    Returns ``(unary, checks)``.  ``unary[i]`` names the unary symbols R
+    with ``(order[i],)`` an obligation; ``checks[i]`` holds ``(name,
+    getter)`` for every longer obligation whose last vertex in the plan's
+    order is ``order[i]``.
+    """
+    cache = A._obligations
+    if cache is None:
+        cache = {}
+        object.__setattr__(A, "_obligations", cache)
+    filed = cache.get(pinned)
+    if filed is None:
+        order = _source_plan(A, pinned)[0]
+        depth = {v: i for i, v in enumerate(order)}
+        adj = A.adjacency()
+        top = max((arity for _, arity in A.language.symbols), default=0)
+        unary: list[list] = [[] for _ in order]
+        checks: list[list] = [[] for _ in order]
+
+        def cliques(S: tuple, rest: list) -> Iterator[tuple]:
+            yield S
+            if len(S) < top:
+                for j, u in enumerate(rest):
+                    yield from cliques(S + (u,), [x for x in rest[j + 1:] if x in adj[u]])
+
+        for j, v in enumerate(A.vertices):
+            for S in cliques((v,), [u for u in A.vertices[j + 1:] if u in adj[v]]):
+                found = [
+                    (name, s)
+                    for name, arity in A.language.symbols
+                    if arity >= len(S)
+                    for s in itertools.product(S, repeat=arity)
+                    if len(set(s)) == len(S) and s not in A._relations[name]
+                ]
+                if found and _spans_irreducible(A, frozenset(S)):
+                    i = max(map(depth.__getitem__, S))
+                    for name, s in found:
+                        if len(s) == 1:
+                            unary[i].append(name)
+                        else:
+                            checks[i].append((name, itemgetter(*s)))
+        filed = cache[pinned] = (tuple(map(tuple, unary)), tuple(map(tuple, checks)))
+    return filed
+
+
 def _index(B: Structure) -> tuple[dict[str, list[tuple]], dict[str, list[int]]]:
     """Incidence lists and vertex profiles of B, built in one pass and
     cached on B.
@@ -526,96 +584,149 @@ def search_morphisms(
       source tuples.  A partial map that fails cannot extend to an
       embedding.  Monomorphisms and embeddings also skip targets whose
       (symbol, position) occurrence counts fall below v's.
+    - **Span reflection as plan checks** (homomorphism-embeddings).  The
+      source's span obligations (tuples outside a relation of A whose
+      vertices lie in an irreducible substructure; see
+      ``_span_obligations``) are filed, like the plan's tuples, at the
+      depth of their last vertex, and a candidate is rejected as soon as it
+      sends one into the relation of B.  A map that separates Gaifman
+      neighbours and sends no obligation into B is a
+      homomorphism-embedding, so complete maps need no further check.
 
-    The plan, the incidence lists and profiles, and the sorted
-    neighbourhoods are filled lazily on the structures themselves, so their
-    set-up is paid once per structure, and the profile test once per depth
-    and call.  Homomorphism-embeddings are checked for reflection on
-    irreducible spans once complete.
+    The plan, the obligations, the incidence lists and profiles, and the
+    sorted neighbourhoods are filled lazily on the structures themselves,
+    so their set-up is paid once per structure.  The search itself is
+    ``compile_search`` followed by one run; callers that repeat a search
+    with different pinned values compile once and run many times.
     """
     if A.language != B.language:
         raise LanguageMismatchError("morphism search requires a shared language")
     if kind not in MORPHISM_KINDS:
         raise MorphismError(f"unknown morphism kind {kind!r}")
-    injective = require_injective or kind in ("monomorphism", "embedding")
-    pairwise = kind == "homomorphism-embedding"
-    reflect = kind == "embedding"
-    profiles = kind in ("monomorphism", "embedding")
     fixed = dict(fixed or {})
     if fixed:
         a_verts, b_verts = set(A.vertices), set(B.vertices)
         for v, w in fixed.items():
             if v not in a_verts or w not in b_verts:
                 raise MorphismError("fixed assignment uses undeclared vertices")
+    pinned = tuple(sorted(fixed))
+    run = compile_search(A, B, kind, pinned, require_injective)
+    yield from run(tuple(map(fixed.__getitem__, pinned)))
 
+
+def compile_search(
+    A: Structure,
+    B: Structure,
+    kind: str,
+    pinned: tuple[str, ...] = (),
+    require_injective: bool = False,
+) -> Callable[[tuple[str, ...]], Iterator[Morphism]]:
+    """The compile step of ``search_morphisms``, for repeated pinned runs.
+
+    ``pinned`` is a sorted tuple of distinct source vertices.  The result
+    ``run(values)`` yields what ``search_morphisms(A, B, kind, fixed=
+    dict(zip(pinned, values)), require_injective=...)`` yields, in the same
+    order; runs are independent of each other.  Everything but the pinned
+    values is set up here, once: the plan, B's relations bound to its
+    checks and obligations, the neighbourhoods, the incidence lists and
+    profiles, and the per-depth candidate screens.  The arguments are not
+    validated; ``search_morphisms`` is the checked entry point.
+    """
+    injective = require_injective or kind in ("monomorphism", "embedding")
     if injective and len(A.vertices) > len(B.vertices):
-        return
+        return lambda values: iter(())
+    pairwise = kind == "homomorphism-embedding"
+    reflect = kind == "embedding"
+    profiles = kind in ("monomorphism", "embedding")
 
-    order, plan_checks, plan_unary, occurrences, earlier = _source_plan(
-        A, tuple(sorted(fixed))
-    )
-    n = len(order)
+    order, plan_checks, plan_unary, occurrences, earlier = _source_plan(A, pinned)
+    n, k = len(order), len(pinned)
     rels = B._relations
     checks = [[(rels[name], get) for name, get in cs] for cs in plan_checks]
-    unary = [[rels[name] for name in us] for us in plan_unary]
+    if pairwise:
+        avoid_unary, avoid_checks = _span_obligations(A, pinned)
+        avoid = [[(rels[name], get) for name, get in cs] for cs in avoid_checks]
+    else:
+        avoid_unary, avoid = ((),) * n, [()] * n
     nbhd = _neighbourhoods(B, not (injective or pairwise))
     inc, prof_b = _index(B)
     prof_a = _index(A)[1] if profiles else None
-    fits: list[Optional[set]] = [None] * n
-    d: dict[str, str] = {}
-    used: set[str] = set()
+    # Depths whose candidates are screened by unary symbols or profiles;
+    # each screen is built on first use and kept for later runs.
+    screened = [profiles or bool(held) or bool(avoided) for held, avoided in zip(plan_unary, avoid_unary)]
+    screens: list[Optional[set]] = [None] * n
 
-    def extend(i: int) -> Iterator[Morphism]:
-        v = order[i]
-        nbrs = earlier[i]
-        if v in fixed:
-            cands = (fixed[v],)
-        elif nbrs:
-            cands = nbhd[d[nbrs[0]]][0]
-            nbrs = nbrs[1:]
-        else:
-            cands = B.vertices
-        for u in nbrs:
-            allowed = nbhd[d[u]][1]
-            cands = [w for w in cands if w in allowed]
+    def screen(i: int) -> set:
+        """The targets that v = order[i] may take: those carrying v's unary
+        symbols, none of its unary obligations, and (monomorphisms and
+        embeddings) (symbol, position) counts covering v's."""
         if profiles:
-            ok = fits[i]
-            if ok is None:
-                # the targets whose (symbol, position) counts cover v's
-                pa = prof_a[v]
-                ok = fits[i] = {w for w in B.vertices if all(map(ge, prof_b[w], pa))}
-            cands = [w for w in cands if w in ok]
-        checks_i, unary_i, occ = checks[i], unary[i], occurrences[i]
-        last = i + 1 == n
-        for w in cands:
-            if injective and w in used:
-                continue
-            d[v] = w
-            for rel in unary_i:
-                if (w,) not in rel:
-                    break
+            pa = prof_a[order[i]]
+            ok = {w for w in B.vertices if all(map(ge, prof_b[w], pa))}
+        else:
+            ok = set(B.vertices)
+        for name in plan_unary[i]:
+            ok.intersection_update(t[0] for t in rels[name])
+        for name in avoid_unary[i]:
+            ok.difference_update(t[0] for t in rels[name])
+        screens[i] = ok
+        return ok
+
+    def run(values: tuple[str, ...]) -> Iterator[Morphism]:
+        d: dict[str, str] = {}
+        used: set[str] = set()
+
+        def extend(i: int) -> Iterator[Morphism]:
+            v = order[i]
+            nbrs = earlier[i]
+            if i < k:
+                cands = (values[i],)
+            elif nbrs:
+                cands = nbhd[d[nbrs[0]]][0]
+                nbrs = nbrs[1:]
             else:
+                cands = B.vertices
+            for u in nbrs:
+                allowed = nbhd[d[u]][1]
+                cands = [w for w in cands if w in allowed]
+            if screened[i]:
+                ok = screens[i]
+                if ok is None:
+                    ok = screen(i)
+                cands = [w for w in cands if w in ok]
+            checks_i, avoid_i, occ = checks[i], avoid[i], occurrences[i]
+            last = i + 1 == n
+            for w in cands:
+                if injective and w in used:
+                    continue
+                d[v] = w
                 for rel, get in checks_i:
                     if get(d) not in rel:
                         break
                 else:
-                    if injective:
-                        used.add(w)
-                        if reflect and sum(map(used.issuperset, inc[w])) != occ:
+                    for rel, get in avoid_i:
+                        if get(d) in rel:
+                            break
+                    else:
+                        if injective:
+                            used.add(w)
+                            if reflect and sum(map(used.issuperset, inc[w])) != occ:
+                                used.discard(w)
+                                continue
+                        if not last:
+                            yield from extend(i + 1)
+                        else:
+                            yield Morphism(A, B, tuple(zip(A.vertices, map(d.__getitem__, A.vertices))), kind)
+                        if injective:
                             used.discard(w)
-                            continue
-                    if not last:
-                        yield from extend(i + 1)
-                    elif not pairwise or _reflects_on_spans(A, B, d):
-                        yield Morphism(A, B, tuple(zip(A.vertices, map(d.__getitem__, A.vertices))), kind)
-                    if injective:
-                        used.discard(w)
-        d.pop(v, None)
+            d.pop(v, None)
 
-    if n == 0:
-        yield Morphism(A, B, (), kind)
-    else:
-        yield from extend(0)
+        if n == 0:
+            yield Morphism(A, B, (), kind)
+        else:
+            yield from extend(0)
+
+    return run
 
 
 def enumerate_morphisms(A: Structure, B: Structure, kind: str) -> list[Morphism]:

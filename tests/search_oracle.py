@@ -5,13 +5,18 @@ per-source plans.  It tries every target vertex at every depth, rescans all
 source tuples after each assignment and checks reflection only on complete
 maps.  It is slow and obviously faithful to the definitions, so the tests
 compare the indexed search against it, map for map and in order.
+
+``oracle_canonical_lift`` is the canonical lift as it was computed before
+each class piece got one compiled search: a fresh search per root tuple.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Mapping, Optional
 
 from ramseyforge.errors import LanguageMismatchError, MorphismError
+from ramseyforge.pieces import LiftedStructure
 from ramseyforge.structures import (
     MORPHISM_KINDS,
     Morphism,
@@ -110,3 +115,24 @@ def oracle_search(
             if not _is_hom_embedding(A, B, full):
                 continue
         yield m
+
+
+def piece_roots_in(piece, A: Structure, at: tuple) -> bool:
+    """Does some homomorphism-embedding of the piece into A send its root
+    onto ``at``?  One fresh search with the root pinned."""
+    fixed = dict(zip(piece.root, at))
+    for _ in oracle_search(piece.body, A, "homomorphism-embedding", fixed=fixed):
+        return True
+    return False
+
+
+def oracle_canonical_lift(A: Structure, family):
+    """The canonical lift as ``pieces.canonical_lift`` computed it before it
+    compiled one search per piece: one search per root tuple and class
+    piece."""
+    ext = {cls.index: set() for cls in family.classes}
+    for cls in family.classes:
+        for at in itertools.permutations(A.vertices, cls.width):
+            if any(piece_roots_in(piece, A, at) for piece in cls.pieces):
+                ext[cls.index].add(at)
+    return LiftedStructure.make(A, ext, family)

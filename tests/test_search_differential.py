@@ -89,3 +89,70 @@ def test_repeated_searches_reuse_cached_plans(A, B):
             assert maps(search_morphisms(A, B, kind, fixed=fixed)) == maps(
                 oracle_search(A, B, kind, fixed=fixed)
             )
+
+
+@st.composite
+def spanned_sources(draw):
+    """Sources on up to four vertices whose binary tuples often cover every
+    pair of three vertices with no ternary tuple on them: irreducible spans
+    that are not tuples."""
+    verts = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    pairs = [(u, v) for u in verts for v in verts]
+    return Structure(MIXED, verts, {
+        "U": draw(st.sets(st.tuples(st.sampled_from(verts)))),
+        "E": draw(st.sets(st.sampled_from(pairs))),
+        "T": draw(st.sets(st.tuples(*[st.sampled_from(verts)] * 3), max_size=2)),
+    })
+
+
+@st.composite
+def hom_embedding_searches(draw):
+    A = draw(spanned_sources())
+    B = draw(structures(5))
+    if B.vertices:
+        # Plant A's image, then add random tuples inside the image, loops
+        # and ternary tuples included: exactly the tuples that span
+        # reflection must refuse to pull back.
+        if draw(st.booleans()) and len(A.vertices) <= len(B.vertices):
+            f = dict(zip(A.vertices, draw(st.permutations(B.vertices))))
+        else:
+            f = {v: draw(st.sampled_from(B.vertices)) for v in A.vertices}
+        image = sorted(set(f.values()))
+        inside = st.sampled_from(image)
+        B = Structure(MIXED, B.vertices, {
+            name: set(B.tuples(name))
+            | {tuple(f[v] for v in t) for t in A.tuples(name)}
+            | set(draw(st.lists(st.tuples(*[inside] * arity), max_size=2)))
+            for name, arity in MIXED.symbols
+        })
+        pinned = draw(st.lists(st.sampled_from(A.vertices), max_size=2, unique=True))
+        fixed = {v: f[v] if draw(st.integers(0, 3)) else draw(st.sampled_from(B.vertices)) for v in pinned}
+    else:
+        fixed = {}
+    return A, B, fixed, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(hom_embedding_searches())
+def test_hom_embedding_search_matches_oracle(case):
+    A, B, fixed, injective = case
+    kind = "homomorphism-embedding"
+    assert maps(search_morphisms(A, B, kind, fixed=fixed, require_injective=injective)) == maps(
+        oracle_search(A, B, kind, fixed=fixed, require_injective=injective)
+    )
+
+
+def test_span_without_a_tuple_is_reflected():
+    # a, b, c are pairwise covered by E tuples, so {a, b, c} spans an
+    # irreducible substructure, but no T tuple sits on it: a target T tuple
+    # on the image does not pull back.
+    pairs = [("a", "b"), ("b", "c"), ("a", "c")]
+    A = Structure(MIXED, ["a", "b", "c"], {"E": pairs})
+    plain = Structure(MIXED, ["x", "y", "z"], {"E": [("x", "y"), ("y", "z"), ("x", "z")]})
+    with_t = plain.replace({"T": [("x", "y", "z")]})
+    kind = "homomorphism-embedding"
+    assert maps(search_morphisms(A, plain, kind)) == maps(oracle_search(A, plain, kind))
+    assert len(maps(search_morphisms(A, plain, kind))) == 1
+    assert maps(search_morphisms(A, with_t, kind)) == [] == maps(oracle_search(A, with_t, kind))
+    # the same search pinned at the first vertex, and forced injective
+    assert maps(search_morphisms(A, with_t, kind, fixed={"a": "x"}, require_injective=True)) == []

@@ -1,8 +1,8 @@
 """Search output and reports must not depend on PYTHONHASHSEED.
 
 The morphism search draws candidates from neighbourhood sets, the closure
-checks collect prefixes in sets, and obstacle search keeps failing pattern
-vectors in sets; this runs fixed searches and reports in fresh interpreters
+checks collect prefixes in sets, obstacle search keeps failing pattern
+vectors in sets, and lifts collect root tuples in sets; this runs fixed searches and reports in fresh interpreters
 under different hash seeds and requires byte-identical output.
 """
 
@@ -89,6 +89,26 @@ print("one-three certificate", result.status, result.certificate.to_obj(), sep="
 """
 
 
+LIFT_SCRIPT = r"""
+from ramseyforge.build import cycle_graph, graph
+from ramseyforge.pieces import PieceFamily, canonical_lift, forb_membership, lift_sidecar, maximal_lift
+
+family = PieceFamily([cycle_graph(5)])
+# the 7-cycle with a pendant path: C5-free, with walks of both parities
+ring = [f"r{i}" for i in range(7)]
+edges = [(ring[i], ring[(i + 1) % 7]) for i in range(7)] + [("r0", "t0"), ("t0", "t1")]
+G = graph(ring + ["t0", "t1"], edges)
+assert forb_membership(G, family.members)
+lift = canonical_lift(G, family)
+print("canonical lift", [(i, sorted(ts)) for i, ts in lift.ext], sep="\t")
+print("sidecar", lift_sidecar(lift), sep="\t")
+result = maximal_lift(graph(["a", "b", "c"], [("a", "b")]), family)
+W = result.witness
+print("maximal lift", result.status, [(i, sorted(ts)) for i, ts in result.lift.ext],
+      W.vertices, sorted(W.tuples("E")), sep="\t")
+"""
+
+
 def _run(hashseed: str, script: str = SCRIPT) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -122,3 +142,14 @@ def test_obstacles_and_metric_certificate_identical_across_hash_seeds():
     # both obstacle lists are nonempty, and the cycle does not complete
     assert int(posets.split("\t")[1]) > 0 and int(kfree.split("\t")[1]) > 0
     assert cycle.startswith("one-three certificate\tno-completion\t{'kind': 'non-metric-cycle'")
+
+
+def test_lifts_identical_across_hash_seeds():
+    outputs = [_run(seed, LIFT_SCRIPT) for seed in ("0", "1", "2", "3")]
+    assert all(out == outputs[0] for out in outputs[1:])
+    lift, sidecar, maximal = outputs[0].splitlines()
+    # the lift relates some root pairs, both classes are described, and the
+    # maximal lift grows a witness beyond its three base vertices
+    assert "('r0', 'r2')" in lift
+    assert sidecar.startswith("sidecar\t{'0': {'width': 2, ") and "'1': {'width': 2, " in sidecar
+    assert maximal.startswith("maximal lift\tstable\t") and "'x0." in maximal
