@@ -8,6 +8,7 @@ from .structures import (
     verify_morphism,
     enumerate_morphisms,
     copies_of,
+    copy_images,
     induced_substructure,
     gaifman_graph,
     is_irreducible,
@@ -25,6 +26,7 @@ __all__ = [
     "verify_morphism",
     "enumerate_morphisms",
     "copies_of",
+    "copy_images",
     "induced_substructure",
     "gaifman_graph",
     "is_irreducible",

@@ -38,8 +38,8 @@ class DistanceSet:
     """A finite set of positive exact rationals.
 
     Tables derived from the set (sorted values, ranks, truncated addition
-    on ranks, symbol names, the 4-values verdict, jump numbers) are
-    computed on first use and kept on the instance.
+    on ranks, symbol names and the language, the 4-values verdict, jump
+    numbers) are computed on first use and kept on the instance.
     """
 
     distances: frozenset[Fraction]
@@ -114,6 +114,11 @@ class DistanceSet:
         from .rsf import format_rational
 
         return tuple(f"d:{format_rational(q)}" for q in self._values)
+
+    @functools.cached_property
+    def _language(self) -> Language:
+        """The unordered distance language: one binary symbol per distance."""
+        return Language(tuple((name, 2) for name in self._symbols))
 
     @functools.cached_property
     def _four_values(self) -> tuple[bool, Optional[tuple]]:
@@ -318,11 +323,11 @@ class SGraph:
 
 
 def metric_language(S: DistanceSet, ordered: bool = False) -> Language:
-    symbols = [(name, 2) for name in S._symbols]
+    """One binary symbol per distance, plus the order ``leq`` when
+    ``ordered``; the unordered language is built once per distance set."""
     if ordered:
-        symbols.append(("leq", 2))
-        return Language(tuple(symbols), "leq")
-    return Language(tuple(symbols))
+        return Language(S._language.symbols + (("leq", 2),), "leq")
+    return S._language
 
 
 def sgraph_to_structure(G: SGraph, S: DistanceSet) -> Structure:

@@ -28,7 +28,7 @@ from .structures import (
     Morphism,
     Structure,
     canonical_key,
-    copies_of,
+    copy_images,
     induced_substructure,
     search_morphisms,
     verify_morphism,
@@ -408,11 +408,10 @@ def picture_zero(B: Structure, C0: Structure) -> PartiteSystem:
     partitioned by the copies' images."""
     if B.language != C0.language:
         raise PreconditionError("picture inputs must share a language")
-    images = copies_of(B, C0)
     verts: list[str] = []
     part_of: dict[str, str] = {}
     rels: dict[str, list] = {name: [] for name in C0.language.names()}
-    for c, image in enumerate(sorted(images, key=sorted)):
+    for c, image in enumerate(copy_images(B, C0)):
         sub = induced_substructure(C0, image)
         rename = {w: f"p{c}.{w}" for w in sub.vertices}
         for w, name in rename.items():
@@ -554,7 +553,7 @@ def partite_construction(
             raise PreconditionError(
                 "C0 must arrow (B) over A with 2 colours; pass assert_arrow=True to override"
             )
-    copiesA = sorted(copies_of(A, C0), key=sorted)
+    copiesA = copy_images(A, C0)
     for image in copiesA:
         if not is_U_substructure(image, C0, U):
             raise PreconditionError(
@@ -833,13 +832,9 @@ class ArrowReport:
         }
 
 
-def _copy_images(A: Structure, C: Structure) -> list[frozenset]:
-    return sorted(copies_of(A, C), key=sorted)
-
-
 def _mono_sets(C: Structure, A: Structure, B: Structure) -> tuple[list, list, list]:
-    a_images = _copy_images(A, C)
-    b_images = _copy_images(B, C)
+    a_images = copy_images(A, C)
+    b_images = copy_images(B, C)
     index = {img: i for i, img in enumerate(a_images)}
     groups = []
     for img in b_images:
@@ -870,6 +865,11 @@ def verify_arrow(
 ) -> ArrowReport:
     """Decide whether every k-colouring of the copies of A in C leaves some
     copy of B monochromatic.
+
+    Copies are image vertex sets (``copy_images``), found with one
+    embedding each rather than one per automorphism of A or B; they are
+    indexed in the order of their sorted tuples, and the certificate names
+    each copy of A by that tuple.
 
     ``exhaustive`` runs the complete colouring search (``colouring_search``)
     with ``exhaustive_cap`` as its node budget and raises CapError only when
@@ -967,7 +967,7 @@ def admissible_reorder(
 
     new_order = sorted(old_order, key=lambda v: (rank[v], old_order.index(v)))
     reordered = C.replace({order_sym: linear_order_tuples(new_order)})
-    for image in copies_of(B, C):
+    for image in copy_images(B, C):
         survives = any(
             True
             for _ in search_morphisms(

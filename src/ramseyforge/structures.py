@@ -10,6 +10,7 @@ declare the tuples they mean.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import ge, itemgetter
 from types import MappingProxyType
@@ -73,11 +74,11 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # ``_adj`` and the five search caches below it are filled lazily, per
-    # instance; see ``search_morphisms``.
+    # ``_adj`` and the six search caches below it are filled lazily, per
+    # instance; see ``search_morphisms`` and ``copies_of``.
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash", "_adj",
-        "_plans", "_obligations", "_profile", "_incidence", "_nbhd",
+        "_plans", "_obligations", "_orbit_bounds", "_profile", "_incidence", "_nbhd",
     )
 
     def __init__(
@@ -118,6 +119,7 @@ class Structure:
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_plans", None)
         object.__setattr__(self, "_obligations", None)
+        object.__setattr__(self, "_orbit_bounds", None)
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_nbhd", None)
@@ -489,6 +491,39 @@ def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
     return filed
 
 
+def _orbit_bounds(A: Structure) -> tuple:
+    """Per depth of the unpinned plan of A, the earlier vertices whose
+    images a copy search must exceed; cached on A next to the plan.
+
+    With ``order`` the plan's order, let ``orbit[i]`` be the orbit of
+    ``order[i]`` under the automorphisms of A that fix ``order[:i]``
+    pointwise.  ``bounds[j]`` lists ``order[i]`` for every i < j with
+    ``order[j]`` in ``orbit[i]``.  An embedding f is the least of its coset
+    f∘Aut(A), in the order of assignment vectors, iff
+    ``f(order[i]) < f(order[j])`` for all those pairs: a non-identity
+    automorphism s first moves some ``order[i]``, into ``orbit[i]``, and
+    f∘s is smaller than f exactly when it is smaller there.  Embeddings with
+    one image form one such coset, so a search held to these bounds yields
+    one embedding per copy of A, the first one of the unbounded search.
+
+    Each orbit is read off first-witness searches for automorphisms with
+    ``order[:i + 1]`` pinned, one compile per i and one run per later
+    vertex; Aut(A) itself is never enumerated.
+    """
+    bounds = A._orbit_bounds
+    if bounds is None:
+        order = _source_plan(A, ())[0]
+        found: list[list] = [[] for _ in order]
+        for i, v in enumerate(order[:-1]):
+            run = compile_search(A, A, "embedding", order[:i + 1])
+            for j in range(i + 1, len(order)):
+                if next(run(order[:i] + (order[j],)), None) is not None:
+                    found[j].append(v)
+        bounds = tuple(map(tuple, found))
+        object.__setattr__(A, "_orbit_bounds", bounds)
+    return bounds
+
+
 def _index(B: Structure) -> tuple[dict[str, list[tuple]], dict[str, list[int]]]:
     """Incidence lists and vertex profiles of B, built in one pass and
     cached on B.
@@ -620,6 +655,7 @@ def compile_search(
     kind: str,
     pinned: tuple[str, ...] = (),
     require_injective: bool = False,
+    bounds: Optional[tuple] = None,
 ) -> Callable[[tuple[str, ...]], Iterator[Morphism]]:
     """The compile step of ``search_morphisms``, for repeated pinned runs.
 
@@ -631,6 +667,11 @@ def compile_search(
     checks and obligations, the neighbourhoods, the incidence lists and
     profiles, and the per-depth candidate screens.  The arguments are not
     validated; ``search_morphisms`` is the checked entry point.
+
+    The copy searches pass ``bounds``, per depth the earlier source
+    vertices whose images a candidate must exceed (``_orbit_bounds``);
+    the output is then the subsequence of maps that satisfy them.  Since
+    candidates come in sorted order, a bound just cuts off a prefix.
     """
     injective = require_injective or kind in ("monomorphism", "embedding")
     if injective and len(A.vertices) > len(B.vertices):
@@ -648,6 +689,8 @@ def compile_search(
         avoid = [[(rels[name], get) for name, get in cs] for cs in avoid_checks]
     else:
         avoid_unary, avoid = ((),) * n, [()] * n
+    if bounds is None:
+        bounds = ((),) * n
     nbhd = _neighbourhoods(B, not (injective or pairwise))
     inc, prof_b = _index(B)
     prof_a = _index(A)[1] if profiles else None
@@ -686,6 +729,8 @@ def compile_search(
                 nbrs = nbrs[1:]
             else:
                 cands = B.vertices
+            if bounds[i]:
+                cands = cands[bisect_right(cands, max(map(d.__getitem__, bounds[i]))):]
             for u in nbrs:
                 allowed = nbhd[d[u]][1]
                 cands = [w for w in cands if w in allowed]
@@ -734,11 +779,43 @@ def enumerate_morphisms(A: Structure, B: Structure, kind: str) -> list[Morphism]
     return list(search_morphisms(A, B, kind))
 
 
+def _copy_search(A: Structure, B: Structure) -> Iterator[Morphism]:
+    """One embedding per copy of A in B, the least of its coset f∘Aut(A),
+    in the order of assignment vectors."""
+    if A.language != B.language:
+        raise LanguageMismatchError("morphism search requires a shared language")
+    return compile_search(A, B, "embedding", bounds=_orbit_bounds(A))(())
+
+
+def copy_images(A: Structure, B: Structure) -> list[frozenset]:
+    """The copies of A in B as image vertex sets, in the order of their
+    sorted tuples: the keys of ``copies_of``, found with one embedding per
+    copy instead of |Aut(A)|."""
+    return sorted((m.image_vertices() for m in _copy_search(A, B)), key=sorted)
+
+
 def copies_of(A: Structure, B: Structure) -> dict[frozenset, list[Morphism]]:
-    """Copies of A in B: image vertex sets with their witness embeddings."""
+    """Copies of A in B: image vertex sets, in the order of their sorted
+    tuples, each with all its witness embeddings in the order of their
+    assignment vectors.
+
+    Embeddings with one image form a coset f∘Aut(A).  The search finds the
+    least embedding of each coset only (see ``_orbit_bounds``), and each is
+    composed with every automorphism of A to give the witnesses.  Aut(A) is
+    enumerated once, when the first copy turns up.  Callers that need only
+    the images use ``copy_images``.
+    """
     out: dict[frozenset, list[Morphism]] = {}
-    for m in search_morphisms(A, B, "embedding"):
-        out.setdefault(m.image_vertices(), []).append(m)
+    perms = None
+    for m in _copy_search(A, B):
+        if perms is None:
+            index = {v: i for i, v in enumerate(A.vertices)}
+            perms = [tuple(index[w] for _, w in s.map) for s in compile_search(A, A, "embedding")(())]
+        values = [w for _, w in m.map]
+        vectors = sorted(tuple(values[p] for p in perm) for perm in perms)
+        out[m.image_vertices()] = [
+            Morphism(A, B, tuple(zip(A.vertices, vector)), "embedding") for vector in vectors
+        ]
     return dict(sorted(out.items(), key=lambda kv: tuple(sorted(kv[0]))))
 
 

@@ -8,6 +8,8 @@ compare the indexed search against it, map for map and in order.
 
 ``oracle_canonical_lift`` is the canonical lift as it was computed before
 each class piece got one compiled search: a fresh search per root tuple.
+``oracle_copies_of`` is ``copies_of`` as it was before the copy search
+yielded one embedding per copy: every embedding, grouped by image.
 """
 
 from __future__ import annotations
@@ -136,3 +138,12 @@ def oracle_canonical_lift(A: Structure, family):
             if any(piece_roots_in(piece, A, at) for piece in cls.pieces):
                 ext[cls.index].add(at)
     return LiftedStructure.make(A, ext, family)
+
+
+def oracle_copies_of(A: Structure, B: Structure) -> dict[frozenset, list[Morphism]]:
+    """Copies of A in B as ``copies_of`` computed them before the copy
+    search broke automorphisms: every embedding, grouped by image."""
+    out: dict[frozenset, list[Morphism]] = {}
+    for m in oracle_search(A, B, "embedding"):
+        out.setdefault(m.image_vertices(), []).append(m)
+    return dict(sorted(out.items(), key=lambda kv: tuple(sorted(kv[0]))))

@@ -2,7 +2,8 @@
 
 The morphism search draws candidates from neighbourhood sets, the closure
 checks collect prefixes in sets, obstacle search keeps failing pattern
-vectors in sets, and lifts collect root tuples in sets; this runs fixed searches and reports in fresh interpreters
+vectors in sets, lifts collect root tuples in sets, and copies are keyed by
+image sets; this runs fixed searches and reports in fresh interpreters
 under different hash seeds and requires byte-identical output.
 """
 
@@ -109,6 +110,30 @@ print("maximal lift", result.status, [(i, sorted(ts)) for i, ts in result.lift.e
 """
 
 
+COPIES_SCRIPT = r"""
+import hashlib
+from ramseyforge.build import ORDERED_GRAPH, complete_graph, graph, ordered_graph
+from ramseyforge.ramsey import partite_construction
+from ramseyforge.structures import Structure, copies_of
+
+# the circulant graph on 16 vertices with offsets 1-4: 8-regular, with
+# K4 copies on every four consecutive vertices and more
+verts = [f"g{i}" for i in range(16)]
+G = graph(verts, [(verts[i], verts[(i + d) % 16]) for i in range(16) for d in (1, 2, 3, 4)])
+copies = copies_of(complete_graph(4), G)
+listing = repr([(sorted(image), [m.map for m in ms]) for image, ms in copies.items()])
+print("K4 copies", len(copies), sum(map(len, copies.values())), hashlib.sha256(listing.encode()).hexdigest(), sep="\t")
+
+OV = Structure(ORDERED_GRAPH, ["1"], {"leq": [("1", "1")]})
+edge = ordered_graph(["a", "b"], [("a", "b")])
+triangle = ordered_graph(["t0", "t1", "t2"], [("t0", "t1"), ("t1", "t2"), ("t0", "t2")])
+result = partite_construction(OV, edge, triangle)
+C = result.structure
+print("construction", C.vertices, [(name, sorted(C.tuples(name))) for name in C.language.names()],
+      result.projection.map, result.picture_sizes, result.steps, sep="\t")
+"""
+
+
 def _run(hashseed: str, script: str = SCRIPT) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -153,3 +178,13 @@ def test_lifts_identical_across_hash_seeds():
     assert "('r0', 'r2')" in lift
     assert sidecar.startswith("sidecar\t{'0': {'width': 2, ") and "'1': {'width': 2, " in sidecar
     assert maximal.startswith("maximal lift\tstable\t") and "'x0." in maximal
+
+
+def test_copies_and_construction_identical_across_hash_seeds():
+    outputs = [_run(seed, COPIES_SCRIPT) for seed in ("0", "1", "2", "3")]
+    assert all(out == outputs[0] for out in outputs[1:])
+    copies, construction = outputs[0].splitlines()
+    # 64 copies of K4, each with its 24 witness embeddings; the construction
+    # identifies three times
+    assert copies.startswith("K4 copies\t64\t1536\t")
+    assert construction.startswith("construction\t") and "('identify:t0', 'identify:t1', 'identify:t2')" in construction
