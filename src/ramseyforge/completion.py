@@ -123,6 +123,15 @@ class ClassPlugin:
     ``itertools.combinations`` order, and ``pair_flip[s]`` is the state the
     pair shows when read the other way round.  A plugin supplies the flip
     table and ``_pattern(k, states)``, which builds the structure.
+
+    Strong completion is decided once per class, by ``_decide(verts,
+    states)`` on the pair-state vector of a structure over its sorted
+    vertices ``verts``.  It returns ``(None, data)`` when the structure
+    strongly completes and ``(kind, data)`` when it does not; the data are
+    the plugin's own, in vertex indices 0..k-1.  ``try_strong_completion``
+    screens a structure for well-formedness, reads its vector and turns the
+    verdict back into a completed structure or a certificate;
+    ``obstacles_up_to`` reads only the verdict.
     """
 
     name: str
@@ -133,6 +142,9 @@ class ClassPlugin:
         raise NotImplementedError
 
     def try_strong_completion(self, A: Structure) -> CompletionResult:
+        raise NotImplementedError
+
+    def _decide(self, verts: Sequence[str], states: Sequence[int]) -> tuple:
         raise NotImplementedError
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
@@ -163,14 +175,16 @@ class ClassPlugin:
         selection that gives the part's vector on the previous size,
         relabelled in order; the failing vectors of that size are kept with
         all their images under vertex permutations, so each part's verdict
-        is one set lookup.  Only patterns whose parts all complete are built
-        and tried; those that fail are the obstacles.
+        is one set lookup.  Only vectors whose parts all complete go to the
+        completion kernel; the structures of those that fail are built, and
+        they are the obstacles.
         """
         flip = self.pair_flip
-        empty_ok = self.try_strong_completion(self._pattern(0, ())).ok
+        empty_ok = self._decide((), ())[0] is None
         failing: set[tuple[int, ...]] = set() if empty_ok else {()}
         out = []
         for k in range(1, n + 1):
+            verts = _pattern_vertices(k)
             drops = _vertex_drops(k)
             # nothing reads the failing vectors of the last size
             reads = _pair_perm_reads(k, flip) if k < n else None
@@ -179,10 +193,9 @@ class ClassPlugin:
                 if any(tuple([vec[p] for p in drop]) in failing for drop in drops):
                     fails = True
                 else:
-                    P = self._pattern(k, vec)
-                    fails = not self.try_strong_completion(P).ok
+                    fails = self._decide(verts, vec)[0] is not None
                     if fails:
-                        out.append(P)
+                        out.append(self._pattern(k, vec))
                 if fails and reads is not None:
                     failing_k.add(vec)
                     failing_k.update(
@@ -325,6 +338,107 @@ def _oriented_pairs(
     return order, second
 
 
+def _oriented_vector(
+    verts: Sequence[str], order: frozenset, second: frozenset
+) -> list[int]:
+    """The oriented pair-state vector over ``verts`` of a structure with
+    order pairs ``order`` and second-relation pairs ``second``: the inverse
+    of ``_oriented_pairs``.  Assumes no pair is ordered both ways and every
+    second-relation pair is ordered the same way."""
+    out = []
+    for u, v in itertools.combinations(verts, 2):
+        if (u, v) in order:
+            out.append(3 if (u, v) in second else 1)
+        elif (v, u) in order:
+            out.append(4 if (v, u) in second else 2)
+        else:
+            out.append(0)
+    return out
+
+
+def _oriented_masks(k: int, states: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Successor bitmasks over vertex indices 0..k-1: bit b of ``order[a]``
+    says a is ordered below b, bit b of ``second[a]`` that the pair also
+    carries the second relation, oriented like the order."""
+    order, second = [0] * k, [0] * k
+    for (i, j), s in zip(itertools.combinations(range(k), 2), states):
+        if s:
+            a, b = (i, j) if s & 1 else (j, i)
+            order[a] |= 1 << b
+            if s > 2:
+                second[a] |= 1 << b
+    return order, second
+
+
+# ---------------------------------------------------------------------------
+# digraphs on vertex indices, as successor bitmasks
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask_toposort(succ: Sequence[int]) -> Optional[list[int]]:
+    """Stable topological order, ties broken by index: the least vertex
+    whose predecessors are all placed goes next.  None on a cycle; loops
+    are ignored."""
+    n = len(succ)
+    pred = [0] * n
+    for u in range(n):
+        for w in _bits(succ[u] & ~(1 << u)):
+            pred[w] |= 1 << u
+    order = []
+    placed = 0
+    for _ in range(n):
+        for v in range(n):
+            if not placed >> v & 1 and not pred[v] & ~placed:
+                break
+        else:
+            return None
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+def _mask_cycle(succ: Sequence[int]) -> Optional[list[int]]:
+    """A directed cycle, its first vertex repeated at the end, or None.
+
+    Depth-first search from each unvisited vertex in index order, trying
+    successors in index order; the first edge back into the current path
+    closes the cycle.  Loops are ignored.
+    """
+    n = len(succ)
+    state = [0] * n
+    path: list[int] = []
+
+    def dfs(u: int) -> Optional[list[int]]:
+        state[u] = 1
+        path.append(u)
+        for w in _bits(succ[u] & ~(1 << u)):
+            if state[w] == 1:
+                return path[path.index(w):] + [w]
+            if state[w] == 0:
+                found = dfs(w)
+                if found:
+                    return found
+        path.pop()
+        state[u] = 2
+        return None
+
+    for v in range(n):
+        if state[v] == 0:
+            found = dfs(v)
+            if found:
+                return found
+    return None
+
+
 # ---------------------------------------------------------------------------
 # partial orders with linear extension
 
@@ -379,74 +493,12 @@ def quasi_cycle_scan(A: Structure) -> Optional[QuasiCycle]:
     return None
 
 
-def _transitive_closure(pairs: set[tuple[str, str]], verts) -> set[tuple[str, str]]:
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closure):
-            for (c, d) in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    return closure
-
-
-def _digraph_cycle(edges: set[tuple[str, str]], verts: Sequence[str]) -> Optional[list[str]]:
-    """A vertex cycle in the strict digraph, or None."""
-    adj: dict[str, list[str]] = {v: [] for v in verts}
-    for (u, v) in sorted(edges):
-        if u != v:
-            adj[u].append(v)
-    state = {v: 0 for v in verts}
-    stack_path: list[str] = []
-
-    def dfs(u) -> Optional[list[str]]:
-        state[u] = 1
-        stack_path.append(u)
-        for w in adj[u]:
-            if state[w] == 1:
-                return stack_path[stack_path.index(w):] + [w]
-            if state[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        stack_path.pop()
-        state[u] = 2
-        return None
-
-    for v in sorted(verts):
-        if state[v] == 0:
-            found = dfs(v)
-            if found:
-                return found
-    return None
-
-
-def _toposort(verts: Sequence[str], edges: set[tuple[str, str]]) -> list[str]:
-    """Stable topological order: ties broken by vertex token."""
-    preds: dict[str, set[str]] = {v: set() for v in verts}
-    for (u, v) in edges:
-        if u != v:
-            preds[v].add(u)
-    out = []
-    remaining = set(verts)
-    while remaining:
-        ready = sorted(v for v in remaining if not (preds[v] & remaining))
-        if not ready:
-            raise StructureError("cycle while sorting")
-        v = ready[0]
-        out.append(v)
-        remaining.remove(v)
-    return out
-
-
 class PosetPlugin(ClassPlugin):
     """Partial orders (prec) with a linear extension (leq).
 
     Both relations are stored reflexively.  Strong completion: transitive
-    closure of prec, then a linear extension by stable topological sort on
-    vertex tokens.
+    closure of prec, then a linear extension by stable topological sort,
+    ties broken by vertex token.
     """
 
     name = "posets"
@@ -519,41 +571,79 @@ class PosetPlugin(ClassPlugin):
                         present=[("leq", (a, b)), ("prec", (b, a))],
                     )
 
-        strict_prec = {(a, b) for (a, b) in prec if a != b}
-        closure = _transitive_closure(strict_prec, vs)
-        cyc = _digraph_cycle(closure, vs)
-        if cyc:
-            edges = [("prec", (cyc[i], cyc[i + 1])) for i in range(len(cyc) - 1)]
-            return fail("prec-cycle", tuple(cyc), note="prec chain closes on itself")
-        for (a, b) in sorted(closure - strict_prec):
-            if b in adj[a]:
-                # frozen pair forced into prec by transitivity
-                qc = quasi_cycle_scan(A)
-                if qc is not None:
-                    return fail(
-                        "quasi-cycle", qc.vertices,
-                        present=[("leq", (qc.vertices[0], qc.vertices[-1]))],
-                        absent=[("prec", (qc.vertices[0], qc.vertices[-1]))],
-                        note="prec chain against a frozen pair",
-                    )
+        kind, data = self._decide(vs, _oriented_vector(vs, leq, prec))
+        if kind is None:
+            closure, topo = data
+            final_prec = [(v, v) for v in vs]
+            for a, succ in enumerate(closure):
+                final_prec.extend((vs[a], vs[b]) for b in _bits(succ))
+            completed = Structure(
+                POSET, vs,
+                {"prec": final_prec, "leq": linear_order_tuples([vs[i] for i in topo])},
+            )
+            return CompletionResult("completed", completed=completed)
+        if kind == "frozen-prec-gap":
+            qc = quasi_cycle_scan(A)
+            if qc is not None:
                 return fail(
-                    "frozen-prec-gap", (a, b),
-                    absent=[("prec", (a, b))],
-                    note="transitivity forces prec on a frozen pair without it",
+                    "quasi-cycle", qc.vertices,
+                    present=[("leq", (qc.vertices[0], qc.vertices[-1]))],
+                    absent=[("prec", (qc.vertices[0], qc.vertices[-1]))],
+                    note="prec chain against a frozen pair",
                 )
-        strict_leq = {(a, b) for (a, b) in leq if a != b}
-        order_edges = strict_leq | closure
-        cyc = _digraph_cycle(order_edges, vs)
-        if cyc:
-            return fail("order-cycle", tuple(cyc), note="no linear extension exists")
-        topo = _toposort(vs, order_edges)
-        final_prec = sorted(closure | {(v, v) for v in vs})
-        completed = Structure(
-            POSET, vs, {"prec": final_prec, "leq": linear_order_tuples(topo)}
-        )
-        if not self.membership(completed):
+            a, b = vs[data[0]], vs[data[1]]
+            return fail(
+                "frozen-prec-gap", (a, b),
+                absent=[("prec", (a, b))],
+                note="transitivity forces prec on a frozen pair without it",
+            )
+        note = {
+            "prec-cycle": "prec chain closes on itself",
+            "order-cycle": "no linear extension exists",
+        }[kind]
+        return fail(kind, tuple(vs[i] for i in data), note=note)
+
+    def _decide(self, verts: Sequence[str], states: Sequence[int]) -> tuple:
+        """The poset completion kernel on a pair-state vector (see
+        ``ClassPlugin._decide``).
+
+        Transitive closure of the strict prec pairs (Warshall on bitmasks),
+        then in turn: a prec cycle, a frozen pair the closure forces into
+        prec (data: the least such pair), an order cycle on leq and the
+        closure.  Otherwise the data are the closure's successor masks and
+        the stable topological order of leq and the closure, ties broken by
+        index, which is the completion's linear extension.  The completion
+        is checked for membership before it is returned.
+        """
+        k = len(verts)
+        leq, prec = _oriented_masks(k, states)
+        closure = prec[:]
+        for m in range(k):
+            bit, row = 1 << m, closure[m]
+            for i in range(k):
+                if closure[i] & bit:
+                    closure[i] |= row
+        if any(closure[i] >> i & 1 for i in range(k)):
+            return "prec-cycle", _mask_cycle(closure)
+        for a in range(k):
+            for b in _bits(closure[a] & ~prec[a]):
+                if leq[a] >> b & 1 or leq[b] >> a & 1:
+                    return "frozen-prec-gap", (a, b)
+        order = [leq[i] | closure[i] for i in range(k)]
+        topo = _mask_toposort(order)
+        if topo is None:
+            return "order-cycle", _mask_cycle(order)
+        # membership: leq is the linear order topo, prec is transitive and
+        # inside leq (so antisymmetric)
+        place = [0] * k
+        for r, v in enumerate(topo):
+            place[v] = r
+        if sorted(topo) != list(range(k)) or any(
+            place[b] <= place[a] or closure[b] & ~closure[a]
+            for a in range(k) for b in _bits(closure[a])
+        ):
             raise StructureError("poset completion produced a non-member")
-        return CompletionResult("completed", completed=completed)
+        return None, (closure, topo)
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, 1/2 order one way, 3/4 order plus prec
@@ -602,35 +692,58 @@ class MetricPlugin(ClassPlugin):
                     "malformed-distance-graph", tuple(A.vertices), note=str(exc)
                 ),
             )
-        result = metric_mod.complete_metric_graph(G, self.S)
-        if result.completed:
+        vs, rank = G.vertices, self.S._rank
+        states = [
+            0 if q is None else rank[q] + 1
+            for q in (G.dist.get(pair) for pair in itertools.combinations(vs, 2))
+        ]
+        kind, data = self._decide(vs, states)
+        if kind is None:
+            names = self.S._symbols
+            rels: dict[str, list] = {name: [] for name in names}
+            for i, j in itertools.combinations(range(len(vs)), 2):
+                rels[names[data[i][j]]].extend([(vs[i], vs[j]), (vs[j], vs[i])])
             return CompletionResult(
-                "completed",
-                completed=metric_mod.sgraph_to_structure(result.space, self.S),
+                "completed", completed=Structure(self.language, vs, rels)
             )
-        cert = result.certificate
-        cycle = cert.cycle_distances(G)
-        verts = cert.walk + (cert.walk[0],)
-        present = []
-        for i in range(len(cert.walk) - 1):
-            q = G.get(cert.walk[i], cert.walk[i + 1])
-            present.append(
-                (f"d:{format_rational(q)}", (cert.walk[i], cert.walk[i + 1]))
-            )
-        present.append((f"d:{format_rational(cert.recorded)}", cert.pair))
+        i, j, shortest, walk = data
+        walk = tuple(vs[w] for w in walk)
+        recorded = G.get(vs[i], vs[j])
+        shortest = self.S._values[shortest]
+        edges = [G.get(walk[h], walk[h + 1]) for h in range(len(walk) - 1)]
+        present = [
+            (f"d:{format_rational(q)}", (walk[h], walk[h + 1]))
+            for h, q in enumerate(edges)
+        ]
+        present.append((f"d:{format_rational(recorded)}", (vs[i], vs[j])))
         return CompletionResult(
             "no-completion",
             certificate=ObstacleCertificate(
                 "non-metric-cycle",
-                cert.walk,
+                walk,
                 present=tuple(present),
-                note=f"recorded {cert.recorded} exceeds walk length {cert.shortest}",
+                note=f"recorded {recorded} exceeds walk length {shortest}",
                 extra=(
-                    ("distances", ",".join(format_rational(q) for q in cycle)),
-                    ("shortest", format_rational(cert.shortest)),
+                    ("distances", ",".join(format_rational(q) for q in edges + [recorded])),
+                    ("shortest", format_rational(shortest)),
                 ),
             ),
         )
+
+    def _decide(self, verts: Sequence[str], states: Sequence[int]) -> tuple:
+        """The metric completion kernel on a pair-state vector (see
+        ``ClassPlugin._decide``): ``metric.complete_ranks`` on the rank
+        matrix the vector gives.  The data are the completed rank matrix, or
+        ``(i, j, shortest, walk)`` for the violated pair i < j."""
+        k = len(verts)
+        d: list[list[Optional[int]]] = [[None] * k for _ in range(k)]
+        for (i, j), s in zip(itertools.combinations(range(k), 2), states):
+            if s:
+                d[i][j] = d[j][i] = s - 1
+        closed, violation = metric_mod.complete_ranks(d, self.S._oplus_rank)
+        if violation is not None:
+            return "non-metric-cycle", violation
+        return None, closed
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, i >= 1 the i-th smallest distance
@@ -672,15 +785,15 @@ class ForbiddenPlugin(ClassPlugin):
         self.name = name
 
     def _is_linear(self, A: Structure) -> bool:
-        leq = A.tuples("leq")
-        for v in A.vertices:
+        leq, vs = A.tuples("leq"), A.vertices
+        for v in vs:
             if (v, v) not in leq:
                 return False
-        for u, v in itertools.combinations(A.vertices, 2):
+        for u, v in itertools.combinations(vs, 2):
             if ((u, v) in leq) == ((v, u) in leq):
                 return False
-        strict = {(a, b) for (a, b) in leq if a != b}
-        return _digraph_cycle(strict, A.vertices) is None
+        order, _ = _oriented_masks(len(vs), _oriented_vector(vs, leq, frozenset()))
+        return _mask_toposort(order) is not None
 
     def _forbidden_witness(self, A: Structure):
         for F in self.forbidden:
@@ -737,29 +850,50 @@ class ForbiddenPlugin(ClassPlugin):
                     "one-way-edge", (v, u),
                     present=[("E", (v, u))], absent=[("E", (u, v))],
                 )
-        strict = {(a, b) for (a, b) in leq if a != b}
-        cyc = _digraph_cycle(strict, vs)
-        if cyc:
-            return fail("order-cycle", tuple(cyc))
-        topo = _toposort(vs, strict)
+        kind, data = self._decide(vs, _oriented_vector(vs, leq, edges))
+        if kind is None:
+            return CompletionResult("completed", completed=data)
+        if kind == "order-cycle":
+            return fail(kind, tuple(vs[i] for i in data))
+        F, m = data
+        return CompletionResult(
+            "no-completion",
+            certificate=ObstacleCertificate(
+                "forbidden-member",
+                tuple(sorted(m.image_vertices())),
+                note=f"embeds a forbidden structure on {len(F.vertices)} vertices",
+                extra=tuple(("witness:" + src, dst) for src, dst in m.map),
+            ),
+        )
+
+    def _decide(self, verts: Sequence[str], states: Sequence[int]) -> tuple:
+        """The ordered-graph completion kernel on a pair-state vector (see
+        ``ClassPlugin._decide``).
+
+        An order cycle fails (data: the cycle).  Otherwise holes become
+        non-edges and the order becomes its stable topological sort, ties
+        broken by index; the completed structure on ``verts`` is searched
+        for an embedded forbidden member, which fails with the member and
+        the embedding as data.  Otherwise the data are the completed
+        structure.
+        """
+        k = len(verts)
+        order, edge = _oriented_masks(k, states)
+        topo = _mask_toposort(order)
+        if topo is None:
+            return "order-cycle", _mask_cycle(order)
+        edges = []
+        for a in range(k):
+            for b in _bits(edge[a]):
+                edges.extend([(verts[a], verts[b]), (verts[b], verts[a])])
         completed = Structure(
-            ORDERED_GRAPH, vs, {"E": sorted(edges), "leq": linear_order_tuples(topo)}
+            ORDERED_GRAPH, verts,
+            {"E": edges, "leq": linear_order_tuples([verts[i] for i in topo])},
         )
         witness = self._forbidden_witness(completed)
         if witness is not None:
-            F, m = witness
-            return CompletionResult(
-                "no-completion",
-                certificate=ObstacleCertificate(
-                    "forbidden-member",
-                    tuple(sorted(m.image_vertices())),
-                    note=f"embeds a forbidden structure on {len(F.vertices)} vertices",
-                    extra=tuple(
-                        ("witness:" + src, dst) for src, dst in m.map
-                    ),
-                ),
-            )
-        return CompletionResult("completed", completed=completed)
+            return "forbidden-member", witness
+        return None, completed
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, 1/2 order one way, 3/4 order plus an edge

@@ -397,34 +397,70 @@ def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
 
     Succeeds iff G can be completed to a metric space with distances in S;
     the output is then the pointwise-least completion.  Pairs joined by no
-    walk are set to max(S).
+    walk are set to max(S).  G's distances become a rank matrix over its
+    sorted vertices, which ``complete_ranks`` completes.
     """
     ok, witness = four_values(S)
     if not ok:
         raise PreconditionError(f"distance set fails the 4-values condition at {witness}")
     if not G.values() <= S.distances:
         raise PreconditionError("graph uses distances outside the set")
-    # Floyd-Warshall on ranks into S.sorted(): truncated addition maps S x S
-    # into S and ranks keep the order, so every comparison, the walk and the
-    # certificate are as they would be on the distances themselves.
-    vals, rank, table = S._values, S._rank, S._oplus_rank
-    verts = list(G.vertices)
+    vals, rank = S._values, S._rank
+    verts = G.vertices
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     d: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    nxt: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for (u, v), q in G.dist.items():
         i, j = idx[u], idx[v]
         d[i][j] = d[j][i] = rank[q]
-        nxt[i][j] = j
-        nxt[j][i] = i
+    closed, violation = complete_ranks(d, S._oplus_rank)
+    if violation is not None:
+        i, j, shortest, walk = violation
+        return MetricCompletionResult(
+            "no-completion",
+            None,
+            NonMetricCertificate(
+                (verts[i], verts[j]), vals[d[i][j]], vals[shortest],
+                tuple(verts[w] for w in walk),
+            ),
+        )
+    out = {
+        (verts[i], verts[j]): vals[closed[i][j]]
+        for i, j in itertools.combinations(range(n), 2)
+    }
+    return MetricCompletionResult("completed", SGraph(verts, out), None)
+
+
+def complete_ranks(
+    d: Sequence[Sequence[Optional[int]]], table: Sequence[Sequence[int]]
+) -> tuple[Optional[list[list[int]]], Optional[tuple[int, int, int, tuple[int, ...]]]]:
+    """Metric completion on a matrix of distance ranks: the kernel.
+
+    ``d`` is a symmetric n x n matrix of ranks into the sorted distance set,
+    None on the diagonal and on pairs without a distance; ``table`` is the
+    truncated addition on ranks.  Floyd-Warshall on ranks: truncated
+    addition maps S x S into S and ranks keep the order, so every
+    comparison, the walk and the certificate are as they would be on the
+    distances themselves.
+
+    Returns ``(closed, None)`` with ``closed`` the pointwise-least
+    completion (pairs joined by no walk at the top rank, None on the
+    diagonal), or ``(None, (i, j, shortest, walk))`` for the first pair
+    i < j, in index order, whose rank exceeds the fold of a walk: the
+    walk's rank and its vertices from i to j, loops cut.
+    """
+    n = len(d)
+    dist = [list(row) for row in d]
+    nxt: list[list[Optional[int]]] = [
+        [j if d[i][j] is not None else None for j in range(n)] for i in range(n)
+    ]
     for k in range(n):
-        dk = d[k]
+        dk = dist[k]
         for i in range(n):
-            dik = d[i][k]
+            dik = dist[i][k]
             if dik is None or i == k:
                 continue
-            di = d[i]
+            di = dist[i]
             row = table[dik]
             for j in range(i + 1, n):
                 if j == k:
@@ -435,40 +471,36 @@ def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
                 cand = row[dkj]
                 if di[j] is None or cand < di[j]:
                     di[j] = cand
-                    d[j][i] = cand
+                    dist[j][i] = cand
                     nxt[i][j] = nxt[i][k]
                     nxt[j][i] = nxt[j][k]
-    # check recorded distances are the minima
-    for (u, v), q in sorted(G.dist.items()):
-        i, j = idx[u], idx[v]
-        if d[i][j] < rank[q]:
-            walk = _reconstruct(nxt, idx, verts, u, v)
-            walk = _cut_loops(walk)
-            return MetricCompletionResult(
-                "no-completion",
-                None,
-                NonMetricCertificate((u, v), q, vals[d[i][j]], tuple(walk)),
-            )
-    out: dict[tuple[str, str], Fraction] = {}
-    top = len(vals) - 1
-    for u, v in G.pairs():
-        i, j = idx[u], idx[v]
-        out[(u, v)] = vals[d[i][j] if d[i][j] is not None else top]
-    return MetricCompletionResult("completed", SGraph(verts, out), None)
+    # the recorded distances must be the minima
+    for i in range(n):
+        di = d[i]
+        for j in range(i + 1, n):
+            if di[j] is not None and dist[i][j] < di[j]:
+                walk = _cut_loops(_reconstruct(nxt, i, j))
+                return None, (i, j, dist[i][j], tuple(walk))
+    top = len(table) - 1
+    for i in range(n):
+        di = dist[i]
+        for j in range(n):
+            if di[j] is None and j != i:
+                di[j] = top
+    return dist, None
 
 
-def _reconstruct(nxt, idx, verts, u, v) -> list[str]:
-    i, j = idx[u], idx[v]
-    path = [u]
+def _reconstruct(nxt, i: int, j: int) -> list[int]:
+    path = [i]
     while i != j:
         i = nxt[i][j]
-        path.append(verts[i])
+        path.append(i)
     return path
 
 
-def _cut_loops(walk: Sequence[str]) -> list[str]:
-    seen: dict[str, int] = {}
-    out: list[str] = []
+def _cut_loops(walk: Sequence) -> list:
+    seen: dict = {}
+    out: list = []
     for v in walk:
         if v in seen:
             out = out[: seen[v] + 1]

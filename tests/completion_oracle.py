@@ -1,0 +1,275 @@
+"""Reference strong completion for the three built-in plugins.
+
+These are the bodies ``PosetPlugin``, ``MetricPlugin`` and
+``ForbiddenPlugin.try_strong_completion`` had before each plugin decided
+strong completion with one kernel on the pattern's pair-state vector:
+
+- posets: transitive closure of prec on vertex-token pairs, a digraph cycle
+  search, then a stable topological sort on tokens and the plugin's
+  membership test on the completed structure;
+- metric: the structure read as an S-graph and completed by Floyd-Warshall
+  on ``Fraction`` distances (``pattern_oracle.fraction_completion``);
+- forbidden: the order cycle search and topological sort on tokens, then an
+  embedding search for the forbidden members in the completed structure.
+
+They are slow and follow the definitions token by token, so the tests
+compare the kernels against them: status, certificate (every field) and
+completed structure.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional, Sequence
+
+from ramseyforge import metric as metric_mod
+from ramseyforge.build import ORDERED_GRAPH, POSET, linear_order_tuples
+from ramseyforge.completion import (
+    CompletionResult,
+    ForbiddenPlugin,
+    MetricPlugin,
+    ObstacleCertificate,
+    PosetPlugin,
+    quasi_cycle_scan,
+)
+from ramseyforge.errors import StructureError
+from ramseyforge.rsf import format_rational
+from ramseyforge.structures import Structure
+
+import pattern_oracle
+
+
+def transitive_closure(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    closure = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(closure):
+            for (c, d) in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    changed = True
+    return closure
+
+
+def digraph_cycle(edges: set[tuple[str, str]], verts: Sequence[str]) -> Optional[list[str]]:
+    """A vertex cycle in the strict digraph, or None."""
+    adj: dict[str, list[str]] = {v: [] for v in verts}
+    for (u, v) in sorted(edges):
+        if u != v:
+            adj[u].append(v)
+    state = {v: 0 for v in verts}
+    stack_path: list[str] = []
+
+    def dfs(u) -> Optional[list[str]]:
+        state[u] = 1
+        stack_path.append(u)
+        for w in adj[u]:
+            if state[w] == 1:
+                return stack_path[stack_path.index(w):] + [w]
+            if state[w] == 0:
+                found = dfs(w)
+                if found:
+                    return found
+        stack_path.pop()
+        state[u] = 2
+        return None
+
+    for v in sorted(verts):
+        if state[v] == 0:
+            found = dfs(v)
+            if found:
+                return found
+    return None
+
+
+def toposort(verts: Sequence[str], edges: set[tuple[str, str]]) -> list[str]:
+    """Stable topological order: ties broken by vertex token."""
+    preds: dict[str, set[str]] = {v: set() for v in verts}
+    for (u, v) in edges:
+        if u != v:
+            preds[v].add(u)
+    out = []
+    remaining = set(verts)
+    while remaining:
+        ready = sorted(v for v in remaining if not (preds[v] & remaining))
+        if not ready:
+            raise StructureError("cycle while sorting")
+        v = ready[0]
+        out.append(v)
+        remaining.remove(v)
+    return out
+
+
+def _fail(kind, vertices, present=(), absent=(), note="", extra=()):
+    return CompletionResult(
+        "no-completion",
+        certificate=ObstacleCertificate(
+            kind, tuple(vertices), tuple(present), tuple(absent), note, tuple(extra)
+        ),
+    )
+
+
+def poset_completion(plugin: PosetPlugin, A: Structure) -> CompletionResult:
+    leq, prec = A.tuples("leq"), A.tuples("prec")
+    vs = A.vertices
+    for v in vs:
+        for sym in ("prec", "leq"):
+            if (v, v) not in A.tuples(sym):
+                return _fail(
+                    "missing-reflexive", (v,), absent=[(sym, (v, v))],
+                    note=f"{sym} misses the reflexive pair",
+                )
+    adj = A.adjacency()
+    for u, v in itertools.combinations(vs, 2):
+        frozen = v in adj[u]
+        fwd, bwd = (u, v) in leq, (v, u) in leq
+        if fwd and bwd:
+            return _fail(
+                "order-antisymmetry", (u, v),
+                present=[("leq", (u, v)), ("leq", (v, u))],
+            )
+        if (u, v) in prec and (v, u) in prec:
+            return _fail(
+                "prec-antisymmetry", (u, v),
+                present=[("prec", (u, v)), ("prec", (v, u))],
+            )
+        if frozen and not (fwd or bwd):
+            return _fail(
+                "unordered-pair", (u, v),
+                absent=[("leq", (u, v)), ("leq", (v, u))],
+                note="pair shares a tuple but has no orientation",
+            )
+        for (a, b) in (((u, v) if fwd else (v, u)),) if (fwd or bwd) else ():
+            if (b, a) in prec:
+                return _fail(
+                    "prec-against-order", (a, b),
+                    present=[("leq", (a, b)), ("prec", (b, a))],
+                )
+
+    strict_prec = {(a, b) for (a, b) in prec if a != b}
+    closure = transitive_closure(strict_prec)
+    cyc = digraph_cycle(closure, vs)
+    if cyc:
+        return _fail("prec-cycle", tuple(cyc), note="prec chain closes on itself")
+    for (a, b) in sorted(closure - strict_prec):
+        if b in adj[a]:
+            qc = quasi_cycle_scan(A)
+            if qc is not None:
+                return _fail(
+                    "quasi-cycle", qc.vertices,
+                    present=[("leq", (qc.vertices[0], qc.vertices[-1]))],
+                    absent=[("prec", (qc.vertices[0], qc.vertices[-1]))],
+                    note="prec chain against a frozen pair",
+                )
+            return _fail(
+                "frozen-prec-gap", (a, b),
+                absent=[("prec", (a, b))],
+                note="transitivity forces prec on a frozen pair without it",
+            )
+    strict_leq = {(a, b) for (a, b) in leq if a != b}
+    order_edges = strict_leq | closure
+    cyc = digraph_cycle(order_edges, vs)
+    if cyc:
+        return _fail("order-cycle", tuple(cyc), note="no linear extension exists")
+    topo = toposort(vs, order_edges)
+    final_prec = sorted(closure | {(v, v) for v in vs})
+    completed = Structure(
+        POSET, vs, {"prec": final_prec, "leq": linear_order_tuples(topo)}
+    )
+    if not plugin.membership(completed):
+        raise StructureError("poset completion produced a non-member")
+    return CompletionResult("completed", completed=completed)
+
+
+def metric_completion(plugin: MetricPlugin, A: Structure) -> CompletionResult:
+    try:
+        G = metric_mod.structure_to_sgraph(A, plugin.S)
+    except StructureError as exc:
+        return _fail("malformed-distance-graph", A.vertices, note=str(exc))
+    # the plugin checked the 4-values condition when it was made
+    result = pattern_oracle.fraction_completion(G, plugin.S)
+    if result.completed:
+        return CompletionResult(
+            "completed",
+            completed=metric_mod.sgraph_to_structure(result.space, plugin.S),
+        )
+    cert = result.certificate
+    cycle = cert.cycle_distances(G)
+    present = []
+    for i in range(len(cert.walk) - 1):
+        q = G.get(cert.walk[i], cert.walk[i + 1])
+        present.append((f"d:{format_rational(q)}", (cert.walk[i], cert.walk[i + 1])))
+    present.append((f"d:{format_rational(cert.recorded)}", cert.pair))
+    return _fail(
+        "non-metric-cycle",
+        cert.walk,
+        present=present,
+        note=f"recorded {cert.recorded} exceeds walk length {cert.shortest}",
+        extra=(
+            ("distances", ",".join(format_rational(q) for q in cycle)),
+            ("shortest", format_rational(cert.shortest)),
+        ),
+    )
+
+
+def forbidden_completion(plugin: ForbiddenPlugin, A: Structure) -> CompletionResult:
+    leq, edges = A.tuples("leq"), A.tuples("E")
+    vs = A.vertices
+    for v in vs:
+        if (v, v) in edges:
+            return _fail("edge-loop", (v,), present=[("E", (v, v))])
+        if (v, v) not in leq:
+            return _fail("missing-reflexive", (v,), absent=[("leq", (v, v))])
+    adj = A.adjacency()
+    for u, v in itertools.combinations(vs, 2):
+        fwd, bwd = (u, v) in leq, (v, u) in leq
+        if fwd and bwd:
+            return _fail(
+                "order-antisymmetry", (u, v),
+                present=[("leq", (u, v)), ("leq", (v, u))],
+            )
+        if v in adj[u] and not (fwd or bwd):
+            return _fail(
+                "unordered-pair", (u, v),
+                absent=[("leq", (u, v)), ("leq", (v, u))],
+            )
+        if (u, v) in edges and (v, u) not in edges:
+            return _fail(
+                "one-way-edge", (u, v),
+                present=[("E", (u, v))], absent=[("E", (v, u))],
+            )
+        if (v, u) in edges and (u, v) not in edges:
+            return _fail(
+                "one-way-edge", (v, u),
+                present=[("E", (v, u))], absent=[("E", (u, v))],
+            )
+    strict = {(a, b) for (a, b) in leq if a != b}
+    cyc = digraph_cycle(strict, vs)
+    if cyc:
+        return _fail("order-cycle", tuple(cyc))
+    topo = toposort(vs, strict)
+    completed = Structure(
+        ORDERED_GRAPH, vs, {"E": sorted(edges), "leq": linear_order_tuples(topo)}
+    )
+    witness = plugin._forbidden_witness(completed)
+    if witness is not None:
+        F, m = witness
+        return _fail(
+            "forbidden-member",
+            sorted(m.image_vertices()),
+            note=f"embeds a forbidden structure on {len(F.vertices)} vertices",
+            extra=tuple(("witness:" + src, dst) for src, dst in m.map),
+        )
+    return CompletionResult("completed", completed=completed)
+
+
+def try_strong_completion(plugin, A: Structure) -> CompletionResult:
+    """The reference strong completion of A in the built-in plugin's class."""
+    if isinstance(plugin, PosetPlugin):
+        return poset_completion(plugin, A)
+    if isinstance(plugin, MetricPlugin):
+        return metric_completion(plugin, A)
+    if isinstance(plugin, ForbiddenPlugin):
+        return forbidden_completion(plugin, A)
+    raise TypeError(f"no reference completion for {type(plugin).__name__}")

@@ -29,7 +29,6 @@ from ramseyforge.metric import (
     NonMetricCertificate,
     SGraph,
     _cut_loops,
-    _reconstruct,
     _triangle,
 )
 from ramseyforge.structures import Structure, canonical_key, induced_substructure
@@ -112,12 +111,27 @@ def jump_numbers(S: DistanceSet) -> frozenset:
     return frozenset(a for a in S.distances if a != S.max and table[(a, a)] == a)
 
 
+def _reconstruct(nxt, idx, verts, u, v) -> list[str]:
+    i, j = idx[u], idx[v]
+    path = [u]
+    while i != j:
+        i = nxt[i][j]
+        path.append(verts[i])
+    return path
+
+
 def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
     ok, witness = four_values(S)
     if not ok:
         raise PreconditionError(f"distance set fails the 4-values condition at {witness}")
     if not G.values() <= S.distances:
         raise PreconditionError("graph uses distances outside the set")
+    return fraction_completion(G, S)
+
+
+def fraction_completion(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
+    """Floyd-Warshall on ``Fraction`` distances, without the 4-values and
+    distance-set preconditions."""
     verts = list(G.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 from ramseyforge.build import POSET, graph, ordered_graph, poset
@@ -386,3 +389,52 @@ class TestObstaclesTopLevel:
         assert len(found) == 4
         for o in found:
             assert len(connected_components(o)) == 1
+
+
+class TestObstaclesOnFiveVertices:
+    """Obstacles up to five vertices, pinned by a SHA-256 of their
+    relations (as computed before strong completion ran on pair vectors)."""
+
+    @staticmethod
+    def digest(found):
+        payload = [
+            (P.vertices, [(name, sorted(P.tuples(name))) for name in P.language.names()])
+            for P in found
+        ]
+        return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+    @staticmethod
+    def check_minimal(plugin, found):
+        for P in found:
+            result = plugin.try_strong_completion(P)
+            assert not result.ok and result.certificate.holds(P)
+            for v in P.vertices:
+                part = plugin.try_strong_completion(
+                    induced_substructure(P, set(P.vertices) - {v})
+                )
+                assert part.ok and plugin.membership(part.completed)
+
+    def test_metric_123_has_one_triangle(self):
+        plugin = get_plugin("metric:1,2,3")
+        found = plugin.obstacles_up_to(5)
+        assert len(found) == 1
+        assert sorted(structure_to_sgraph(found[0], plugin.S).dist.values()) == [1, 1, 3]
+        cert = plugin.try_strong_completion(found[0]).certificate
+        assert cert.kind == "non-metric-cycle"
+        self.check_minimal(plugin, found)
+        assert self.digest(found) == (
+            "50c713b5bc72d4667cefb18d6c928f1002940e1ddd50482019e855b7de5a4891"
+        )
+
+    def test_posets(self):
+        plugin = PosetPlugin()
+        found = plugin.obstacles_up_to(5)
+        assert Counter(len(P.vertices) for P in found) == {3: 5, 4: 7, 5: 9}
+        kinds = Counter(plugin.try_strong_completion(P).certificate.kind for P in found)
+        assert kinds == {
+            "prec-cycle": 3, "frozen-prec-gap": 3, "quasi-cycle": 3, "order-cycle": 12,
+        }
+        self.check_minimal(plugin, found)
+        assert self.digest(found) == (
+            "c164404f79133e37732f8c15a69bf39f78d4c3ac997da4550367e1f5e6dbdb65"
+        )

@@ -1,0 +1,231 @@
+"""Strong completion by the pair-vector kernels against the token oracle.
+
+Each built-in plugin decides strong completion with one kernel on the pair
+state vector of a structure over its sorted vertices.  ``completion_oracle``
+keeps the earlier token-level bodies: closure, cycle search and topological
+sort on vertex tokens, Floyd-Warshall on ``Fraction`` distances.  On random
+structures in the poset, ordered-graph and distance languages, malformed
+ones included, both must give the same status, the same certificate (every
+field) and the same completed structure.  Vertex tokens are inserted in an
+order that differs from their sorted order.  On every canonical pattern
+with at most four vertices, the kernel's verdict must be the oracle's.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ramseyforge.build import ORDERED_GRAPH, POSET
+from ramseyforge.completion import (
+    _canonical_pair_vectors,
+    _pattern_vertices,
+    get_plugin,
+    kfree_plugin,
+)
+from ramseyforge.structures import Structure
+
+import completion_oracle as oracle
+
+PLUGINS = {
+    "posets": get_plugin("posets"),
+    "metric:1,2,3,4": get_plugin("metric:1,2,3,4"),
+    "metric:1,3": get_plugin("metric:1,3"),
+    "metric:1,2": get_plugin("metric:1,2"),
+    "metric:1/2,1,3/2,2": get_plugin("metric:1/2,1,3/2,2"),
+    "forbidden:K3": kfree_plugin(3),
+    "forbidden:K4": kfree_plugin(4),
+}
+METRIC = [name for name in PLUGINS if name.startswith("metric:")]
+FORBIDDEN = ["forbidden:K3", "forbidden:K4"]
+# Tokens whose sorted order differs from the order they are listed in.
+TOKENS = ("z", "v10", "b", "v2", "a", "q7", "m", "c")
+
+
+def assert_same(plugin, A):
+    fast = plugin.try_strong_completion(A)
+    slow = oracle.try_strong_completion(plugin, A)
+    assert fast.status == slow.status
+    # kind, vertices, present, absent, note and extra
+    assert fast.certificate == slow.certificate
+    assert fast.completed == slow.completed
+    return fast
+
+
+@st.composite
+def vertex_tokens(draw, max_size=6):
+    n = draw(st.integers(0, max_size))
+    return draw(st.permutations(TOKENS))[:n]
+
+
+@st.composite
+def tweaks(draw, symbols, verts):
+    """A few tuples to toggle: mostly none, so that most structures are
+    well formed and reach the kernel, else loops and one-way pairs."""
+    if not verts:
+        return []
+    pair = st.tuples(st.sampled_from(symbols), st.sampled_from(verts), st.sampled_from(verts))
+    return draw(st.one_of(st.just([]), st.just([]), st.lists(pair, min_size=1, max_size=3)))
+
+
+def toggled(rels, changes):
+    out = {name: set(ts) for name, ts in rels.items()}
+    for name, u, v in changes:
+        out[name] ^= {(u, v)}
+    return out
+
+
+@st.composite
+def oriented_structures(draw, language, second):
+    """Pair states over the tokens as inserted (a hole, the order one way,
+    or the order plus the second relation oriented like it; the ordered
+    graph's edge is stored both ways), then a few toggled tuples."""
+    verts = draw(vertex_tokens())
+    rels = {"leq": {(v, v) for v in verts}, second: set()}
+    if second == "prec":
+        rels["prec"] |= {(v, v) for v in verts}
+    for u, v in itertools.combinations(verts, 2):
+        state = draw(st.integers(0, 4))
+        if state == 0:
+            continue
+        a, b = (u, v) if state % 2 else (v, u)
+        rels["leq"].add((a, b))
+        if state > 2:
+            rels[second].add((a, b))
+            if second == "E":
+                rels["E"].add((b, a))
+    rels = toggled(rels, draw(tweaks(("leq", second), verts)))
+    return Structure(language, verts, rels)
+
+
+@st.composite
+def distance_structures(draw, plugin):
+    """A random distance graph over the tokens as inserted, then a few
+    toggled tuples: loops, one-way tuples, two distances on a pair."""
+    verts = draw(vertex_tokens())
+    names = plugin.S._symbols
+    rels = {name: set() for name in names}
+    for u, v in itertools.combinations(verts, 2):
+        r = draw(st.integers(-1, len(names) - 1))
+        if r >= 0:
+            rels[names[r]] |= {(u, v), (v, u)}
+    rels = toggled(rels, draw(tweaks(names, verts)))
+    return Structure(plugin.language, verts, rels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=oriented_structures(POSET, "prec"))
+def test_poset_kernel_matches_oracle(A):
+    assert_same(PLUGINS["posets"], A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(METRIC))
+def test_metric_kernel_matches_oracle(data, name):
+    plugin = PLUGINS[name]
+    assert_same(plugin, data.draw(distance_structures(plugin)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=oriented_structures(ORDERED_GRAPH, "E"), name=st.sampled_from(FORBIDDEN))
+def test_forbidden_kernel_matches_oracle(A, name):
+    assert_same(PLUGINS[name], A)
+
+
+def poset(verts, leq, prec, diag=True):
+    loops = [(v, v) for v in verts] if diag else []
+    return Structure(POSET, verts, {"leq": loops + leq, "prec": loops + prec})
+
+
+def ordered(verts, leq, edges, diag=True):
+    loops = [(v, v) for v in verts] if diag else []
+    return Structure(ORDERED_GRAPH, verts, {"leq": loops + leq, "E": edges})
+
+
+def chain(verts):
+    return [(verts[i], verts[i + 1]) for i in range(len(verts) - 1)]
+
+
+def closing(verts):
+    return chain(verts) + [(verts[-1], verts[0])]
+
+
+# One structure per screen and per failure kind, and some that complete,
+# all on tokens inserted out of sorted order.
+POSET_CASES = [
+    ("missing-reflexive", Structure(POSET, ["z", "b"], {"leq": [("z", "z"), ("b", "b")], "prec": [("z", "z")]})),
+    ("order-antisymmetry", poset(["z", "b"], [("z", "b"), ("b", "z")], [])),
+    ("prec-antisymmetry", poset(["z", "b"], [("z", "b")], [("z", "b"), ("b", "z")])),
+    ("unordered-pair", poset(["z", "b"], [], [("z", "b")])),
+    ("prec-against-order", poset(["z", "b"], [("z", "b")], [("b", "z")])),
+    ("prec-cycle", poset(["z", "m", "b"], closing(["z", "m", "b"]), closing(["z", "m", "b"]))),
+    ("quasi-cycle", poset(["z", "m", "b"], chain(["z", "m", "b"]) + [("z", "b")], chain(["z", "m", "b"]))),
+    ("frozen-prec-gap", poset(["z", "m", "b"], chain(["z", "m", "b"]) + [("b", "z")], chain(["z", "m", "b"]))),
+    ("order-cycle", poset(["z", "m", "b"], closing(["z", "m", "b"]), [])),
+    (None, poset(["z", "m", "b", "a"], [("z", "m"), ("b", "a")], [("z", "m")])),
+    (None, poset(["v10", "v2", "c"], [("v2", "v10"), ("c", "v10")], [("v2", "v10")])),
+]
+FORBIDDEN_CASES = [
+    ("edge-loop", ordered(["z", "b"], [("z", "b")], [("b", "b")])),
+    ("missing-reflexive", ordered(["z", "b"], [], [], diag=False)),
+    ("order-antisymmetry", ordered(["z", "b"], [("z", "b"), ("b", "z")], [])),
+    ("unordered-pair", ordered(["z", "b"], [], [("z", "b"), ("b", "z")])),
+    ("one-way-edge", ordered(["z", "b"], [("z", "b")], [("z", "b")])),
+    ("one-way-edge", ordered(["z", "b"], [("z", "b")], [("b", "z")])),
+    ("order-cycle", ordered(["z", "m", "b"], closing(["z", "m", "b"]), [])),
+    ("forbidden-member", ordered(
+        ["z", "m", "b"], [("b", "m"), ("m", "z"), ("b", "z")],
+        [(u, v) for u in "zmb" for v in "zmb" if u != v],
+    )),
+    (None, ordered(["z", "m", "b"], [("b", "z")], [("b", "z"), ("z", "b")])),
+]
+
+
+@pytest.mark.parametrize("kind, A", POSET_CASES, ids=[str(k) for k, _ in POSET_CASES])
+def test_poset_cases_match_oracle(kind, A):
+    result = assert_same(PLUGINS["posets"], A)
+    assert (result.certificate.kind if result.certificate else None) == kind
+
+
+@pytest.mark.parametrize("kind, A", FORBIDDEN_CASES, ids=[str(k) for k, _ in FORBIDDEN_CASES])
+def test_forbidden_cases_match_oracle(kind, A):
+    result = assert_same(PLUGINS["forbidden:K3"], A)
+    assert (result.certificate.kind if result.certificate else None) == kind
+
+
+@pytest.mark.parametrize("name", METRIC)
+def test_metric_cases_match_oracle(name):
+    plugin = PLUGINS[name]
+    d = plugin.S._symbols
+    cases = [
+        ("malformed-distance-graph", {d[0]: [("z", "z")]}),
+        ("malformed-distance-graph", {d[0]: [("z", "b")]}),
+        ("malformed-distance-graph", {d[0]: [("z", "b"), ("b", "z")], d[-1]: [("z", "b"), ("b", "z")]}),
+        # two short edges against the longest distance, through "m"
+        ("non-metric-cycle", {d[0]: [("z", "m"), ("m", "z"), ("m", "b"), ("b", "m")],
+                              d[-1]: [("z", "b"), ("b", "z")]}),
+        (None, {d[0]: [("z", "m"), ("m", "z")], d[-1]: [("b", "m"), ("m", "b")]}),
+    ]
+    for kind, rels in cases:
+        if kind == "non-metric-cycle" and plugin.S.max <= 2 * plugin.S.min:
+            continue
+        result = assert_same(plugin, Structure(plugin.language, ["z", "m", "b"], rels))
+        assert (result.certificate.kind if result.certificate else None) == kind
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_kernel_verdicts_match_oracle_on_patterns(name):
+    plugin = PLUGINS[name]
+    flip = plugin.pair_flip
+    tried = failed = 0
+    for k in range(5):
+        verts = _pattern_vertices(k)
+        for vec in _canonical_pair_vectors(k, len(flip), flip):
+            P = plugin._pattern(k, vec)
+            verdict = plugin._decide(verts, vec)[0] is None
+            assert verdict == oracle.try_strong_completion(plugin, P).ok, (k, vec)
+            tried += 1
+            failed += not verdict
+    # every distance graph over {1, 2} completes; the other classes have
+    # obstacles on at most four vertices
+    assert tried > 50 and (failed == 0) == (name == "metric:1,2")

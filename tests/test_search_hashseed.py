@@ -134,6 +134,41 @@ print("construction", C.vertices, [(name, sorted(C.tuples(name))) for name in C.
 """
 
 
+CERTIFICATES_SCRIPT = r"""
+from ramseyforge.build import ORDERED_GRAPH, POSET
+from ramseyforge.completion import get_plugin, kfree_plugin
+from ramseyforge.structures import Structure
+
+# tokens listed out of their sorted order
+T = ["z9", "k", "b3", "x1", "a"]
+chain = [(T[i], T[i + 1]) for i in range(4)]
+loops = [(v, v) for v in T]
+
+def poset(leq, prec, leq_loops=loops, prec_loops=loops):
+    return Structure(POSET, T, {"leq": leq_loops + leq, "prec": prec_loops + prec})
+
+transitive = [(T[i], T[j]) for i in range(5) for j in range(i + 1, 5)]
+cases = [
+    poset(transitive, [], prec_loops=loops[:3] + loops[4:]),
+    poset(transitive + [("x1", "k")], []),
+    poset(transitive, [("k", "x1"), ("x1", "k")]),
+    poset(chain, [("z9", "x1")]),
+    poset(transitive, [("x1", "k")]),
+    poset(chain + [("a", "z9")], chain + [("a", "z9")]),
+    poset(transitive, chain),
+    poset(chain + [("a", "z9")], chain),
+    poset(chain + [("a", "z9")], []),
+]
+posets = get_plugin("posets")
+for A in cases:
+    print("poset", posets.try_strong_completion(A).certificate.to_obj(), sep="\t")
+
+edges = [(u, v) for u in T[:4] for v in T[:4] if u != v] + [("a", "k"), ("k", "a")]
+G = Structure(ORDERED_GRAPH, T, {"leq": loops + transitive, "E": edges})
+print("forbidden", kfree_plugin(4).try_strong_completion(G).certificate.to_obj(), sep="\t")
+"""
+
+
 def _run(hashseed: str, script: str = SCRIPT) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -188,3 +223,14 @@ def test_copies_and_construction_identical_across_hash_seeds():
     # identifies three times
     assert copies.startswith("K4 copies\t64\t1536\t")
     assert construction.startswith("construction\t") and "('identify:t0', 'identify:t1', 'identify:t2')" in construction
+
+
+def test_completion_certificates_identical_across_hash_seeds():
+    outputs = [_run(seed, CERTIFICATES_SCRIPT) for seed in ("0", "1", "2", "3")]
+    assert all(out == outputs[0] for out in outputs[1:])
+    kinds = [line.split("'kind': '")[1].split("'")[0] for line in outputs[0].splitlines()]
+    assert kinds == [
+        "missing-reflexive", "order-antisymmetry", "prec-antisymmetry", "unordered-pair",
+        "prec-against-order", "prec-cycle", "quasi-cycle", "frozen-prec-gap", "order-cycle",
+        "forbidden-member",
+    ]
