@@ -203,18 +203,19 @@ def u_closure_set(A: Structure, U: ClosureDescription, S: Iterable[str]) -> froz
     unknown = current - set(A.vertices)
     if unknown:
         raise StructureError(f"unknown vertices {sorted(unknown)}")
-    work = [
-        (entry.root_size, t)
-        for entry in U
-        for t in A.tuples(entry.symbol)
-    ]
+    # a tuple whose root coordinates are inside is taken whole and dropped
+    pending = [(t[: entry.root_size], t) for entry in U for t in A.tuples(entry.symbol)]
     changed = True
     while changed:
         changed = False
-        for m, t in work:
-            if all(v in current for v in t[:m]) and not all(v in current for v in t):
+        waiting = []
+        for root, t in pending:
+            if current.issuperset(root):
                 current.update(t)
                 changed = True
+            else:
+                waiting.append((root, t))
+        pending = waiting
     return frozenset(current)
 
 

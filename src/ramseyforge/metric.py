@@ -39,7 +39,7 @@ class DistanceSet:
 
     Tables derived from the set (sorted values, ranks, truncated addition
     on ranks, symbol names and the language, the 4-values verdict, jump
-    numbers) are computed on first use and kept on the instance.
+    numbers, blocks) are computed on first use and kept on the instance.
     """
 
     distances: frozenset[Fraction]
@@ -145,7 +145,14 @@ class DistanceSet:
 
     @functools.cached_property
     def _blocks(self) -> tuple[DistanceSet, ...]:
-        return _block_search(self)
+        """The sorted values cut after each jump number and at the maximum."""
+        out, run = [], []
+        for q in self._values:
+            run.append(q)
+            if q in self._jumps or q == self.max:
+                out.append(DistanceSet(run))
+                run = []
+        return tuple(out)
 
 
 def distance_set(*values) -> DistanceSet:
@@ -170,6 +177,12 @@ def four_values(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
     return S._four_values
 
 
+def _require_four_values(S: DistanceSet) -> None:
+    ok, witness = four_values(S)
+    if not ok:
+        raise PreconditionError(f"distance set fails the 4-values condition at {witness}")
+
+
 def is_associative(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
     """Associativity of truncated addition; witness triple on failure."""
     vals = S.sorted()
@@ -185,41 +198,14 @@ def jump_numbers(S: DistanceSet) -> frozenset[Fraction]:
 
 
 def blocks(S: DistanceSet) -> tuple[DistanceSet, ...]:
-    """Inclusion-maximal jump-free subsets satisfying the 4-values condition.
+    """The blocks of a 4-values set: the maximal runs of sorted S that end
+    at a jump number or at max(S).
 
-    Asserts the decomposition facts: the blocks partition S and each block's
-    maximum is a jump number of S or max(S).
+    These are the inclusion-maximal jump-free subsets of S that satisfy the
+    4-values condition (Sauer, "Distance sets of Urysohn metric spaces").
     """
+    _require_four_values(S)
     return S._blocks
-
-
-def _block_search(S: DistanceSet) -> tuple[DistanceSet, ...]:
-    if len(S) > 16:
-        raise PreconditionError("blocks guard: more than 16 distances")
-    vals = S.sorted()
-    good = []
-    for r in range(1, len(vals) + 1):
-        for combo in itertools.combinations(vals, r):
-            B = DistanceSet(combo)
-            if four_values(B)[0] and not jump_numbers(B):
-                good.append(frozenset(B.distances))
-    maximal = [
-        b for b in good if not any(b < other for other in good)
-    ]
-    maximal.sort(key=lambda b: min(b))
-    seen: set[Fraction] = set()
-    for b in maximal:
-        if b & seen:
-            raise StructureError("block decomposition is not a partition")
-        seen |= b
-    if seen != S.distances:
-        raise StructureError("block decomposition does not cover the set")
-    jumps = jump_numbers(S)
-    for b in maximal:
-        m = max(b)
-        if m != S.max and m not in jumps:
-            raise StructureError("block maximum is neither a jump nor max(S)")
-    return tuple(DistanceSet(b) for b in maximal)
 
 
 def block_of(S: DistanceSet, j: Fraction) -> DistanceSet:
@@ -322,11 +308,8 @@ class SGraph:
         return True
 
 
-def metric_language(S: DistanceSet, ordered: bool = False) -> Language:
-    """One binary symbol per distance, plus the order ``leq`` when
-    ``ordered``; the unordered language is built once per distance set."""
-    if ordered:
-        return Language(S._language.symbols + (("leq", 2),), "leq")
+def metric_language(S: DistanceSet) -> Language:
+    """One binary symbol per distance, built once per distance set."""
     return S._language
 
 
@@ -400,9 +383,7 @@ def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
     walk are set to max(S).  G's distances become a rank matrix over its
     sorted vertices, which ``complete_ranks`` completes.
     """
-    ok, witness = four_values(S)
-    if not ok:
-        raise PreconditionError(f"distance set fails the 4-values condition at {witness}")
+    _require_four_values(S)
     if not G.values() <= S.distances:
         raise PreconditionError("graph uses distances outside the set")
     vals, rank = S._values, S._rank

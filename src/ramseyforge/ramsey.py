@@ -18,9 +18,11 @@ from .closures import (
     ClosureDescription,
     EMPTY_CLOSURES,
     closed_violation,
+    closure_description,
     is_U_closed,
     is_U_substructure,
     semi_closed_violation,
+    u_closure_set,
 )
 from .errors import CapError, PreconditionError, StructureError
 from .structures import (
@@ -449,8 +451,6 @@ class _UnionFind:
 
 def _marked_closure(system: PartiteSystem, U: ClosureDescription, v: str):
     """The closure of v with part marks encoded as unary relations."""
-    from .closures import u_closure_set
-
     cl = sorted(u_closure_set(system.carrier, U, [v]))
     sub = induced_substructure(system.carrier, cl)
     parts = system.parts()
@@ -471,6 +471,33 @@ def _closure_iso(c1: Structure, c2: Structure, v: str, w: str) -> Optional[Morph
     return None
 
 
+def _identify(
+    vertices: Iterable[str], candidates: Sequence[str], closures: Mapping[str, Structure]
+) -> tuple[dict[str, str], dict[str, tuple]]:
+    """Merge candidates whose closures are isomorphic with the candidate
+    pinned, along with every pair the isomorphism matches, until stable.
+
+    Pairs are tried in ``itertools.combinations`` order over ``candidates``,
+    only when their pinned canonical keys agree.  Returns each vertex's class
+    representative (the class minimum) and the candidates' keys.
+    """
+    keys = {v: canonical_key(closures[v], pinned=[v]) for v in candidates}
+    uf = _UnionFind(vertices)
+    changed = True
+    while changed:
+        changed = False
+        for v, w in itertools.combinations(candidates, 2):
+            if keys[v] != keys[w] or uf.find(v) == uf.find(w):
+                continue
+            iso = _closure_iso(closures[v], closures[w], v, w)
+            if iso is None:
+                continue
+            for x, y in iso.as_dict().items():
+                if uf.union(x, y):
+                    changed = True
+    return {v: uf.find(v) for v in uf.parent}, keys
+
+
 def identification_step(
     system: PartiteSystem, U: ClosureDescription, part: str
 ) -> PartiteSystem:
@@ -479,25 +506,7 @@ def identification_step(
     parts = system.parts()
     in_part = sorted(v for v, p in parts.items() if p == part)
     closures = {v: _marked_closure(system, U, v) for v in in_part}
-    keys = {v: canonical_key(closures[v], pinned=[v]) for v in in_part}
-    uf = _UnionFind(system.carrier.vertices)
-    changed = True
-    merged_pairs: set[tuple[str, str]] = set()
-    while changed:
-        changed = False
-        for v, w in itertools.combinations(in_part, 2):
-            if uf.find(v) == uf.find(w) or keys[v] != keys[w]:
-                continue
-            if (v, w) in merged_pairs:
-                continue
-            iso = _closure_iso(closures[v], closures[w], v, w)
-            if iso is None:
-                continue
-            merged_pairs.add((v, w))
-            for x, y in iso.as_dict().items():
-                if uf.union(x, y):
-                    changed = True
-    rep = {v: uf.find(v) for v in system.carrier.vertices}
+    rep, _ = _identify(system.carrier.vertices, in_part, closures)
     for v, r in rep.items():
         if parts[v] != parts[r]:
             raise StructureError("identification merged across parts")
@@ -535,7 +544,6 @@ def partite_construction(
     U: ClosureDescription = EMPTY_CLOSURES,
     size_guard: int = 50_000,
     assert_arrow: bool = False,
-    validate: bool = True,
 ) -> ConstructionResult:
     """Run the picture induction over all copies of A in C0.
 
@@ -579,12 +587,11 @@ def partite_construction(
                 projected=len(system.carrier.vertices),
             )
     carrier = system.carrier
-    if validate:
-        violation = closed_violation(carrier, U)
-        if violation is not None:
-            raise StructureError(f"construction output is not closed: {violation}")
+    violation = closed_violation(carrier, U)
+    if violation is not None:
+        raise StructureError(f"construction output is not closed: {violation}")
     projection = system.projection()
-    if validate and not verify_morphism(projection):
+    if not verify_morphism(projection):
         raise StructureError("projection of the final picture fails verification")
     return ConstructionResult(carrier, projection, tuple(sizes), tuple(steps))
 
@@ -653,7 +660,12 @@ def _ramsey_dimension(a: int, b: int, supplied: Optional[int]) -> int:
 
 
 def _order_ranks(A: Structure) -> list[str]:
-    """Vertices in the linear order given by the order symbol."""
+    """Vertices in the linear order given by the order symbol.
+
+    The order is linear exactly when each pair of distinct vertices is
+    ordered one way and, reflexive pairs included, the vertices have
+    1, 2, ..., n predecessors.
+    """
     order = A.language.order_symbol
     if order is None:
         raise PreconditionError("ordered structures must declare an order symbol")
@@ -661,7 +673,11 @@ def _order_ranks(A: Structure) -> list[str]:
     for u, v in itertools.combinations(A.vertices, 2):
         if ((u, v) in leq) == ((v, u) in leq):
             raise PreconditionError("the order relation must be linear")
-    return sorted(A.vertices, key=lambda v: sum(1 for w in A.vertices if (w, v) in leq))
+    below = {v: sum(1 for w in A.vertices if (w, v) in leq) for v in A.vertices}
+    ranked = sorted(A.vertices, key=below.__getitem__)
+    if [below[v] for v in ranked] != list(range(1, len(ranked) + 1)):
+        raise PreconditionError("the order relation must be linear")
+    return ranked
 
 
 def _function_symbols(A: Structure) -> list[str]:
@@ -680,23 +696,6 @@ def _check_unary_functions(A: Structure) -> None:
                 raise PreconditionError(
                     f"{name!r} must have out-degree exactly one at {v!r}"
                 )
-
-
-def _orbit_closure(A: Structure, v: str) -> frozenset:
-    symbols = _function_symbols(A)
-    succ: dict[str, list[str]] = {w: [] for w in A.vertices}
-    for name in symbols:
-        for t in A.tuples(name):
-            succ[t[0]].append(t[1])
-    out = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in succ[u]:
-            if w not in out:
-                out.add(w)
-                stack.append(w)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -755,28 +754,12 @@ def unary_ramsey(A: Structure, B: Structure, N: Optional[int] = None) -> UnaryRa
         mark_rels[f"m{i}"].append((v,))
     P = Structure(mark_lang, verts, {**rels, **mark_rels})
 
-    # identify isomorphic marked closures
-    uf = _UnionFind(verts)
-    closures = {v: _orbit_closure(P, v) for v in verts}
-    subs = {v: induced_substructure(P, closures[v]) for v in verts}
-    keys = {v: canonical_key(subs[v], pinned=[v]) for v in verts}
-    by_key: dict[tuple, list[str]] = {}
-    for v in verts:
-        by_key.setdefault(keys[v], []).append(v)
-    changed = True
-    while changed:
-        changed = False
-        for group in by_key.values():
-            for v, w in itertools.combinations(group, 2):
-                if uf.find(v) == uf.find(w):
-                    continue
-                iso = _closure_iso(subs[v], subs[w], v, w)
-                if iso is None:
-                    continue
-                for x, y in iso.as_dict().items():
-                    if uf.union(x, y):
-                        changed = True
-    rep = {v: uf.find(v) for v in verts}
+    # identify isomorphic marked function orbits; every union joins equal
+    # keys and every equal-key pair is merged, so pair order is immaterial
+    root = Structure(mark_lang, ["1"], {})
+    orbits = closure_description(*((sym, root) for sym in fsyms))
+    subs = {v: induced_substructure(P, u_closure_set(P, orbits, [v])) for v in verts}
+    rep, keys = _identify(verts, verts, subs)
     for v, r in rep.items():
         if marks[v] != marks[r]:
             raise StructureError("identification merged distinct index marks")

@@ -839,9 +839,9 @@ def induced_substructure(A: Structure, S: Iterable[str]) -> Structure:
 GAIFMAN_LANGUAGE = Language((("E", 2),))
 
 
-def gaifman_graph(A: Structure, ignore_order: bool = False) -> Structure:
+def gaifman_graph(A: Structure) -> Structure:
     """The 2-section: symmetric binary structure of co-occurring pairs."""
-    adj = A.adjacency(ignore_order)
+    adj = A.adjacency()
     edges = []
     for u in A.vertices:
         for v in adj[u]:
@@ -855,8 +855,8 @@ def is_irreducible(A: Structure, ignore_order: bool = False) -> bool:
     return all(len(adj[v]) == n - 1 for v in A.vertices)
 
 
-def connected_components(A: Structure, ignore_order: bool = False) -> list[frozenset]:
-    adj = A.adjacency(ignore_order)
+def connected_components(A: Structure) -> list[frozenset]:
+    adj = A.adjacency()
     seen: set[str] = set()
     comps = []
     for v in A.vertices:

@@ -12,6 +12,9 @@ size and metric completion ran on distance ranks:
   through a ``Fraction``-keyed truncated-addition table;
 - ``four_values``, ``jump_numbers`` and ``oplus_table`` compute on
   ``Fraction`` distances what the distance set now keeps as cached tables.
+- ``oracle_blocks`` searches all 2^|S| subsets for the inclusion-maximal
+  jump-free ones that satisfy the 4-values condition, where ``blocks``
+  now cuts sorted S after each jump number.
 
 They are slow and obviously faithful to the definitions, so the tests
 compare the fast paths against them, output for output and in order.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
+from ramseyforge import metric
 from ramseyforge.errors import PreconditionError
 from ramseyforge.metric import (
     DistanceSet,
@@ -109,6 +113,19 @@ def four_values(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
 def jump_numbers(S: DistanceSet) -> frozenset:
     table = oplus_table(S)
     return frozenset(a for a in S.distances if a != S.max and table[(a, a)] == a)
+
+
+def oracle_blocks(S: DistanceSet) -> list[tuple]:
+    """Inclusion-maximal jump-free 4-values subsets of S, sorted values each,
+    ordered by their minima."""
+    good = []
+    for r in range(1, len(S) + 1):
+        for combo in itertools.combinations(S.sorted(), r):
+            B = DistanceSet(combo)
+            if metric.four_values(B)[0] and not metric.jump_numbers(B):
+                good.append(frozenset(combo))
+    maximal = [b for b in good if not any(b < other for other in good)]
+    return sorted((tuple(sorted(b)) for b in maximal), key=min)
 
 
 def _reconstruct(nxt, idx, verts, u, v) -> list[str]:

@@ -27,6 +27,8 @@ def files(tmp_path):
     paths["S1235.json"] = str(tmp_path / "S1235.json")
     (tmp_path / "S13.json").write_text('{"distances": ["1","3"]}\n')
     paths["S13.json"] = str(tmp_path / "S13.json")
+    (tmp_path / "S124.json").write_text('{"distances": ["1","2","4"]}\n')
+    paths["S124.json"] = str(tmp_path / "S124.json")
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -74,6 +76,10 @@ class TestMetricCli:
     def test_blocks(self, files, capsys):
         code, payload = run_json(capsys, ["metric", "blocks", files["S13.json"]])
         assert code == 0 and payload["blocks"] == [["1"], ["3"]]
+
+    def test_blocks_need_four_values(self, files, capsys):
+        code, payload = run_json(capsys, ["metric", "blocks", files["S124.json"]])
+        assert code == 3 and payload is None
 
 
 class TestArrowCli:

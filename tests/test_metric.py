@@ -126,6 +126,20 @@ class TestJumpsAndBlocks:
             for b in blocks(S):
                 assert b.max == S.max or b.max in jumps
 
+    def test_blocks_beyond_sixteen_distances(self):
+        S = distance_set(*range(1, 9), *range(20, 28), *range(60, 64))
+        assert len(S) == 20 and four_values(S)[0]
+        assert jump_numbers(S) == {8, 27}
+        assert [b.sorted() for b in blocks(S)] == [
+            tuple(range(1, 9)),
+            tuple(range(20, 28)),
+            tuple(range(60, 64)),
+        ]
+
+    def test_blocks_need_four_values(self):
+        with pytest.raises(PreconditionError, match="4-values"):
+            blocks(distance_set(1, 2, 4))
+
 
 class TestSLength:
     def test_examples(self):

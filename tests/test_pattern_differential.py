@@ -5,9 +5,11 @@ The orderly generator must yield the same canonical vectors in the same
 order as the full walk; ``obstacles_up_to`` must list the same obstacles in
 the same order; ``complete_metric_graph`` must give the same status, space
 and certificate as Floyd-Warshall on ``Fraction`` distances; the distance
-set's cached tables must agree with the ``Fraction`` computations.
+set's cached tables must agree with the ``Fraction`` computations, and its
+blocks with the search over all subsets.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from ramseyforge.completion import _canonical_pair_vectors, get_plugin, kfree_pl
 from ramseyforge.metric import (
     DistanceSet,
     SGraph,
+    blocks,
     complete_metric_graph,
     four_values,
     jump_numbers,
@@ -148,3 +151,14 @@ def test_distance_set_tables_match_fraction_tables(values):
     table = oracle.oplus_table(S)
     for (a, b), c in table.items():
         assert oplus(S, a, b) == c
+
+
+def test_blocks_match_subset_search():
+    checked = 0
+    for r in range(1, 6):
+        for combo in itertools.combinations(range(1, 11), r):
+            S = DistanceSet(combo)
+            if four_values(S)[0]:
+                assert [b.sorted() for b in blocks(S)] == oracle.oracle_blocks(S), combo
+                checked += 1
+    assert checked == 415

@@ -474,6 +474,21 @@ class TestUnaryRamsey:
         with pytest.raises(PreconditionError):
             unary_ramsey(self.fixed_point(), partial)
 
+    @pytest.mark.parametrize(
+        "leq",
+        [
+            [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("c", "a")],
+            [("a", "b"), ("b", "c"), ("a", "c")],
+        ],
+        ids=["cyclic", "irreflexive"],
+    )
+    def test_rejects_non_linear_order(self, leq):
+        B = Structure(
+            UF, ["a", "b", "c"], {"f": [("a", "a"), ("b", "b"), ("c", "c")], "leq": leq}
+        )
+        with pytest.raises(PreconditionError, match="order relation must be linear"):
+            unary_ramsey(self.fixed_point(), B)
+
     def test_dimension_table_gap(self):
         A = Structure(
             UF, ["u", "v", "x"],
