@@ -164,26 +164,19 @@ def is_U_semi_closed(A: Structure, U: ClosureDescription) -> bool:
 
 
 def is_U_substructure(A, B: Structure, U: ClosureDescription) -> bool:
-    """No closure tuple of B roots inside A but leaves A.
+    """No closure tuple of B roots inside A but leaves A: the U-closure of
+    A's vertices in B adds nothing.
 
     ``A`` may be a Structure (then it must be induced in B) or a plain
     collection of B's vertices.
     """
     if isinstance(A, Structure):
-        sub = set(A.vertices)
+        sub = frozenset(A.vertices)
         if induced_substructure(B, sub) != A:
             raise PreconditionError("A must be an induced substructure of B")
     else:
-        sub = set(A)
-        unknown = sub - set(B.vertices)
-        if unknown:
-            raise StructureError(f"unknown vertices {sorted(unknown)}")
-    for entry in U:
-        m = entry.root_size
-        for t in B.tuples(entry.symbol):
-            if all(v in sub for v in t[:m]) and not all(v in sub for v in t):
-                return False
-    return True
+        sub = frozenset(A)
+    return u_closure_set(B, U, sub) == sub
 
 
 def u_closure(A: Structure, U: ClosureDescription, S: Iterable[str]) -> Structure:
@@ -219,8 +212,14 @@ def u_closure_set(A: Structure, U: ClosureDescription, S: Iterable[str]) -> froz
     return frozenset(current)
 
 
-def u_size(A: Structure, U: ClosureDescription, candidate_cap: int = 20) -> int:
-    """Minimum number of generators whose U-closure is all of A."""
+U_SIZE_CANDIDATE_CAP = 20
+
+
+def u_size(A: Structure, U: ClosureDescription) -> int:
+    """Minimum number of generators whose U-closure is all of A.
+
+    Raises CapError when more than ``U_SIZE_CANDIDATE_CAP`` vertices lie
+    outside the closure of the forced generators."""
     if not is_U_closed(A, U):
         raise PreconditionError("u_size requires a U-closed structure")
     everything = frozenset(A.vertices)
@@ -237,9 +236,9 @@ def u_size(A: Structure, U: ClosureDescription, candidate_cap: int = 20) -> int:
     if covered == everything:
         return len(mandatory)
     rest = sorted(everything - covered)
-    if len(rest) > candidate_cap:
+    if len(rest) > U_SIZE_CANDIDATE_CAP:
         raise CapError(
-            f"u_size guard: {len(rest)} generator candidates exceed cap {candidate_cap}",
+            f"u_size guard: {len(rest)} generator candidates exceed cap {U_SIZE_CANDIDATE_CAP}",
             projected=len(rest),
         )
     for k in range(1, len(rest) + 1):

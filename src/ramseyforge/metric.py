@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
-from .structures import Language, Structure
+from .structures import GAIFMAN_LANGUAGE, Language, Structure, connected_components
 
 Rational = Fraction
 
@@ -122,20 +122,21 @@ class DistanceSet:
 
     @functools.cached_property
     def _four_values(self) -> tuple[bool, Optional[tuple]]:
+        """(a, b, c, d) fails when some x makes triangles with a, b and with
+        c, d while no y does with a, c and with b, d; the witness x is the
+        least such.  ``tri[a][b]`` has bit x set when a, b, x make a
+        triangle, that is |a - b| <= x <= a + b."""
         vals = self._scaled
         ranks = range(len(vals))
+        tri = [
+            [sum(1 << x for x in ranks if abs(a - b) <= vals[x] <= a + b) for b in vals]
+            for a in vals
+        ]
         for a, b, c, d in itertools.product(ranks, repeat=4):
-            for x in ranks:
-                if _triangle(vals[a], vals[b], vals[x]) and _triangle(
-                    vals[c], vals[d], vals[x]
-                ):
-                    if not any(
-                        _triangle(vals[a], vals[c], vals[y])
-                        and _triangle(vals[b], vals[d], vals[y])
-                        for y in ranks
-                    ):
-                        return False, tuple(self._values[r] for r in (a, b, c, d, x))
-                    break
+            common = tri[a][b] & tri[c][d]
+            if common and not tri[a][c] & tri[b][d]:
+                x = (common & -common).bit_length() - 1
+                return False, tuple(self._values[r] for r in (a, b, c, d, x))
         return True, None
 
     @functools.cached_property
@@ -616,30 +617,12 @@ def strong_amalgam_metric(B1: SGraph, B2: SGraph, A: SGraph, S: DistanceSet) -> 
 
 
 def block_equivalence(A: SGraph, S: DistanceSet, j) -> tuple[frozenset[str], ...]:
-    """Classes of the walk-connectivity relation over distances <= max(B_j)."""
-    j = _coerce(j)
-    bound = block_of(S, j).max
-    adj: dict[str, set[str]] = {v: set() for v in A.vertices}
-    for (u, v), q in A.dist.items():
-        if q <= bound:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen: set[str] = set()
-    classes = []
-    for v in A.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        classes.append(frozenset(comp))
-    return tuple(sorted(classes, key=lambda c: sorted(c)[0] if c else ""))
+    """Classes of the walk-connectivity relation over distances <= max(B_j),
+    ordered by their least vertex."""
+    bound = block_of(S, _coerce(j)).max
+    close = [p for p, q in A.dist.items() if q <= bound]
+    edges = close + [(v, u) for u, v in close]
+    return tuple(connected_components(Structure(GAIFMAN_LANGUAGE, A.vertices, {"E": edges})))
 
 
 @dataclass(frozen=True)
@@ -659,11 +642,6 @@ class ConvexLift:
 
     def shadow(self) -> SGraph:
         return self.base
-
-    def jump_names(self) -> list[str]:
-        from .rsf import format_rational
-
-        return [format_rational(j) for j, _ in self.closure_vertices]
 
     def language(self) -> Language:
         from .rsf import format_rational

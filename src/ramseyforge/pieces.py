@@ -59,11 +59,6 @@ class RootedStructure:
         return frozenset(self.body.vertices) - frozenset(self.root)
 
 
-def rooted_isomorphic(P: RootedStructure, Q: RootedStructure) -> bool:
-    """Isomorphism carrying roots onto each other in order."""
-    return P.width == Q.width and P.key() == Q.key()
-
-
 @dataclass(frozen=True)
 class Piece:
     """A piece of ``origin``: the side of a minimal separating cut together
@@ -184,9 +179,6 @@ class PieceFamily:
                 raise PreconditionError("family members must be connected")
         self.language = lang
         self.members = members
-        self._members_by_sig: dict[tuple, list[Structure]] = {}
-        for M in members:
-            self._members_by_sig.setdefault(_size_signature(M), []).append(M)
 
         piece_pool: dict[tuple, Piece] = {}
         complement_pool: dict[tuple, RootedStructure] = {}
@@ -218,7 +210,6 @@ class PieceFamily:
             PieceClass(i, width, tuple(ps))
             for i, ((width, _), (_, ps)) in enumerate(ordered)
         )
-        self._class_index = {group: i for i, (group, _) in enumerate(ordered)}
 
     @functools.cached_property
     def member_keys(self) -> frozenset:
@@ -227,10 +218,7 @@ class PieceFamily:
 
     def is_member(self, A: Structure) -> bool:
         """Isomorphic to some family member (by backtracking search)."""
-        for M in self._members_by_sig.get(_size_signature(A), ()):
-            if are_isomorphic(A, M) is not None:
-                return True
-        return False
+        return any(are_isomorphic(A, M) is not None for M in self.members)
 
     def incompatibility_keys(self, P: RootedStructure) -> frozenset:
         return self._incompatibility(P, P.key())
@@ -254,16 +242,6 @@ class PieceFamily:
         return [
             D for D, D_key in zip(self.complements, self._complement_keys) if D_key in keys
         ]
-
-    def class_of(self, P: RootedStructure) -> Optional[int]:
-        return self._class_index.get((P.width, self.incompatibility_keys(P)))
-
-
-def _size_signature(A: Structure) -> tuple:
-    return (
-        len(A.vertices),
-        tuple((name, len(ts)) for name, ts in sorted(A.relations.items())),
-    )
 
 
 @dataclass(frozen=True)

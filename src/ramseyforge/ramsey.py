@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -32,6 +33,7 @@ from .structures import (
     canonical_key,
     copy_images,
     induced_substructure,
+    linear_order,
     search_morphisms,
     verify_morphism,
 )
@@ -245,16 +247,19 @@ class HalesJewettResult:
     colourings_examined: int
 
 
-def hales_jewett_N(
-    t: int, k: int, cap: int = 8, colouring_cap: int = 2**24
-) -> HalesJewettResult:
+HJ_DIMENSION_CAP = 8
+HJ_COLOURING_CAP = 2**24
+
+
+def hales_jewett_N(t: int, k: int) -> HalesJewettResult:
     """Least N such that every k-colouring of the N-cube over t letters has
     a monochromatic combinatorial line, by complete colouring search over
     the points with the lines as groups.
 
-    Inconclusive (with the best lower bound) once k^(t^N) exceeds the
-    colouring cap or N exceeds ``cap``.  ``colourings_examined`` counts the
-    search nodes over all dimensions tried.
+    Inconclusive (with the best lower bound) once k^(t^N) exceeds
+    ``HJ_COLOURING_CAP`` or N exceeds ``HJ_DIMENSION_CAP``.
+    ``colourings_examined`` counts the search nodes over all dimensions
+    tried.
     """
     if t < 1 or k < 1:
         raise PreconditionError("alphabet and colour counts must be positive")
@@ -262,9 +267,9 @@ def hales_jewett_N(
         return HalesJewettResult(1, 1, True, 0)
     examined = 0
     lower = 1
-    for N in range(1, cap + 1):
+    for N in range(1, HJ_DIMENSION_CAP + 1):
         points = t**N
-        if k**points > colouring_cap:
+        if k**points > HJ_COLOURING_CAP:
             return HalesJewettResult(None, lower, False, examined)
         index = {p: i for i, p in enumerate(itertools.product(range(t), repeat=N))}
         line_sets = [
@@ -660,22 +665,11 @@ def _ramsey_dimension(a: int, b: int, supplied: Optional[int]) -> int:
 
 
 def _order_ranks(A: Structure) -> list[str]:
-    """Vertices in the linear order given by the order symbol.
-
-    The order is linear exactly when each pair of distinct vertices is
-    ordered one way and, reflexive pairs included, the vertices have
-    1, 2, ..., n predecessors.
-    """
-    order = A.language.order_symbol
-    if order is None:
+    """Vertices in the linear order given by the order symbol."""
+    if A.language.order_symbol is None:
         raise PreconditionError("ordered structures must declare an order symbol")
-    leq = A.tuples(order)
-    for u, v in itertools.combinations(A.vertices, 2):
-        if ((u, v) in leq) == ((v, u) in leq):
-            raise PreconditionError("the order relation must be linear")
-    below = {v: sum(1 for w in A.vertices if (w, v) in leq) for v in A.vertices}
-    ranked = sorted(A.vertices, key=below.__getitem__)
-    if [below[v] for v in ranked] != list(range(1, len(ranked) + 1)):
+    ranked = linear_order(A)
+    if ranked is None:
         raise PreconditionError("the order relation must be linear")
     return ranked
 
@@ -688,14 +682,15 @@ def _function_symbols(A: Structure) -> list[str]:
     ]
 
 
-def _check_unary_functions(A: Structure) -> None:
+def _out_degree_defect(A: Structure) -> Optional[tuple[str, str]]:
+    """The first function symbol and vertex at which A's out-degree is not
+    exactly one, or None."""
     for name in _function_symbols(A):
-        ts = A.tuples(name)
+        starts = Counter(t[0] for t in A.tuples(name))
         for v in A.vertices:
-            if sum(1 for t in ts if t[0] == v) != 1:
-                raise PreconditionError(
-                    f"{name!r} must have out-degree exactly one at {v!r}"
-                )
+            if starts[v] != 1:
+                return name, v
+    return None
 
 
 @dataclass(frozen=True)
@@ -716,7 +711,10 @@ def unary_ramsey(A: Structure, B: Structure, N: Optional[int] = None) -> UnaryRa
     if A.language != B.language:
         raise PreconditionError("inputs must share a language")
     for struct in (A, B):
-        _check_unary_functions(struct)
+        defect = _out_degree_defect(struct)
+        if defect is not None:
+            name, v = defect
+            raise PreconditionError(f"{name!r} must have out-degree exactly one at {v!r}")
         _order_ranks(struct)
     a, b = len(A.vertices), len(B.vertices)
     if a > b:
@@ -776,11 +774,8 @@ def unary_ramsey(A: Structure, B: Structure, N: Optional[int] = None) -> UnaryRa
     order = [final_name[r] for r in classes]
     out_rels[order_sym] = linear_order_tuples(order)
     C = Structure(B.language, order, out_rels)
-    for sym in fsyms:
-        ts = C.tuples(sym)
-        for v in C.vertices:
-            if sum(1 for t in ts if t[0] == v) != 1:
-                raise StructureError("quotient broke the out-degree-one invariant")
+    if _out_degree_defect(C) is not None:
+        raise StructureError("quotient broke the out-degree-one invariant")
 
     copy_embeddings = []
     for rename in copy_names:

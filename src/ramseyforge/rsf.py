@@ -124,10 +124,6 @@ def load(path: Union[str, Path]) -> Structure:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
-def load_rooted(path: Union[str, Path]) -> tuple[Structure, Optional[tuple[str, ...]]]:
-    return loads_rooted(Path(path).read_text(encoding="utf-8"))
-
-
 def dump(A: Structure, path: Union[str, Path], root: Optional[tuple[str, ...]] = None) -> None:
     Path(path).write_text(dumps(A, root), encoding="utf-8")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from operator import ge, itemgetter
 from types import MappingProxyType
@@ -226,10 +227,6 @@ class Morphism:
     def as_dict(self) -> dict[str, str]:
         return dict(self.map)
 
-    def apply(self, t: Sequence[str]) -> tuple[str, ...]:
-        d = self.as_dict()
-        return tuple(d[v] for v in t)
-
     def image_vertices(self) -> frozenset:
         return frozenset(v for _, v in self.map)
 
@@ -367,24 +364,6 @@ def verify_morphism(f: Morphism) -> bool:
             return False
         return _reflects_on_image(f.source, f.target, d)
     return _is_hom_embedding(f.source, f.target, d)
-
-
-def hom_embedding_oracle(f: Morphism) -> bool:
-    """Exhaustive homomorphism-embedding check over all irreducible
-    substructures; reference oracle for small sources (<= ~6 vertices)."""
-    d = _check_total(f)
-    if not _is_homomorphism(f.source, f.target, d):
-        return False
-    verts = f.source.vertices
-    for r in range(1, len(verts) + 1):
-        for S in itertools.combinations(verts, r):
-            sub = induced_substructure(f.source, S)
-            if not is_irreducible(sub):
-                continue
-            restricted = Morphism.make(sub, f.target, {v: d[v] for v in S}, "embedding")
-            if not verify_morphism(restricted):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +858,28 @@ def is_connected(A: Structure) -> bool:
     return len(connected_components(A)) <= 1
 
 
+def linear_order(A: Structure) -> Optional[list[str]]:
+    """A's vertices in ascending order, or None when A has no order symbol
+    or its order relation is not linear.
+
+    The order is linear exactly when each pair of distinct vertices is
+    ordered one way and, reflexive pairs included, the vertices have
+    1, 2, ..., n predecessors.
+    """
+    order = A.language.order_symbol
+    if order is None:
+        return None
+    leq = A.tuples(order)
+    for u, v in itertools.combinations(A.vertices, 2):
+        if ((u, v) in leq) == ((v, u) in leq):
+            return None
+    below = Counter(v for _, v in leq)
+    ranked = sorted(A.vertices, key=below.__getitem__)
+    if [below[v] for v in ranked] != list(range(1, len(ranked) + 1)):
+        return None
+    return ranked
+
+
 # ---------------------------------------------------------------------------
 # amalgamation
 
@@ -969,6 +970,9 @@ def is_strong_amalgamation(
 
 
 def _invariant(A: Structure, v: str) -> tuple:
+    """v's occurrence counts and loops per symbol, for ``canonical_key``.
+    The key labels vertex groups in the order of these invariants, so the
+    order of keys, and of everything sorted by key, depends on them."""
     out = []
     for name, ts in sorted(A._relations.items()):
         occ = [0] * A.language.arity(name)
@@ -992,9 +996,7 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Morphism]:
     for name in A.language.names():
         if len(A.tuples(name)) != len(B.tuples(name)):
             return None
-    if sorted(_invariant(A, v) for v in A.vertices) != sorted(
-        _invariant(B, v) for v in B.vertices
-    ):
+    if sorted(_index(A)[1].values()) != sorted(_index(B)[1].values()):
         return None
     for m in search_morphisms(A, B, "embedding"):
         return Morphism.make(A, B, m.as_dict(), "embedding")

@@ -15,6 +15,10 @@ strong completion with one kernel on the pattern's pair-state vector:
 They are slow and follow the definitions token by token, so the tests
 compare the kernels against them: status, certificate (every field) and
 completed structure.
+
+``poset_membership`` is ``PosetPlugin.membership`` as it was before it
+read the order through ``structures.linear_order``: every axiom of both
+relations checked on tokens.
 """
 
 from __future__ import annotations
@@ -110,6 +114,27 @@ def _fail(kind, vertices, present=(), absent=(), note="", extra=()):
     )
 
 
+def poset_membership(A: Structure) -> bool:
+    leq, prec = A.tuples("leq"), A.tuples("prec")
+    vs = A.vertices
+    for v in vs:
+        if (v, v) not in leq or (v, v) not in prec:
+            return False
+    for u, v in itertools.combinations(vs, 2):
+        if ((u, v) in leq) == ((v, u) in leq):
+            return False
+        if (u, v) in prec and (v, u) in prec:
+            return False
+    if not prec <= leq:
+        return False
+    for rel in (prec, leq):
+        for (a, b) in rel:
+            for (c, d) in rel:
+                if b == c and (a, d) not in rel:
+                    return False
+    return True
+
+
 def poset_completion(plugin: PosetPlugin, A: Structure) -> CompletionResult:
     leq, prec = A.tuples("leq"), A.tuples("prec")
     vs = A.vertices
@@ -177,7 +202,7 @@ def poset_completion(plugin: PosetPlugin, A: Structure) -> CompletionResult:
     completed = Structure(
         POSET, vs, {"prec": final_prec, "leq": linear_order_tuples(topo)}
     )
-    if not plugin.membership(completed):
+    if not poset_membership(completed):
         raise StructureError("poset completion produced a non-member")
     return CompletionResult("completed", completed=completed)
 

@@ -10,6 +10,8 @@ compare the indexed search against it, map for map and in order.
 each class piece got one compiled search: a fresh search per root tuple.
 ``oracle_copies_of`` is ``copies_of`` as it was before the copy search
 yielded one embedding per copy: every embedding, grouped by image.
+``hom_embedding_oracle`` decides homomorphism-embeddings by checking every
+irreducible substructure of the source.
 """
 
 from __future__ import annotations
@@ -23,8 +25,13 @@ from ramseyforge.structures import (
     MORPHISM_KINDS,
     Morphism,
     Structure,
+    _check_total,
     _is_hom_embedding,
+    _is_homomorphism,
     _reflects_on_image,
+    induced_substructure,
+    is_irreducible,
+    verify_morphism,
 )
 
 
@@ -147,3 +154,21 @@ def oracle_copies_of(A: Structure, B: Structure) -> dict[frozenset, list[Morphis
     for m in oracle_search(A, B, "embedding"):
         out.setdefault(m.image_vertices(), []).append(m)
     return dict(sorted(out.items(), key=lambda kv: tuple(sorted(kv[0]))))
+
+
+def hom_embedding_oracle(f: Morphism) -> bool:
+    """Exhaustive homomorphism-embedding check over all irreducible
+    substructures; reference oracle for small sources (<= ~6 vertices)."""
+    d = _check_total(f)
+    if not _is_homomorphism(f.source, f.target, d):
+        return False
+    verts = f.source.vertices
+    for r in range(1, len(verts) + 1):
+        for S in itertools.combinations(verts, r):
+            sub = induced_substructure(f.source, S)
+            if not is_irreducible(sub):
+                continue
+            restricted = Morphism.make(sub, f.target, {v: d[v] for v in S}, "embedding")
+            if not verify_morphism(restricted):
+                return False
+    return True

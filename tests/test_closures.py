@@ -208,7 +208,7 @@ class TestUSize:
         )
         assert is_U_closed(cycle, U_POINTED)
         with pytest.raises(CapError):
-            u_size(cycle, U_POINTED, candidate_cap=20)
+            u_size(cycle, U_POINTED)
 
 
 class TestAmalgamPreservation:

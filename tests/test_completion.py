@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ramseyforge.build import POSET, graph, ordered_graph, poset
+from ramseyforge.build import ORDERED_GRAPH, POSET, graph, ordered_graph, poset
 from ramseyforge.completion import (
     ClassPlugin,
     CompletionResult,
@@ -164,6 +164,28 @@ class TestMetricPluginCompletion:
         assert result.ok
         assert self.plugin.membership(result.completed)
         assert is_completion(partial, result.completed, strong=True)
+
+
+class TestMembershipNeedsLinearOrder:
+    """Both ordered plugins read ``leq`` through ``structures.linear_order``."""
+
+    VERTS = ["a", "b", "c"]
+    LOOPS = [("a", "a"), ("b", "b"), ("c", "c")]
+
+    @pytest.mark.parametrize(
+        "leq, linear",
+        [
+            ([("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("c", "a")], False),
+            ([("a", "b"), ("b", "c"), ("a", "c")], False),
+            ([("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("a", "c")], True),
+        ],
+        ids=["cyclic", "irreflexive", "linear"],
+    )
+    def test_both_plugins(self, leq, linear):
+        A = Structure(ORDERED_GRAPH, self.VERTS, {"leq": leq, "E": []})
+        assert kfree_plugin(3).membership(A) == linear
+        P = Structure(POSET, self.VERTS, {"leq": leq, "prec": self.LOOPS})
+        assert PosetPlugin().membership(P) == linear
 
 
 class TestForbiddenPlugin:

@@ -119,6 +119,27 @@ def test_poset_kernel_matches_oracle(A):
     assert_same(PLUGINS["posets"], A)
 
 
+@st.composite
+def poset_candidates(draw):
+    """A linear leq over the tokens and prec a subset of it, transitively
+    closed or not, then a few toggled tuples."""
+    verts = draw(vertex_tokens())
+    ranked = draw(st.permutations(verts))
+    leq = {(u, v) for i, u in enumerate(ranked) for v in ranked[i + 1:]}
+    prec = set(draw(st.lists(st.sampled_from(sorted(leq)), unique=True))) if leq else set()
+    if draw(st.booleans()):
+        prec = oracle.transitive_closure(prec)
+    loops = {(v, v) for v in verts}
+    rels = toggled({"leq": leq | loops, "prec": prec | loops}, draw(tweaks(("leq", "prec"), verts)))
+    return Structure(POSET, verts, rels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=st.one_of(poset_candidates(), oriented_structures(POSET, "prec")))
+def test_poset_membership_matches_oracle(A):
+    assert PLUGINS["posets"].membership(A) == oracle.poset_membership(A)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), name=st.sampled_from(METRIC))
 def test_metric_kernel_matches_oracle(data, name):

@@ -12,12 +12,12 @@ from ramseyforge.structures import (
     Morphism,
     Structure,
     enumerate_morphisms,
-    hom_embedding_oracle,
     language,
     verify_morphism,
 )
 
 from conftest import random_graph
+from search_oracle import hom_embedding_oracle
 
 
 class TestIrreducibleSpanSubtlety:

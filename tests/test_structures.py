@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseyforge.build import (
     GRAPH,
@@ -21,16 +22,17 @@ from ramseyforge.structures import (
     enumerate_morphisms,
     free_amalgamation,
     gaifman_graph,
-    hom_embedding_oracle,
     induced_substructure,
     is_irreducible,
     is_strong_amalgamation,
     language,
+    linear_order,
     search_morphisms,
     verify_morphism,
 )
 
 from conftest import random_graph
+from search_oracle import hom_embedding_oracle
 
 
 def ident(A, kind="embedding"):
@@ -249,6 +251,45 @@ class TestComponents:
         two = graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert len(connected_components(two)) == 2
         assert connected_components(Structure(GRAPH, [], {})) == []
+
+
+ORDER = language(("leq", 2), order_symbol="leq")
+
+
+@st.composite
+def binary_relations(draw):
+    """A relation over at most five vertices: any set of pairs, or a linear
+    order with a few pairs toggled, so that both verdicts occur often."""
+    verts = [f"v{i}" for i in range(draw(st.integers(0, 5)))]
+    pairs = [(u, v) for u in verts for v in verts]
+    if not pairs:
+        return verts, set()
+    if draw(st.booleans()):
+        return verts, set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    ranked = draw(st.permutations(verts))
+    leq = {(u, v) for i, u in enumerate(ranked) for v in ranked[i:]}
+    return verts, leq ^ set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+
+
+class TestLinearOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(case=binary_relations())
+    def test_matches_definition(self, case):
+        verts, leq = case
+        linear = (
+            all((v, v) in leq for v in verts)
+            and all(((u, v) in leq) != ((v, u) in leq) for u, v in itertools.combinations(verts, 2))
+            and all((a, d) in leq for a, b in leq for c, d in leq if b == c)
+        )
+        ranked = linear_order(Structure(ORDER, verts, {"leq": leq}))
+        if not linear:
+            assert ranked is None
+        else:
+            assert sorted(ranked) == verts
+            assert all((u, v) in leq for i, u in enumerate(ranked) for v in ranked[i:])
+
+    def test_needs_an_order_symbol(self, p3):
+        assert linear_order(p3) is None
 
 
 class TestAmalgamation:
