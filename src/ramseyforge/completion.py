@@ -132,7 +132,10 @@ class ClassPlugin:
     the plugin's own, in vertex indices 0..k-1.  ``try_strong_completion``
     screens a structure for well-formedness, reads its vector and turns the
     verdict back into a completed structure or a certificate;
-    ``obstacles_up_to`` reads only the verdict.
+    ``obstacles_up_to`` and ``completion_iff_strong`` read only the
+    verdict.  So the data need not be a structure: the ordered-graph kernel
+    returns edge bitmasks and a linear order, and only
+    ``try_strong_completion`` builds the completed structure from them.
     """
 
     name: str
@@ -405,6 +408,24 @@ def _mask_toposort(succ: Sequence[int]) -> Optional[list[int]]:
         order.append(v)
         placed |= 1 << v
     return order
+
+
+def _mask_clique(adj: Sequence[int], size: int) -> bool:
+    """Does the undirected graph with neighbour bitmasks ``adj`` have a
+    clique of ``size`` vertices?  Vertices join in index order, each drawn
+    from the common neighbours of those already taken."""
+
+    def grow(cand: int, need: int) -> bool:
+        if not need:
+            return True
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            if grow(cand & adj[low.bit_length() - 1], need - 1):
+                return True
+        return False
+
+    return grow((1 << len(adj)) - 1, size)
 
 
 def _mask_cycle(succ: Sequence[int]) -> Optional[list[int]]:
@@ -775,6 +796,8 @@ class ForbiddenPlugin(ClassPlugin):
                 raise PreconditionError(
                     "forbidden members must be irreducible without order"
                 )
+        # the clique size every embedded member's image contains
+        self._clique_size = min((len(F.vertices) for F in self.forbidden), default=None)
         self.name = name
 
     def _forbidden_witness(self, A: Structure):
@@ -834,7 +857,7 @@ class ForbiddenPlugin(ClassPlugin):
                 )
         kind, data = self._decide(vs, _oriented_vector(vs, leq, edges))
         if kind is None:
-            return CompletionResult("completed", completed=data)
+            return CompletionResult("completed", completed=_ordered_completion(vs, *data))
         if kind == "order-cycle":
             return fail(kind, tuple(vs[i] for i in data))
         F, m = data
@@ -854,28 +877,29 @@ class ForbiddenPlugin(ClassPlugin):
 
         An order cycle fails (data: the cycle).  Otherwise holes become
         non-edges and the order becomes its stable topological sort, ties
-        broken by index; the completed structure on ``verts`` is searched
+        broken by index.  Every member is irreducible without its order,
+        so an embedded member is an E-clique of its size, and every such
+        clique contains one of the smallest member size.  Only when the
+        completion has such a clique is its structure built and searched
         for an embedded forbidden member, which fails with the member and
-        the embedding as data.  Otherwise the data are the completed
-        structure.
+        the embedding as data.  Otherwise the data are ``(adj, topo)``: the
+        completion's symmetric edge bitmasks over vertex indices and its
+        linear order; ``_ordered_completion`` builds the structure.
         """
         k = len(verts)
         order, edge = _oriented_masks(k, states)
         topo = _mask_toposort(order)
         if topo is None:
             return "order-cycle", _mask_cycle(order)
-        edges = []
+        adj = edge[:]
         for a in range(k):
             for b in _bits(edge[a]):
-                edges.extend([(verts[a], verts[b]), (verts[b], verts[a])])
-        completed = Structure(
-            ORDERED_GRAPH, verts,
-            {"E": edges, "leq": linear_order_tuples([verts[i] for i in topo])},
-        )
-        witness = self._forbidden_witness(completed)
-        if witness is not None:
-            return "forbidden-member", witness
-        return None, completed
+                adj[b] |= 1 << a
+        if self._clique_size is not None and _mask_clique(adj, self._clique_size):
+            witness = self._forbidden_witness(_ordered_completion(verts, adj, topo))
+            if witness is not None:
+                return "forbidden-member", witness
+        return None, (adj, topo)
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, 1/2 order one way, 3/4 order plus an edge
@@ -886,6 +910,18 @@ class ForbiddenPlugin(ClassPlugin):
             ORDERED_GRAPH, verts,
             {"leq": diag + leq, "E": edges + [(b, a) for a, b in edges]},
         )
+
+
+def _ordered_completion(
+    verts: Sequence[str], adj: Sequence[int], topo: Sequence[int]
+) -> Structure:
+    """The ordered graph on ``verts`` with symmetric edge bitmasks ``adj``
+    and the linear order ``topo``, both over vertex indices."""
+    edges = [(verts[a], verts[b]) for a in range(len(verts)) for b in _bits(adj[a])]
+    return Structure(
+        ORDERED_GRAPH, verts,
+        {"E": edges, "leq": linear_order_tuples([verts[i] for i in topo])},
+    )
 
 
 def kfree_plugin(k: int) -> ForbiddenPlugin:
@@ -1006,17 +1042,27 @@ class EquivalenceReport:
 
 def completion_iff_strong(plugin: ClassPlugin, size_cap: int) -> EquivalenceReport:
     """Exhaustively compare completion and strong completion over the
-    plugin's pattern class up to size_cap vertices."""
+    plugin's pattern class up to size_cap vertices.
+
+    The patterns are walked as canonical pair vectors, size by size.  The
+    strong side is the kernel's verdict ``plugin._decide``; the pattern's
+    structure is built only for ``try_completion``, which searches the
+    quotients.
+    """
+    flip = plugin.pair_flip
     checked = 0
     violations = []
-    for P in plugin.patterns_up_to(size_cap):
-        checked += 1
-        strong = plugin.try_strong_completion(P).ok
-        weak = try_completion(P, plugin) is not None
-        if strong and not weak:
-            raise StructureError("strong completion without a completion")
-        if weak and not strong:
-            violations.append(P)
+    for k in range(1, size_cap + 1):
+        verts = _pattern_vertices(k)
+        for vec in _canonical_pair_vectors(k, len(flip), flip):
+            checked += 1
+            strong = plugin._decide(verts, vec)[0] is None
+            P = plugin._pattern(k, vec)
+            weak = try_completion(P, plugin) is not None
+            if strong and not weak:
+                raise StructureError("strong completion without a completion")
+            if weak and not strong:
+                violations.append(P)
     return EquivalenceReport(plugin.name, size_cap, checked, tuple(violations))
 
 

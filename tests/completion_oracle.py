@@ -1,4 +1,5 @@
-"""Reference strong completion for the three built-in plugins.
+"""Reference strong completion for the three built-in plugins, and the
+reference completion-iff-strong-completion check.
 
 These are the bodies ``PosetPlugin``, ``MetricPlugin`` and
 ``ForbiddenPlugin.try_strong_completion`` had before each plugin decided
@@ -19,6 +20,10 @@ completed structure.
 ``poset_membership`` is ``PosetPlugin.membership`` as it was before it
 read the order through ``structures.linear_order``: every axiom of both
 relations checked on tokens.
+
+``completion_iff_strong`` is the equivalence check as it was before it read
+the strong side from the plugin's kernel: every pattern is built, then
+strongly completed and searched for a completion through quotients.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ from ramseyforge import metric as metric_mod
 from ramseyforge.build import ORDERED_GRAPH, POSET, linear_order_tuples
 from ramseyforge.completion import (
     CompletionResult,
+    EquivalenceReport,
     ForbiddenPlugin,
     MetricPlugin,
     ObstacleCertificate,
     PosetPlugin,
     quasi_cycle_scan,
+    try_completion,
 )
 from ramseyforge.errors import StructureError
 from ramseyforge.rsf import format_rational
@@ -298,3 +305,18 @@ def try_strong_completion(plugin, A: Structure) -> CompletionResult:
     if isinstance(plugin, ForbiddenPlugin):
         return forbidden_completion(plugin, A)
     raise TypeError(f"no reference completion for {type(plugin).__name__}")
+
+
+def completion_iff_strong(plugin, size_cap: int) -> EquivalenceReport:
+    """The reference completion-iff-strong-completion check."""
+    checked = 0
+    violations = []
+    for P in plugin.patterns_up_to(size_cap):
+        checked += 1
+        strong = plugin.try_strong_completion(P).ok
+        weak = try_completion(P, plugin) is not None
+        if strong and not weak:
+            raise StructureError("strong completion without a completion")
+        if weak and not strong:
+            violations.append(P)
+    return EquivalenceReport(plugin.name, size_cap, checked, tuple(violations))

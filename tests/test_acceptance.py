@@ -11,8 +11,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from ramseyforge.build import (
     ORDERED_GRAPH,
     ORDERED_POINTED,

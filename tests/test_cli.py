@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ramseyforge import rsf
-from ramseyforge.build import complete_graph, graph, path_graph, poset
+from ramseyforge.build import complete_graph, graph, ordered_graph, path_graph, poset
 from ramseyforge.cli import run
 from ramseyforge.ramsey import arrow_certificate_refutes
 from ramseyforge.structures import Structure
@@ -387,6 +387,20 @@ class TestCompleteProbeCli:
             capsys, ["complete", "iff", "--class", "posets", "--cap", "3"]
         )
         assert code == 0 and payload["holds"]
+
+    def test_forbidden_file_obstacles(self, capsys, tmp_path):
+        from ramseyforge.completion import kfree_plugin
+
+        k3 = ordered_graph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+        members = tmp_path / "K3.json"
+        members.write_text(json.dumps([rsf.structure_to_obj(k3)]))
+        code, payload = run_json(
+            capsys,
+            ["complete", "obstacles", "--class", f"forbidden:{members}", "--cap", "4"],
+        )
+        expected = kfree_plugin(3).obstacles_up_to(4)
+        assert code == 0 and payload["count"] == len(expected) == 11
+        assert payload["obstacles"] == [rsf.structure_to_obj(P) for P in expected]
 
 
 class TestOutput:

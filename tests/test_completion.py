@@ -277,13 +277,16 @@ class _SingleLoopPlugin(ClassPlugin):
             return CompletionResult("completed", completed=member)
         return CompletionResult("completed", completed=A)
 
-    def patterns(self, k):
+    # One pair state, a hole: the pattern on k vertices is k looped
+    # vertices, which strongly completes only when k <= 1.
+    pair_flip = (0,)
+
+    def _decide(self, verts, states):
+        return ("too-big", None) if len(verts) > 1 else (None, None)
+
+    def _pattern(self, k, states):
         verts = [f"v{i}" for i in range(k)]
-        for loop_mask in range(1 << k):
-            loops = [
-                (verts[i], verts[i]) for i in range(k) if loop_mask >> i & 1
-            ]
-            yield Structure(self.language, verts, {"E": loops})
+        return Structure(self.language, verts, {"E": [(v, v) for v in verts]})
 
 
 class TestCompletionVerdictOracle:
@@ -415,7 +418,9 @@ class TestObstaclesTopLevel:
 
 class TestObstaclesOnFiveVertices:
     """Obstacles up to five vertices, pinned by a SHA-256 of their
-    relations (as computed before strong completion ran on pair vectors)."""
+    relations: for posets and metric spaces as computed before strong
+    completion ran on pair vectors, for forbidden cliques as computed
+    before the ordered-graph kernel screened completions for cliques."""
 
     @staticmethod
     def digest(found):
@@ -460,3 +465,18 @@ class TestObstaclesOnFiveVertices:
         assert self.digest(found) == (
             "c164404f79133e37732f8c15a69bf39f78d4c3ac997da4550367e1f5e6dbdb65"
         )
+
+    @pytest.mark.parametrize("k, sizes, digest", [
+        (3, {3: 5, 4: 6, 5: 8},
+         "54768b21cca43b8a461e1daa0e28b221a1375459b57babcdbd0d8ceb92963013"),
+        (4, {3: 4, 4: 7, 5: 8},
+         "8495a8deaf6977cc87245e220eb3226c81594d3487261d952f45ac3fa63f2623"),
+    ], ids=["K3", "K4"])
+    def test_forbidden_cliques(self, k, sizes, digest):
+        plugin = kfree_plugin(k)
+        found = plugin.obstacles_up_to(5)
+        assert Counter(len(P.vertices) for P in found) == sizes
+        kinds = Counter(plugin.try_strong_completion(P).certificate.kind for P in found)
+        assert kinds == {"order-cycle": 18, "forbidden-member": 1}
+        self.check_minimal(plugin, found)
+        assert self.digest(found) == digest

@@ -8,7 +8,9 @@ structures in the poset, ordered-graph and distance languages, malformed
 ones included, both must give the same status, the same certificate (every
 field) and the same completed structure.  Vertex tokens are inserted in an
 order that differs from their sorted order.  On every canonical pattern
-with at most four vertices, the kernel's verdict must be the oracle's.
+with at most four vertices, the kernel's verdict must be the oracle's, and
+the completion-iff-strong report, which reads the kernel's verdicts, must
+be the one the oracle's loop gives by strongly completing every pattern.
 """
 
 import itertools
@@ -18,14 +20,28 @@ from hypothesis import given, settings, strategies as st
 
 from ramseyforge.build import ORDERED_GRAPH, POSET
 from ramseyforge.completion import (
+    ForbiddenPlugin,
     _canonical_pair_vectors,
     _pattern_vertices,
+    completion_iff_strong,
     get_plugin,
     kfree_plugin,
 )
 from ramseyforge.structures import Structure
 
 import completion_oracle as oracle
+
+
+def _k3_without_order():
+    """A K3 whose ``leq`` holds only the reflexive pairs: irreducible
+    without its order, so it passes the forbidden plugin's precondition,
+    but it embeds in no linearly ordered graph."""
+    verts = ["u0", "u1", "u2"]
+    return Structure(ORDERED_GRAPH, verts, {
+        "E": [(u, v) for u in verts for v in verts if u != v],
+        "leq": [(v, v) for v in verts],
+    })
+
 
 PLUGINS = {
     "posets": get_plugin("posets"),
@@ -35,9 +51,14 @@ PLUGINS = {
     "metric:1/2,1,3/2,2": get_plugin("metric:1/2,1,3/2,2"),
     "forbidden:K3": kfree_plugin(3),
     "forbidden:K4": kfree_plugin(4),
+    # triangles pass the clique screen, and the member search refutes them
+    "forbidden:K4+K3-unordered": ForbiddenPlugin(
+        kfree_plugin(4).forbidden + (_k3_without_order(),),
+        name="forbidden:K4+K3-unordered",
+    ),
 }
 METRIC = [name for name in PLUGINS if name.startswith("metric:")]
-FORBIDDEN = ["forbidden:K3", "forbidden:K4"]
+FORBIDDEN = [name for name in PLUGINS if name.startswith("forbidden:")]
 # Tokens whose sorted order differs from the order they are listed in.
 TOKENS = ("z", "v10", "b", "v2", "a", "q7", "m", "c")
 
@@ -250,3 +271,14 @@ def test_kernel_verdicts_match_oracle_on_patterns(name):
     # every distance graph over {1, 2} completes; the other classes have
     # obstacles on at most four vertices
     assert tried > 50 and (failed == 0) == (name == "metric:1,2")
+
+
+@pytest.mark.parametrize(
+    "name, size_cap",
+    [(name, 3) for name in sorted(PLUGINS)] + [("posets", 4), ("forbidden:K3", 4)],
+)
+def test_iff_report_matches_oracle(name, size_cap):
+    plugin = PLUGINS[name]
+    fast = completion_iff_strong(plugin, size_cap)
+    slow = oracle.completion_iff_strong(plugin, size_cap)
+    assert (fast.checked, fast.violations) == (slow.checked, slow.violations)

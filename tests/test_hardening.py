@@ -4,9 +4,7 @@ plus regression inputs for the subtle corners of the morphism semantics."""
 import itertools
 import random
 
-import pytest
-
-from ramseyforge.build import complete_graph, graph, linear_order_tuples
+from ramseyforge.build import complete_graph, graph
 from ramseyforge.ramsey import verify_arrow
 from ramseyforge.structures import (
     Morphism,

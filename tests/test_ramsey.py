@@ -36,7 +36,6 @@ from ramseyforge.ramsey import (
 from ramseyforge.structures import (
     Structure,
     are_isomorphic,
-    copies_of,
     language,
     verify_morphism,
 )

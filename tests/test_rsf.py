@@ -1,11 +1,10 @@
-import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseyforge import rsf
-from ramseyforge.build import GRAPH, complete_graph, graph, ordered_graph
+from ramseyforge.build import GRAPH, complete_graph, ordered_graph
 from ramseyforge.closures import closure_description
 from ramseyforge.errors import FormatError
 from ramseyforge.metric import DistanceSet

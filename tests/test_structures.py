@@ -27,7 +27,6 @@ from ramseyforge.structures import (
     is_strong_amalgamation,
     language,
     linear_order,
-    search_morphisms,
     verify_morphism,
 )
 
