@@ -133,9 +133,16 @@ class ClassPlugin:
     screens a structure for well-formedness, reads its vector and turns the
     verdict back into a completed structure or a certificate;
     ``obstacles_up_to`` and ``completion_iff_strong`` read only the
-    verdict.  So the data need not be a structure: the ordered-graph kernel
-    returns edge bitmasks and a linear order, and only
+    verdict, on the pattern's vector and, for completions, on the vectors
+    of its quotients.  So the data need not be a structure: the
+    ordered-graph kernel returns edge bitmasks and a linear order, and only
     ``try_strong_completion`` builds the completed structure from them.
+
+    Both loops assume that the pair vector describes the pattern fully and
+    that its vertices are all alike (the same loops and unary facts), with
+    state 0 the hole, the pair that shares no tuple.  Then identifying
+    vertices is a rule on pair states (``_quotient_completes``), and a
+    pattern is built only when it is reported.
     """
 
     name: str
@@ -175,39 +182,56 @@ class ClassPlugin:
         of a structure that strongly completes strongly completes too) and
         invariant under isomorphism.  Then a pattern is minimal when every
         part that drops one vertex completes, and a pattern with a failing
-        part fails.  Dropping a vertex from a pair vector is a fixed index
-        selection that gives the part's vector on the previous size,
-        relabelled in order; the failing vectors of that size are kept with
-        all their images under vertex permutations, so each part's verdict
-        is one set lookup.  Only vectors whose parts all complete go to the
+        part fails; ``_hereditary_walk`` reads each part's verdict off the
+        previous size.  Only vectors whose parts all complete go to the
         completion kernel; the structures of those that fail are built, and
         they are the obstacles.
         """
-        flip = self.pair_flip
-        empty_ok = self._decide((), ())[0] is None
-        failing: set[tuple[int, ...]] = set() if empty_ok else {()}
         out = []
-        for k in range(1, n + 1):
-            verts = _pattern_vertices(k)
-            drops = _vertex_drops(k)
-            # nothing reads the failing vectors of the last size
-            reads = _pair_perm_reads(k, flip) if k < n else None
-            failing_k: set[tuple[int, ...]] = set()
-            for vec in _canonical_pair_vectors(k, len(flip), flip):
-                if any(tuple([vec[p] for p in drop]) in failing for drop in drops):
-                    fails = True
-                else:
-                    fails = self._decide(verts, vec)[0] is not None
-                    if fails:
-                        out.append(self._pattern(k, vec))
-                if fails and reads is not None:
-                    failing_k.add(vec)
-                    failing_k.update(
-                        tuple([table[vec[p]] for p, table in read]) for read in reads
-                    )
-            failing = failing_k
+
+        def fails(verts: list[str], vec: tuple[int, ...], part_fails: bool) -> bool:
+            if part_fails:
+                return True
+            if self._decide(verts, vec)[0] is None:
+                return False
+            out.append(self._pattern(len(verts), vec))
+            return True
+
+        _hereditary_walk(self, n, fails)
         out.sort(key=canonical_key)
         return out
+
+
+def _hereditary_walk(plugin: ClassPlugin, n: int, fails) -> None:
+    """Walk the plugin's canonical pair vectors on 1..n vertices, size by
+    size, for a hereditary property that fails on the empty structure iff
+    the kernel fails it.
+
+    ``fails(verts, vec, part_fails)`` judges each vector and returns whether
+    it fails; ``part_fails`` says whether some part that drops one vertex
+    failed.  Dropping a vertex from a pair vector is a fixed index selection
+    that gives the part's vector on the previous size, relabelled in order;
+    the failing vectors of that size are kept with all their images under
+    vertex permutations, so each part's verdict is one set lookup.
+    """
+    if n < 0:
+        raise PreconditionError(f"the pattern size cap must be at least 0, not {n}")
+    flip = plugin.pair_flip
+    failing: set[tuple[int, ...]] = set() if plugin._decide((), ())[0] is None else {()}
+    for k in range(1, n + 1):
+        verts = _pattern_vertices(k)
+        drops = _vertex_drops(k)
+        # nothing reads the failing vectors of the last size
+        reads = _pair_perm_reads(k, flip) if k < n else None
+        failing_k: set[tuple[int, ...]] = set()
+        for vec in _canonical_pair_vectors(k, len(flip), flip):
+            part_fails = any(tuple([vec[p] for p in drop]) in failing for drop in drops)
+            if fails(verts, vec, part_fails) and reads is not None:
+                failing_k.add(vec)
+                failing_k.update(
+                    tuple([table[vec[p]] for p, table in read]) for read in reads
+                )
+        failing = failing_k
 
 
 def _pattern_vertices(k: int) -> list[str]:
@@ -974,7 +998,7 @@ def complete_with(A: Structure, plugin: ClassPlugin) -> CompletionResult:
 # quotients: completions that identify vertices
 
 
-def _partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
+def _partitions(items: Sequence) -> Iterator[list[list]]:
     """All set partitions, most blocks first (the identity comes first)."""
     items = list(items)
 
@@ -1040,29 +1064,95 @@ class EquivalenceReport:
         return not self.violations
 
 
+def _index_quotients(k: int, flip: Sequence[int]) -> list[tuple]:
+    """How each set partition of the vertex indices 0..k-1 reads a pair
+    vector, most blocks first (the identity comes first).
+
+    A partition is ``(inner, cross, verts)``: ``inner`` lists the pair
+    positions inside a block, ``cross`` has, per pair of blocks in
+    ``itertools.combinations`` order (blocks ordered by least index), the
+    ``(p, table)`` reads of the pairs between them, oriented from the lower
+    block to the higher, and ``verts`` are the quotient's pattern vertices.
+    """
+    index = {pair: q for q, pair in enumerate(itertools.combinations(range(k), 2))}
+    same = tuple(range(len(flip)))
+    flip = tuple(flip)
+    out = []
+    for blocks in _partitions(range(k)):
+        inner = tuple(index[pair] for b in blocks for pair in itertools.combinations(b, 2))
+        cross = tuple(
+            tuple(
+                (index[(i, j)], same) if i < j else (index[(j, i)], flip)
+                for i in lower for j in higher
+            )
+            for lower, higher in itertools.combinations(blocks, 2)
+        )
+        out.append((inner, cross, _pattern_vertices(len(blocks))))
+    return out
+
+
+def _quotient_completes(
+    plugin: ClassPlugin, vec: Sequence[int], quotients: Sequence[tuple]
+) -> bool:
+    """Does some partition in ``quotients`` (see ``_index_quotients``)
+    collapse the pattern with pair vector ``vec`` onto one that strongly
+    completes?
+
+    The collapse is a homomorphism-embedding iff every pair inside a block
+    is a hole and the non-hole pairs between two blocks all show one state;
+    the quotient pair takes that state, or a hole.  This needs what
+    ``ClassPlugin`` assumes of the pattern: its pair vector describes it
+    and its vertices are all alike.
+    """
+    for inner, cross, verts in quotients:
+        if any(vec[p] for p in inner):
+            continue
+        qvec = []
+        for reads in cross:
+            states = {table[vec[p]] for p, table in reads}
+            states.discard(0)
+            if len(states) > 1:
+                break
+            qvec.append(states.pop() if states else 0)
+        else:
+            if plugin._decide(verts, qvec)[0] is None:
+                return True
+    return False
+
+
 def completion_iff_strong(plugin: ClassPlugin, size_cap: int) -> EquivalenceReport:
     """Exhaustively compare completion and strong completion over the
     plugin's pattern class up to size_cap vertices.
 
-    The patterns are walked as canonical pair vectors, size by size.  The
-    strong side is the kernel's verdict ``plugin._decide``; the pattern's
-    structure is built only for ``try_completion``, which searches the
-    quotients.
+    The patterns are walked as canonical pair vectors, size by size, and
+    both sides are decided on the vector.  The strong side is the kernel's
+    verdict ``plugin._decide``.  A strong completion is a completion
+    through the identity partition, which the quotient search confirms at
+    the cost of one more kernel call.  A completion restricts to one on
+    every induced part, so a kernel failure with a part that does not
+    complete does not complete either (``_hereditary_walk``); only the
+    other kernel failures are searched through their quotients.  A
+    pattern's structure is built only for a violation.
     """
-    flip = plugin.pair_flip
+    quotients = [_index_quotients(k, plugin.pair_flip) for k in range(size_cap + 1)]
     checked = 0
     violations = []
-    for k in range(1, size_cap + 1):
-        verts = _pattern_vertices(k)
-        for vec in _canonical_pair_vectors(k, len(flip), flip):
-            checked += 1
-            strong = plugin._decide(verts, vec)[0] is None
-            P = plugin._pattern(k, vec)
-            weak = try_completion(P, plugin) is not None
-            if strong and not weak:
+
+    def fails(verts: list[str], vec: tuple[int, ...], part_fails: bool) -> bool:
+        nonlocal checked
+        checked += 1
+        k = len(verts)
+        if plugin._decide(verts, vec)[0] is None:
+            if not _quotient_completes(plugin, vec, quotients[k]):
                 raise StructureError("strong completion without a completion")
-            if weak and not strong:
-                violations.append(P)
+            return False
+        # the identity partition is the kernel's own verdict
+        if part_fails or not _quotient_completes(plugin, vec, quotients[k][1:]):
+            return True
+        violations.append(plugin._pattern(k, vec))
+        return False
+
+    _hereditary_walk(plugin, size_cap, fails)
     return EquivalenceReport(plugin.name, size_cap, checked, tuple(violations))
 
 

@@ -388,6 +388,13 @@ class TestCompleteProbeCli:
         )
         assert code == 0 and payload["holds"]
 
+    @pytest.mark.parametrize("action", ["iff", "obstacles"])
+    def test_negative_cap_is_a_usage_error(self, capsys, action):
+        code, payload = run_json(
+            capsys, ["complete", action, "--class", "posets", "--cap", "-1"]
+        )
+        assert code == 3 and payload is None
+
     def test_forbidden_file_obstacles(self, capsys, tmp_path):
         from ramseyforge.completion import kfree_plugin
 

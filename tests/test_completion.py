@@ -336,6 +336,17 @@ class TestCompletionIffStrong:
         # the documented two-vertex counterexample: two looped vertices
         assert any(len(v.vertices) == 2 for v in report.violations)
 
+    def test_posets_hold_at_cap_5(self):
+        report = completion_iff_strong(PosetPlugin(), 5)
+        assert report.holds and report.checked == 83604
+
+    def test_negative_caps_are_refused(self):
+        with pytest.raises(PreconditionError):
+            completion_iff_strong(PosetPlugin(), -2)
+        with pytest.raises(PreconditionError):
+            PosetPlugin().obstacles_up_to(-1)
+        assert completion_iff_strong(PosetPlugin(), 0).checked == 0
+
 
 class TestProbe:
     def test_13_triangle_counterexample(self):

@@ -9,8 +9,14 @@ ones included, both must give the same status, the same certificate (every
 field) and the same completed structure.  Vertex tokens are inserted in an
 order that differs from their sorted order.  On every canonical pattern
 with at most four vertices, the kernel's verdict must be the oracle's, and
-the completion-iff-strong report, which reads the kernel's verdicts, must
-be the one the oracle's loop gives by strongly completing every pattern.
+the completion-iff-strong report, which decides both sides on pair
+vectors, must be the one the oracle's loop gives by strongly completing
+every pattern and searching its quotients with ``try_completion``.  No
+built-in class has a violation, so the weak side is also checked alone: on
+every canonical pattern with at most four vertices that the kernel fails,
+the quotient verdict on the vector must be ``try_completion``'s, and the
+toy class of one looped vertex, which has violations, must give the
+oracle's report.
 """
 
 import itertools
@@ -22,14 +28,18 @@ from ramseyforge.build import ORDERED_GRAPH, POSET
 from ramseyforge.completion import (
     ForbiddenPlugin,
     _canonical_pair_vectors,
+    _index_quotients,
     _pattern_vertices,
+    _quotient_completes,
     completion_iff_strong,
     get_plugin,
     kfree_plugin,
+    try_completion,
 )
 from ramseyforge.structures import Structure
 
 import completion_oracle as oracle
+from test_completion import _SingleLoopPlugin
 
 
 def _k3_without_order():
@@ -57,6 +67,8 @@ PLUGINS = {
         name="forbidden:K4+K3-unordered",
     ),
 }
+# with the toy class, whose patterns complete only through quotients
+WEAK_PLUGINS = {**PLUGINS, "toy-loop": _SingleLoopPlugin()}
 METRIC = [name for name in PLUGINS if name.startswith("metric:")]
 FORBIDDEN = [name for name in PLUGINS if name.startswith("forbidden:")]
 # Tokens whose sorted order differs from the order they are listed in.
@@ -97,16 +109,17 @@ def toggled(rels, changes):
 
 
 @st.composite
-def oriented_structures(draw, language, second):
-    """Pair states over the tokens as inserted (a hole, the order one way,
-    or the order plus the second relation oriented like it; the ordered
-    graph's edge is stored both ways), then a few toggled tuples."""
+def oriented_structures(draw, language, second, states=st.integers(0, 4)):
+    """Pair states drawn from ``states`` over the tokens as inserted (0 a
+    hole, 1/2 the order one way, 3/4 the order plus the second relation
+    oriented like it; the ordered graph's edge is stored both ways), then a
+    few toggled tuples."""
     verts = draw(vertex_tokens())
     rels = {"leq": {(v, v) for v in verts}, second: set()}
     if second == "prec":
         rels["prec"] |= {(v, v) for v in verts}
     for u, v in itertools.combinations(verts, 2):
-        state = draw(st.integers(0, 4))
+        state = draw(states)
         if state == 0:
             continue
         a, b = (u, v) if state % 2 else (v, u)
@@ -168,8 +181,14 @@ def test_metric_kernel_matches_oracle(data, name):
     assert_same(plugin, data.draw(distance_structures(plugin)))
 
 
+# Mostly edges oriented one way, so that four vertices often form an edge
+# clique under an acyclic order and every member size is searched; with
+# uniform states, four vertices form an edge clique once in about 250.
+EDGE_HEAVY = st.sampled_from((0, 1, 2, 4) + (3,) * 12)
+
+
 @settings(max_examples=300, deadline=None)
-@given(A=oriented_structures(ORDERED_GRAPH, "E"), name=st.sampled_from(FORBIDDEN))
+@given(A=oriented_structures(ORDERED_GRAPH, "E", EDGE_HEAVY), name=st.sampled_from(FORBIDDEN))
 def test_forbidden_kernel_matches_oracle(A, name):
     assert_same(PLUGINS[name], A)
 
@@ -273,12 +292,34 @@ def test_kernel_verdicts_match_oracle_on_patterns(name):
     assert tried > 50 and (failed == 0) == (name == "metric:1,2")
 
 
+@pytest.mark.parametrize("name", sorted(WEAK_PLUGINS))
+def test_quotient_verdicts_match_try_completion(name):
+    plugin = WEAK_PLUGINS[name]
+    flip = plugin.pair_flip
+    tried = weak = 0
+    for k in range(5):
+        verts = _pattern_vertices(k)
+        quotients = _index_quotients(k, flip)
+        for vec in _canonical_pair_vectors(k, len(flip), flip):
+            if plugin._decide(verts, vec)[0] is None:
+                continue
+            verdict = _quotient_completes(plugin, vec, quotients)
+            assert verdict == (try_completion(plugin._pattern(k, vec), plugin) is not None), (k, vec)
+            tried += 1
+            weak += verdict
+    # every distance graph over {1, 2} completes; only the toy's kernel
+    # failures complete through a quotient
+    assert (tried == 0) == (name == "metric:1,2")
+    assert (weak > 0) == (name == "toy-loop")
+
+
 @pytest.mark.parametrize(
     "name, size_cap",
-    [(name, 3) for name in sorted(PLUGINS)] + [("posets", 4), ("forbidden:K3", 4)],
+    [(name, 3) for name in sorted(PLUGINS)] + [("posets", 4), ("forbidden:K3", 4)]
+    + [("toy-loop", size_cap) for size_cap in (2, 3, 4)],
 )
 def test_iff_report_matches_oracle(name, size_cap):
-    plugin = PLUGINS[name]
+    plugin = WEAK_PLUGINS[name]
     fast = completion_iff_strong(plugin, size_cap)
     slow = oracle.completion_iff_strong(plugin, size_cap)
     assert (fast.checked, fast.violations) == (slow.checked, slow.violations)
