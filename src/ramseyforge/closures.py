@@ -186,29 +186,49 @@ def u_closure(A: Structure, U: ClosureDescription, S: Iterable[str]) -> Structur
     return induced_substructure(A, u_closure_set(A, U, S))
 
 
+def _closure_index(A: Structure, U: ClosureDescription) -> dict[str, list]:
+    """Per vertex v of A, the closure rules whose root coordinates include
+    v, as ``(rule, distinct root vertices)``; a rule is ``(root
+    coordinates, tuple)``.  Cached on A per closure description."""
+    cache = A._closures
+    if cache is None:
+        cache = {}
+        object.__setattr__(A, "_closures", cache)
+    index = cache.get(U)
+    if index is None:
+        index = {v: [] for v in A.vertices}
+        rules = {(t[: entry.root_size], t) for entry in U for t in A.tuples(entry.symbol)}
+        for rule in rules:
+            root = set(rule[0])
+            for v in root:
+                index[v].append((rule, len(root)))
+        cache[U] = index
+    return index
+
+
 def u_closure_set(A: Structure, U: ClosureDescription, S: Iterable[str]) -> frozenset:
     """Vertex set of the least U-substructure of A containing S.
 
     Least fixed point of: whenever all root coordinates of a closure tuple
-    lie inside, the whole tuple does.
+    lie inside, the whole tuple does.  Each vertex that comes in counts
+    itself off the rules indexed under it (``_closure_index``); a rule
+    whose count reaches its number of root vertices brings its tuple in.
     """
     current = set(S)
     unknown = current - set(A.vertices)
     if unknown:
         raise StructureError(f"unknown vertices {sorted(unknown)}")
-    # a tuple whose root coordinates are inside is taken whole and dropped
-    pending = [(t[: entry.root_size], t) for entry in U for t in A.tuples(entry.symbol)]
-    changed = True
-    while changed:
-        changed = False
-        waiting = []
-        for root, t in pending:
-            if current.issuperset(root):
-                current.update(t)
-                changed = True
-            else:
-                waiting.append((root, t))
-        pending = waiting
+    index = _closure_index(A, U)
+    hits: dict[tuple, int] = {}
+    todo = list(current)
+    while todo:
+        for rule, need in index[todo.pop()]:
+            hits[rule] = got = hits.get(rule, 0) + 1
+            if got == need:
+                for u in rule[1]:
+                    if u not in current:
+                        current.add(u)
+                        todo.append(u)
     return frozenset(current)
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
 from .structures import (
@@ -367,44 +366,28 @@ class LiftedStructure:
         return hash((self.base, self.ext))
 
 
-def _root_tuples(A: Structure, width: int) -> Iterator[tuple[str, ...]]:
-    yield from itertools.permutations(A.vertices, width)
-
-
-def _roots_in(piece: Piece, A: Structure) -> Callable[[tuple[str, ...]], bool]:
-    """Does some homomorphism-embedding of the piece into A send its root
-    onto a given tuple?  One compiled search, pinned at the sorted root and
-    run once per tuple; the first map decides."""
-    pinned = tuple(sorted(piece.root))
-    where = [piece.root.index(v) for v in pinned]
-    # the images of the pinned vertices, read off a root tuple
-    values = itemgetter(*where) if len(where) > 1 else tuple
-    run = compile_search(piece.body, A, "homomorphism-embedding", pinned)
-
-    def found(at: tuple[str, ...]) -> bool:
-        return next(run(values(at)), None) is not None
-
-    return found
-
-
 def canonical_lift(A: Structure, family) -> LiftedStructure:
     """Tuples of class i: roots of homomorphism-embeddings of class-i pieces
     into A that are injective on the root.
 
-    Each class piece is compiled into one search into A
-    (``structures.compile_search``), which runs once per root tuple of the
-    class's width, in ``itertools.permutations`` order; the pieces of a
-    class are tried in order until one roots at the tuple.
+    Each class piece takes one projected search into A
+    (``structures.compile_search`` with ``project``): the piece's sorted
+    root is pinned and enumerated like any other vertices, and the run
+    yields the image tuples with a map below them, which are put back in
+    root order.  A class's tuples are the union over its pieces.
     """
     family = family if isinstance(family, PieceFamily) else PieceFamily(family)
     if A.language != family.language:
         raise PreconditionError("lift base must share the family's language")
     ext: dict[int, set] = {}
     for cls in family.classes:
-        roots_in = [_roots_in(piece, A) for piece in cls.pieces]
-        ext[cls.index] = {
-            at for at in _root_tuples(A, cls.width) if any(found(at) for found in roots_in)
-        }
+        found = ext[cls.index] = set()
+        for piece in cls.pieces:
+            pinned = tuple(sorted(piece.root))
+            # where each root vertex sits in the sorted root
+            where = [pinned.index(v) for v in piece.root]
+            run = compile_search(piece.body, A, "homomorphism-embedding", pinned, project=True)
+            found.update(tuple(map(images.__getitem__, where)) for images in run(()))
     return LiftedStructure.make(A, ext, family)
 
 
@@ -438,7 +421,7 @@ def maximal_lift(A: Structure, family, growth_cap: Optional[int] = None) -> Maxi
         current = canonical_lift(W, family).restrict(A.vertices)
         ext = current.ext_map()
         for cls in family.classes:
-            for at in _root_tuples(A, cls.width):
+            for at in itertools.permutations(A.vertices, cls.width):
                 if at in ext[cls.index]:
                     continue
                 for piece in cls.pieces:

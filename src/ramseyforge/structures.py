@@ -75,11 +75,13 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # ``_adj`` and the six search caches below it are filled lazily, per
-    # instance; see ``search_morphisms`` and ``copies_of``.
+    # ``_adj``, the six search caches below it and the closure indexes are
+    # filled lazily, per instance; see ``search_morphisms``, ``copies_of``
+    # and ``closures.u_closure_set``.
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash", "_adj",
         "_plans", "_obligations", "_orbit_bounds", "_profile", "_incidence", "_nbhd",
+        "_closures",
     )
 
     def __init__(
@@ -124,6 +126,7 @@ class Structure:
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_nbhd", None)
+        object.__setattr__(self, "_closures", None)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -485,18 +488,20 @@ def _orbit_bounds(A: Structure) -> tuple:
     one image form one such coset, so a search held to these bounds yields
     one embedding per copy of A, the first one of the unbounded search.
 
-    Each orbit is read off first-witness searches for automorphisms with
-    ``order[:i + 1]`` pinned, one compile per i and one run per later
-    vertex; Aut(A) itself is never enumerated.
+    ``orbit[i]`` is one projected search per i: automorphisms with
+    ``order[:i + 1]`` pinned, ``order[:i]`` fixed to itself, yield the
+    images of ``order[i]``.  Aut(A) itself is never enumerated.
     """
     bounds = A._orbit_bounds
     if bounds is None:
         order = _source_plan(A, ())[0]
+        depth = {v: j for j, v in enumerate(order)}
         found: list[list] = [[] for _ in order]
         for i, v in enumerate(order[:-1]):
-            run = compile_search(A, A, "embedding", order[:i + 1])
-            for j in range(i + 1, len(order)):
-                if next(run(order[:i] + (order[j],)), None) is not None:
+            run = compile_search(A, A, "embedding", order[:i + 1], project=True)
+            for images in run(order[:i]):
+                j = depth[images[i]]
+                if j > i:
                     found[j].append(v)
         bounds = tuple(map(tuple, found))
         object.__setattr__(A, "_orbit_bounds", bounds)
@@ -610,8 +615,10 @@ def search_morphisms(
     The plan, the obligations, the incidence lists and profiles, and the
     sorted neighbourhoods are filled lazily on the structures themselves,
     so their set-up is paid once per structure.  The search itself is
-    ``compile_search`` followed by one run; callers that repeat a search
-    with different pinned values compile once and run many times.
+    ``compile_search`` followed by one run.  That one kernel also serves
+    the copy searches (with orbit bounds) and projections: which images of
+    the pinned vertices extend to a morphism, in one run, for canonical
+    lifts and orbit bounds.
     """
     if A.language != B.language:
         raise LanguageMismatchError("morphism search requires a shared language")
@@ -635,7 +642,8 @@ def compile_search(
     pinned: tuple[str, ...] = (),
     require_injective: bool = False,
     bounds: Optional[tuple] = None,
-) -> Callable[[tuple[str, ...]], Iterator[Morphism]]:
+    project: bool = False,
+) -> Callable[[tuple[str, ...]], Iterator]:
     """The compile step of ``search_morphisms``, for repeated pinned runs.
 
     ``pinned`` is a sorted tuple of distinct source vertices.  The result
@@ -651,6 +659,14 @@ def compile_search(
     vertices whose images a candidate must exceed (``_orbit_bounds``);
     the output is then the subsequence of maps that satisfy them.  Since
     candidates come in sorted order, a bound just cuts off a prefix.
+
+    With ``project`` (and ``pinned`` non-empty), ``run(values)`` answers
+    a projection instead: it yields every tuple of pairwise distinct
+    images of ``pinned`` that starts with ``values`` (a prefix, possibly
+    empty) and extends to a morphism, once each, in lexicographic order.
+    The pinned depths after the prefix are searched like the others, and
+    below each pinned tuple the run stops at the first morphism, so one
+    run replaces a run per tuple.
     """
     injective = require_injective or kind in ("monomorphism", "embedding")
     if injective and len(A.vertices) > len(B.vertices):
@@ -694,20 +710,26 @@ def compile_search(
         screens[i] = ok
         return ok
 
-    def run(values: tuple[str, ...]) -> Iterator[Morphism]:
+    # a projection yields after the last pinned depth
+    stop = k if project else n
+
+    def run(values: tuple[str, ...]) -> Iterator:
         d: dict[str, str] = {}
         used: set[str] = set()
+        fixed = len(values)
 
-        def extend(i: int) -> Iterator[Morphism]:
+        def extend(i: int) -> Iterator:
             v = order[i]
             nbrs = earlier[i]
-            if i < k:
+            if i < fixed:
                 cands = (values[i],)
             elif nbrs:
                 cands = nbhd[d[nbrs[0]]][0]
                 nbrs = nbrs[1:]
             else:
                 cands = B.vertices
+            if project and i < k:
+                cands = [w for w in cands if w not in d.values()]
             if bounds[i]:
                 cands = cands[bisect_right(cands, max(map(d.__getitem__, bounds[i]))):]
             for u in nbrs:
@@ -719,7 +741,7 @@ def compile_search(
                     ok = screen(i)
                 cands = [w for w in cands if w in ok]
             checks_i, avoid_i, occ = checks[i], avoid[i], occurrences[i]
-            last = i + 1 == n
+            last = i + 1 == n or i + 1 == stop
             for w in cands:
                 if injective and w in used:
                     continue
@@ -739,8 +761,15 @@ def compile_search(
                                 continue
                         if not last:
                             yield from extend(i + 1)
-                        else:
+                        elif not project:
                             yield Morphism(A, B, tuple(zip(A.vertices, map(d.__getitem__, A.vertices))), kind)
+                        elif i + 1 == n:
+                            yield tuple(map(d.__getitem__, pinned))
+                        elif next(extend(i + 1), None) is not None:
+                            # the probe stopped inside its witness: take its images back
+                            for u in order[k:]:
+                                used.discard(d.pop(u))
+                            yield tuple(map(d.__getitem__, pinned))
                         if injective:
                             used.discard(w)
             d.pop(v, None)

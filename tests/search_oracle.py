@@ -12,6 +12,10 @@ each class piece got one compiled search: a fresh search per root tuple.
 yielded one embedding per copy: every embedding, grouped by image.
 ``hom_embedding_oracle`` decides homomorphism-embeddings by checking every
 irreducible substructure of the source.
+``oracle_projection`` answers a projected search as the canonical lift did
+before it projected: one compiled run per tuple of pinned images.
+``oracle_orbit_bounds`` is ``_orbit_bounds`` as it was before it projected:
+one compiled run per later vertex.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from ramseyforge.structures import (
     _is_hom_embedding,
     _is_homomorphism,
     _reflects_on_image,
+    _source_plan,
+    compile_search,
     induced_substructure,
     is_irreducible,
     verify_morphism,
@@ -145,6 +151,34 @@ def oracle_canonical_lift(A: Structure, family):
             if any(piece_roots_in(piece, A, at) for piece in cls.pieces):
                 ext[cls.index].add(at)
     return LiftedStructure.make(A, ext, family)
+
+
+def oracle_projection(A, B, kind, pinned, prefix=(), require_injective=False) -> list[tuple]:
+    """The tuples of pairwise distinct images of ``pinned`` that start with
+    ``prefix`` and extend to a morphism, in lexicographic order: a compiled
+    search pinned at ``pinned``, run once per tuple, the first map
+    deciding."""
+    run = compile_search(A, B, kind, pinned, require_injective)
+    rest = [w for w in B.vertices if w not in prefix]
+    return [
+        prefix + t
+        for t in itertools.permutations(rest, len(pinned) - len(prefix))
+        if next(run(prefix + t), None) is not None
+    ]
+
+
+def oracle_orbit_bounds(A: Structure) -> tuple:
+    """``_orbit_bounds`` by first-witness runs: with ``order[:i + 1]``
+    pinned, one run per later vertex ``order[j]`` asks whether an
+    automorphism fixing ``order[:i]`` sends ``order[i]`` to it."""
+    order = _source_plan(A, ())[0]
+    found: list[list] = [[] for _ in order]
+    for i, v in enumerate(order[:-1]):
+        run = compile_search(A, A, "embedding", order[:i + 1])
+        for j in range(i + 1, len(order)):
+            if next(run(order[:i] + (order[j],)), None) is not None:
+                found[j].append(v)
+    return tuple(map(tuple, found))
 
 
 def oracle_copies_of(A: Structure, B: Structure) -> dict[frozenset, list[Morphism]]:

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseyforge.build import POINTED, pointed_equivalence
 from ramseyforge.closures import (
+    ClosureDescription,
     ClosureEntry,
     closed_violation,
     closure_description,
@@ -20,6 +22,7 @@ from ramseyforge.closures import (
 from ramseyforge.errors import CapError, PreconditionError, StructureError
 from ramseyforge.structures import Structure, induced_substructure, language
 
+from closure_oracle import oracle_u_closure_set
 from conftest import random_pointed
 
 POINTED_ROOT = Structure(POINTED, ["1"], {})
@@ -163,6 +166,46 @@ class TestUClosure:
             assert is_U_substructure(set(S), A, U_POINTED) == is_U_closed(
                 sub, U_POINTED
             )
+
+
+CLOSING = language(("E", 2), ("F", 2), ("G", 3))
+# Irreducible roots on "1".."m"; the two two-vertex roots differ as
+# structures but give the same root coordinates.
+ROOTS = [
+    Structure(CLOSING, ["1"], {}),
+    Structure(CLOSING, ["1", "2"], {"E": [("1", "2")]}),
+    Structure(CLOSING, ["1", "2"], {"E": [("1", "2"), ("2", "1")]}),
+    Structure(CLOSING, ["1", "2", "3"], {"G": [("1", "2", "3")]}),
+]
+
+
+@st.composite
+def closure_cases(draw):
+    """A random structure over ``CLOSING``, a random closure description
+    on its F and G tuples, and two sets of starting vertices."""
+    verts = draw(st.lists(st.sampled_from("abcdefg"), max_size=7, unique=True))
+    rels = {}
+    if verts:
+        vertex = st.sampled_from(verts)
+        for name, arity in CLOSING.symbols:
+            rels[name] = draw(st.lists(st.tuples(*[vertex] * arity), max_size=2 * len(verts)))
+    entries = dict.fromkeys(
+        ClosureEntry(symbol, root)
+        for symbol, root in draw(st.lists(st.tuples(st.sampled_from("FG"), st.sampled_from(ROOTS)), max_size=4))
+        if len(root.vertices) <= CLOSING.arity(symbol)
+    )
+    U = ClosureDescription(tuple(entries))
+    starts = st.lists(st.sampled_from(verts), unique=True) if verts else st.just([])
+    return Structure(CLOSING, verts, rels), U, draw(starts), draw(starts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_cases())
+def test_indexed_u_closure_matches_rescan(case):
+    A, U, S, T = case
+    # the second call runs on the index the first one built
+    for start in (S, T):
+        assert u_closure_set(A, U, start) == oracle_u_closure_set(A, U, start)
 
 
 class TestUSize:

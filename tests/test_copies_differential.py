@@ -4,16 +4,27 @@
 rebuild the witnesses from Aut(A).  Both must agree with the oracle that
 groups all embeddings found by the unindexed search by their images: equal
 dicts, equal key order and equal witness order.  The patterns are chosen for
-large automorphism groups, where the bounds cut the most.
+large automorphism groups, where the bounds cut the most.  The bounds
+themselves, read off one projected search per depth, must equal those of
+one first-witness run per later vertex.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseyforge.build import ORDERED_GRAPH
 from ramseyforge.errors import LanguageMismatchError
-from ramseyforge.structures import Morphism, Structure, _copy_search, copies_of, copy_images, language
+from ramseyforge.structures import (
+    Morphism,
+    Structure,
+    _copy_search,
+    _orbit_bounds,
+    copies_of,
+    copy_images,
+    language,
+)
 
-from search_oracle import oracle_copies_of, oracle_search
+from search_oracle import oracle_copies_of, oracle_orbit_bounds, oracle_search
 
 MIXED = language(("U", 1), ("E", 2), ("T", 3))
 # Names whose sorted order differs from their numeric order.
@@ -107,6 +118,25 @@ def test_copies_match_grouped_oracle(case):
     assert copy_images(A, B) == list(expected)
     # the search itself yields exactly the first embedding of each copy
     assert [m.map for m in _copy_search(A, B)] == first_per_image(oracle_search(A, B, "embedding"))
+
+
+@st.composite
+def ordered_graphs(draw):
+    """Graphs on up to six vertices with a random ``leq``: some loops, and
+    each edge in one, both or neither direction."""
+    verts = draw(st.lists(st.sampled_from(NAMES), max_size=6, unique=True))
+    pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+    edges = symmetric(sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else [])
+    arcs = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    loops = draw(st.sets(st.sampled_from(verts))) if verts else set()
+    return Structure(ORDERED_GRAPH, verts, {"E": edges, "leq": arcs | {(v, v) for v in loops}})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(copy_searches(), ordered_graphs().map(lambda G: (G,))))
+def test_orbit_bounds_match_first_witness_runs(case):
+    for A in case:
+        assert _orbit_bounds(A) == oracle_orbit_bounds(A)
 
 
 def test_copies_of_the_empty_structure():

@@ -1,9 +1,10 @@
 """The canonical lift against the lift by one fresh search per root tuple.
 
-``canonical_lift`` compiles one search per class piece and runs it once per
-root tuple; the oracle starts a new search for every root tuple and piece.
-Both must give the same ext sets, on sparse random bases, on dense bases,
-and for a family whose pieces carry an order symbol.
+``canonical_lift`` runs one projected search per class piece, which
+enumerates the root images and stops below each at the first map; the
+oracle starts a new unindexed search for every root tuple and piece.  Both
+must give the same ext sets, on sparse random bases, on dense bases, and
+for a family whose pieces carry an order symbol.
 """
 
 import random

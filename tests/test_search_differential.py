@@ -1,14 +1,16 @@
 """The indexed morphism search against the unindexed reference backtracker.
 
 Both must produce the same maps in the same order, for every kind, with and
-without pinned vertices and forced injectivity.
+without pinned vertices and forced injectivity.  A projected search must
+yield the image tuples that runs pinned at each tuple find a map for, in
+the same order.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from ramseyforge.structures import MORPHISM_KINDS, Structure, language, search_morphisms
+from ramseyforge.structures import MORPHISM_KINDS, Structure, compile_search, language, search_morphisms
 
-from search_oracle import oracle_search
+from search_oracle import oracle_projection, oracle_search
 
 MIXED = language(("U", 1), ("E", 2), ("T", 3))
 # Names whose sorted order differs from their numeric order.
@@ -16,8 +18,8 @@ NAMES = ("a", "b", "c", "v1", "v10", "v2", "x")
 
 
 @st.composite
-def structures(draw, max_vertices):
-    verts = draw(st.lists(st.sampled_from(NAMES), max_size=max_vertices, unique=True))
+def structures(draw, max_vertices, min_vertices=0):
+    verts = draw(st.lists(st.sampled_from(NAMES), min_size=min_vertices, max_size=max_vertices, unique=True))
     rels = {}
     if verts:
         vertex = st.sampled_from(verts)
@@ -30,14 +32,11 @@ def structures(draw, max_vertices):
     return Structure(MIXED, verts, rels)
 
 
-@st.composite
-def searches(draw):
-    A = draw(structures(4))
-    B = draw(structures(6))
-    kind = draw(st.sampled_from(MORPHISM_KINDS))
-    # Plant the image of A under some map f, so that searches often succeed,
-    # sometimes many times over: any map, an injective map, or an injective
-    # map whose image carries no other tuples of B (an embedding).
+def planted(draw, A, B):
+    """B with the image of A under a drawn map f added, so that searches
+    often succeed, sometimes many times over: any map, an injective map, or
+    an injective map whose image carries no other tuples of B (an
+    embedding).  Returns B and f, which is empty when nothing is planted."""
     plant = draw(st.sampled_from(("none", "image", "injective image", "induced copy")))
     if plant != "none" and len(A.vertices) > len(B.vertices) > 0:
         plant = "image"
@@ -53,6 +52,14 @@ def searches(draw):
             | {tuple(f[v] for v in t) for t in A.tuples(name)}
             for name in MIXED.names()
         })
+    return B, f
+
+
+@st.composite
+def searches(draw):
+    A = draw(structures(4))
+    B, f = planted(draw, A, draw(structures(6)))
+    kind = draw(st.sampled_from(MORPHISM_KINDS))
     fixed = {}
     if A.vertices and B.vertices:
         pinned = draw(st.lists(st.sampled_from(A.vertices), max_size=2, unique=True))
@@ -61,6 +68,22 @@ def searches(draw):
             for v in pinned
         }
     return A, B, kind, fixed, draw(st.booleans())
+
+
+@st.composite
+def projections(draw):
+    """A projected search: 1-3 pinned source vertices, and a fixed prefix
+    of their images, shorter than the pinned tuple, often taken from the
+    planted map."""
+    A = draw(structures(6, min_vertices=1))
+    B, f = planted(draw, A, draw(structures(6)))
+    kind = draw(st.sampled_from(MORPHISM_KINDS))
+    pinned = tuple(sorted(draw(st.lists(st.sampled_from(A.vertices), min_size=1, max_size=3, unique=True))))
+    size = draw(st.integers(0, min(len(pinned) - 1, len(B.vertices))))
+    prefix = tuple(f[v] for v in pinned[:size]) if f else ()
+    if len(set(prefix)) < size or draw(st.booleans()):
+        prefix = tuple(draw(st.permutations(B.vertices))[:size])
+    return A, B, kind, pinned, prefix, draw(st.booleans())
 
 
 def maps(found):
@@ -74,6 +97,16 @@ def test_indexed_search_matches_oracle(case):
     assert maps(search_morphisms(A, B, kind, fixed=fixed, require_injective=injective)) == maps(
         oracle_search(A, B, kind, fixed=fixed, require_injective=injective)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(projections())
+def test_projected_search_matches_runs_per_tuple(case):
+    A, B, kind, pinned, prefix, injective = case
+    run = compile_search(A, B, kind, pinned, injective, project=True)
+    assert list(run(prefix)) == oracle_projection(A, B, kind, pinned, prefix, injective)
+    # the compiled run is reused, with the prefix dropped
+    assert list(run(())) == oracle_projection(A, B, kind, pinned, (), injective)
 
 
 @settings(max_examples=100, deadline=None)
