@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
 from .structures import (
@@ -22,7 +22,6 @@ from .structures import (
     are_isomorphic,
     canonical_key,
     compile_search,
-    connected_components,
     induced_substructure,
     is_connected,
     search_morphisms,
@@ -81,31 +80,77 @@ class Cut:
     sides: tuple[frozenset, frozenset]
 
 
+def _cut_candidates(nbrs: list[int]) -> Iterator[int]:
+    """The vertex sets R, as bitmasks, that leave at least two vertices
+    and in which every vertex has at least two neighbours outside R
+    (``nbrs[i]`` is vertex i's neighbourhood).  R grows vertex by vertex;
+    adding a vertex only takes neighbours away, so a branch stops at the
+    first vertex of R left with fewer than two."""
+    n = len(nbrs)
+    everything = (1 << n) - 1
+    stack = [(0, 0)]
+    while stack:
+        i, R = stack.pop()
+        if i == n:
+            if (everything & ~R).bit_count() >= 2:
+                yield R
+            continue
+        stack.append((i + 1, R))
+        R |= 1 << i
+        rest = everything & ~R
+        touched = [i] + [j for j in range(i) if R >> j & 1 and nbrs[i] >> j & 1]
+        if all((nbrs[j] & rest).bit_count() >= 2 for j in touched):
+            stack.append((i + 1, R))
+
+
 def minimal_separating_cuts(A: Structure) -> list[Cut]:
-    """All (R, component pair) with R = N(side1) = N(side2)."""
+    """All (R, component pair) with R = N(side1) = N(side2).
+
+    The sides are components of A - R: two vertices are joined when a
+    tuple avoiding R contains both, so a tuple through R joins nothing.  N
+    is the Gaifman neighbourhood in A.  Vertex sets are bitmasks over A's
+    sorted vertices.  A vertex of R needs a neighbour in each side, so only
+    the sets of ``_cut_candidates`` are tried.
+    """
+    verts = A.vertices
+    bit = {v: 1 << i for i, v in enumerate(verts)}
     adj = A.adjacency()
-    verts = list(A.vertices)
+    nbrs = [sum(bit[u] for u in adj[v]) for v in verts]
+    spans = set()
+    for ts in A.relations.values():
+        for t in ts:
+            span = sum(bit[v] for v in set(t))
+            if span & (span - 1):
+                spans.add(span)
+
+    def members(mask: int) -> frozenset:
+        return frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+
     out = []
-    seen = set()
-    for r in range(0, len(verts) - 1):
-        for R in itertools.combinations(verts, r):
-            Rset = frozenset(R)
-            rest = [v for v in verts if v not in Rset]
-            if not rest:
+    for R in _cut_candidates(nbrs):
+        comps = []
+        for span in spans:
+            if span & R:
                 continue
-            comps = connected_components(induced_substructure(A, rest))
-            if len(comps) < 2:
-                continue
-            neigh = {
-                comp: frozenset().union(*(adj[v] for v in comp)) - comp
-                for comp in comps
-            }
-            for c1, c2 in itertools.combinations(sorted(comps, key=sorted), 2):
-                if neigh[c1] == Rset and neigh[c2] == Rset:
-                    key = (Rset, frozenset((c1, c2)))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(Cut(Rset, (c1, c2)))
+            for c in [c for c in comps if c & span]:
+                comps.remove(c)
+                span |= c
+            comps.append(span)
+        joined = R
+        for c in comps:
+            joined |= c
+        comps += [1 << i for i in range(len(verts)) if not joined >> i & 1]
+        sides = []
+        for c in comps:
+            near = 0
+            for i in range(len(verts)):
+                if c >> i & 1:
+                    near |= nbrs[i]
+            if near & ~c == R:
+                sides.append(members(c))
+        cut = members(R)
+        for pair in itertools.combinations(sorted(sides, key=sorted), 2):
+            out.append(Cut(cut, pair))
     out.sort(key=lambda c: (sorted(c.cut), sorted(map(sorted, c.sides))))
     return out
 
@@ -182,15 +227,30 @@ class PieceFamily:
         piece_pool: dict[tuple, Piece] = {}
         complement_pool: dict[tuple, RootedStructure] = {}
         for M in members:
+            # A side's complement is often the body of the cut's other
+            # side, so each (vertex set, root order) of M is keyed once.
+            bodies: dict[frozenset, Structure] = {}
+            keys: dict[tuple[frozenset, tuple], tuple] = {}
+
+            def rooted(S: frozenset, order: tuple) -> tuple[tuple, Structure]:
+                body = bodies.get(S)
+                if body is None:
+                    body = bodies[S] = induced_substructure(M, S)
+                key = keys.get((S, order))
+                if key is None:
+                    key = keys[S, order] = canonical_key(body, order)
+                return key, body
+
             for cut in minimal_separating_cuts(M):
                 for side in cut.sides:
-                    body = induced_substructure(M, side | cut.cut)
-                    co_body = induced_substructure(M, set(M.vertices) - side)
+                    co_side = frozenset(M.vertices) - side
                     for order in itertools.permutations(sorted(cut.cut)):
-                        piece = Piece(body, tuple(order), M)
-                        piece_pool.setdefault(piece.rooted().key(), piece)
-                        comp = RootedStructure(co_body, tuple(order))
-                        complement_pool.setdefault(comp.key(), comp)
+                        key, body = rooted(side | cut.cut, order)
+                        if key not in piece_pool:
+                            piece_pool[key] = Piece(body, order, M)
+                        key, body = rooted(co_side, order)
+                        if key not in complement_pool:
+                            complement_pool[key] = RootedStructure(body, order)
         piece_keys = sorted(piece_pool)
         self.pieces = [piece_pool[k] for k in piece_keys]
         self._complement_keys = tuple(sorted(complement_pool))

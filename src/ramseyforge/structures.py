@@ -13,11 +13,12 @@ import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import ge, itemgetter
+from itertools import accumulate, count, repeat
+from operator import add, ge, itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import LanguageMismatchError, MorphismError, StructureError
+from .errors import CapError, LanguageMismatchError, MorphismError, StructureError
 
 MORPHISM_KINDS = (
     "homomorphism",
@@ -998,24 +999,6 @@ def is_strong_amalgamation(
 # isomorphism and canonical forms
 
 
-def _invariant(A: Structure, v: str) -> tuple:
-    """v's occurrence counts and loops per symbol, for ``canonical_key``.
-    The key labels vertex groups in the order of these invariants, so the
-    order of keys, and of everything sorted by key, depends on them."""
-    out = []
-    for name, ts in sorted(A._relations.items()):
-        occ = [0] * A.language.arity(name)
-        loops = 0
-        for t in ts:
-            for i, u in enumerate(t):
-                if u == v:
-                    occ[i] += 1
-            if all(u == v for u in t):
-                loops += 1
-        out.append((name, tuple(occ), loops))
-    return tuple(out)
-
-
 def are_isomorphic(A: Structure, B: Structure) -> Optional[Morphism]:
     """A witness isomorphism, or None.  Deterministic."""
     if A.language != B.language:
@@ -1032,36 +1015,196 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Morphism]:
     return None
 
 
-def canonical_key(A: Structure, pinned: Sequence[str] = ()) -> tuple:
-    """A complete isomorphism invariant by brute-force relabelling.
+# Search nodes ``canonical_key`` may visit before it raises CapError.
+KEY_NODE_BUDGET = 200_000
 
-    Vertices in ``pinned`` are assigned the labels 0..len(pinned)-1 in the
-    given order (used for rooted structures); the rest are permuted within
-    invariant classes.  Desk-scale only: guards at 10 free vertices.
+
+def _key_groups(A: Structure, free: Iterable[str]) -> list[list[str]]:
+    """The free vertices of A grouped by their occurrence counts per
+    (symbol, position) and their loops, per symbol in name order.
+
+    The counts are read off the ``_index`` profiles.  Groups come in sorted
+    order of these invariants, which fixes the order of keys, hence of
+    obstacles and of the lift's ``ext:i:w`` numbering.
     """
-    pinned = list(pinned)
-    free = [v for v in A.vertices if v not in set(pinned)]
-    if len(free) > 10:
-        raise StructureError("canonical_key guard: more than 10 free vertices")
+    profile = _index(A)[1]
+    loops: dict[tuple[str, str], int] = {}
+    for name, ts in A._relations.items():
+        for t in ts:
+            if t.count(t[0]) == len(t):
+                loops[name, t[0]] = loops.get((name, t[0]), 0) + 1
+    # equal profiles and loops make equal invariants
     groups: dict[tuple, list[str]] = {}
     for v in free:
-        groups.setdefault(_invariant(A, v), []).append(v)
-    group_items = sorted(groups.items())
-    pools = [itertools.permutations(vs) for _, vs in group_items]
+        same = tuple(profile[v])
+        if loops:
+            same += tuple(loops.get((name, v), 0) for name in A._relations)
+        groups.setdefault(same, []).append(v)
+    if len(groups) < 2:
+        return list(groups.values())
+    slots, width = [], 0
+    for name, arity in A.language.symbols:
+        slots.append((name, width, width + arity))
+        width += arity
+    slots.sort()
 
-    base = len(pinned)
-    best = None
-    for arrangement in itertools.product(*pools):
-        label = {v: i for i, v in enumerate(pinned)}
-        i = base
-        for perm in arrangement:
-            for v in perm:
-                label[v] = i
-                i += 1
-        enc = tuple(
-            (name, tuple(sorted(tuple(label[v] for v in t) for t in ts)))
-            for name, ts in sorted(A._relations.items())
+    def invariant(vs: list[str]) -> tuple:
+        prof = profile[vs[0]]
+        return tuple(
+            (name, tuple(prof[lo:hi]), loops.get((name, vs[0]), 0)) for name, lo, hi in slots
         )
+
+    return sorted(groups.values(), key=invariant)
+
+
+def _in_orbit(v: str, tried: list[str], autos: list[dict[str, str]], fixed: list[str]) -> bool:
+    """Is v in the orbit of a vertex in ``tried`` under the automorphisms
+    in ``autos`` that fix every vertex in ``fixed``?"""
+    gens = [s for s in autos if all(s[x] == x for x in fixed)]
+    orbit, stack = {v}, [v]
+    while stack:
+        x = stack.pop()
+        for s in gens:
+            y = s[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return not orbit.isdisjoint(tried)
+
+
+def canonical_key(A: Structure, pinned: Sequence[str] = ()) -> tuple:
+    """A complete isomorphism invariant: the least encoding of A.
+
+    Vertices in ``pinned`` take the labels 0..len(pinned)-1 in the given
+    order (used for rooted structures).  The free vertices are grouped by
+    ``_key_groups``; the groups take the next labels in turn, and the
+    vertices of a group take its labels in any order.  A labelling's
+    encoding lists, per symbol in name order, the sorted labelled tuples,
+    and the key holds the least encoding over these labellings.
+
+    The least encoding is found exactly, by branch and bound.  Labels are
+    given in increasing order.  A branch is dropped when a lower bound on
+    its encodings, in which every unlabelled vertex takes the least label
+    it can still get, is greater than the best encoding found.  A choice is
+    skipped when an automorphism found at two leaves with equal encodings,
+    fixing every vertex labelled so far, maps it onto a choice already
+    searched (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    Raises CapError when the search needs more than ``KEY_NODE_BUDGET``
+    nodes; it never returns a key it has not proved least.
+    """
+    # val[v]: v's label, or the least label an unlabelled v can still take
+    val = {v: i for i, v in enumerate(pinned)}
+    groups, end = [], len(pinned)
+    for group in _key_groups(A, [v for v in A.vertices if v not in val]):
+        for v in group:
+            val[v] = end
+        end += len(group)
+        groups.append(group)
+    names = sorted(A._relations)
+    # one getter of all vertex values per nonempty symbol, with its arity
+    parts = []
+    for name in names:
+        ts = A._relations[name]
+        if ts:
+            flat = list(itertools.chain.from_iterable(ts))
+            get = itemgetter(*flat) if len(flat) > 1 else (lambda val, v=flat[0]: (val[v],))
+            parts.append((get, len(flat) // len(ts)))
+
+    def encode() -> list:
+        """The bound: per symbol, the sorted tuples as base-``end``
+        numbers, every unlabelled vertex taking the least label it can
+        still get."""
+        out = []
+        for get, k in parts:
+            vals = get(val)
+            nums = vals[0::k]
+            for i in range(1, k):
+                nums = map(add, map(mul, nums, repeat(end)), vals[i::k])
+            out.append(sorted(nums))
+        return out
+
+    def raised(enc: list) -> list:
+        """A bound ``enc`` raised where it repeats a number: the tuples of
+        a symbol are distinct, so the j-th is at least the (j-1)-th plus
+        one."""
+        return [list(map(add, accumulate(map(sub, nums, count()), max), count())) for nums in enc]
+
+    best = best_val = best_path = None
+    autos: list[dict[str, str]] = []
+    path = [""] * end  # path[L]: the vertex labelled L
+    start = len(pinned)
+    nodes = 0
+
+    def leaf(enc: list) -> int:
+        """Record a complete labelling, whose encoding ``enc`` is never
+        above the best; return the label to jump back to after an
+        automorphism, or ``end``."""
+        nonlocal best, best_val, best_path
         if best is None or enc < best:
-            best = enc
-    return (A.language, len(A.vertices), len(pinned), best)
+            best, best_val, best_path = enc, dict(val), path[:]
+            return end
+        who = [""] * end
+        for v, i in best_val.items():
+            who[i] = v
+        autos.append({v: who[i] for v, i in val.items()})
+        # the subtree where the two paths part is an image of one searched
+        return next(L for L in range(start, end) if path[L] != best_path[L])
+
+    def descend(g: int, L: int, unlabelled: list, enc: Optional[list]) -> int:
+        """Label L onwards, with group g's ``unlabelled`` vertices still
+        open and ``enc`` the bound so far (None at the root); return as
+        ``leaf`` does."""
+        nonlocal nodes
+        while len(unlabelled) < 2:  # a forced label leaves the bound as it is
+            if unlabelled:
+                path[L] = unlabelled[0]
+                L += 1
+            g += 1
+            if g == len(groups):
+                return leaf(encode() if enc is None else enc)
+            unlabelled = groups[g]
+        nodes += len(unlabelled)
+        if nodes > KEY_NODE_BUDGET:
+            raise CapError(f"canonical key search ran out of its {KEY_NODE_BUDGET} node budget")
+        for u in unlabelled:
+            val[u] = L + 1
+        kids = []
+        for v in unlabelled:
+            val[v] = L
+            kids.append((encode(), v))
+            val[v] = L + 1
+        kids.sort()
+        tried: list[str] = []
+        back = end
+        for kid, v in kids:
+            if best is not None:
+                if kid > best:
+                    break
+                if raised(kid) > best:
+                    continue
+            if tried and autos and _in_orbit(v, tried, autos, path[start:L]):
+                continue
+            tried.append(v)
+            path[L] = v
+            val[v] = L
+            back = descend(g, L + 1, [u for u in unlabelled if u != v], kid)
+            val[v] = L + 1
+            if back < L:
+                break
+        for u in unlabelled:
+            val[u] = L
+        return back if back < L else end
+
+    try:
+        descend(-1, start, [], None)
+    finally:
+        # descend reaches itself through its closure: emptying its cell
+        # frees the search state now rather than at a cycle collection
+        del descend
+    least = iter([sorted(zip(*[iter(get(best_val))] * k)) for get, k in parts])
+    return (
+        A.language,
+        len(A.vertices),
+        len(pinned),
+        tuple((name, tuple(next(least)) if A._relations[name] else ()) for name in names),
+    )

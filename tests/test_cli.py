@@ -166,6 +166,17 @@ class TestPiecesCli:
         code, payload = run_json(capsys, ["pieces", "classes", str(p)])
         assert code == 0 and len(payload["classes"]) == 2
 
+    def test_key_budget_is_inconclusive(self, capsys, tmp_path, monkeypatch):
+        from ramseyforge import structures
+        from ramseyforge.build import cycle_graph
+
+        p = tmp_path / "C7.rsf"
+        rsf.dump(cycle_graph(7), p)
+        monkeypatch.setattr(structures, "KEY_NODE_BUDGET", 1)
+        code, payload = run_json(capsys, ["pieces", "classes", str(p)])
+        assert code == 2 and payload["status"] == "inconclusive"
+        assert "node budget" in payload["reason"]
+
 
 class TestLiftCli:
     def test_distance(self, files, capsys, tmp_path):
