@@ -339,7 +339,12 @@ def _canonical_pair_vectors(
             for pos in moved:
                 waiting[pos].pop()
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    finally:
+        # extend reaches itself through its closure cell; emptying the cell
+        # frees the search state without a cycle collection
+        del extend
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +454,10 @@ def _mask_clique(adj: Sequence[int], size: int) -> bool:
                 return True
         return False
 
-    return grow((1 << len(adj)) - 1, size)
+    try:
+        return grow((1 << len(adj)) - 1, size)
+    finally:
+        del grow  # unlink the recursive closure (see _canonical_pair_vectors)
 
 
 def _mask_cycle(succ: Sequence[int]) -> Optional[list[int]]:
@@ -477,12 +485,15 @@ def _mask_cycle(succ: Sequence[int]) -> Optional[list[int]]:
         state[u] = 2
         return None
 
-    for v in range(n):
-        if state[v] == 0:
-            found = dfs(v)
-            if found:
-                return found
-    return None
+    try:
+        for v in range(n):
+            if state[v] == 0:
+                found = dfs(v)
+                if found:
+                    return found
+        return None
+    finally:
+        del dfs  # unlink the recursive closure (see _canonical_pair_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +1026,11 @@ def _partitions(items: Sequence) -> Iterator[list[list]]:
             yield from rec(i + 1, blocks)
             b.pop()
 
-    yield from sorted(rec(0, []), key=lambda bs: -len(bs))
+    try:
+        parts = sorted(rec(0, []), key=lambda bs: -len(bs))
+    finally:
+        del rec  # unlink the recursive closure (see _canonical_pair_vectors)
+    yield from parts
 
 
 def quotient_structure(A: Structure, blocks: Sequence[Sequence[str]]) -> tuple[Structure, Morphism]:

@@ -32,6 +32,7 @@ from .structures import (
     Structure,
     canonical_key,
     copy_images,
+    gaifman_distances,
     induced_substructure,
     linear_order,
     search_morphisms,
@@ -989,24 +990,7 @@ class DistanceLift:
 
 
 def graph_distances(G: Structure) -> dict[tuple[str, str], int]:
-    adj = G.adjacency()
-    out: dict[tuple[str, str], int] = {}
-    for s in G.vertices:
-        dist = {s: 0}
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        for v, dd in dist.items():
-            out[(s, v)] = dd
-    return out
+    return {(s, v): d for s in G.vertices for v, d in gaifman_distances(G, s).items()}
 
 
 def distance_lift_fixture(G: Structure, l: int) -> DistanceLift:

@@ -76,13 +76,13 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # ``_adj``, the six search caches below it and the closure indexes are
+    # ``_adj``, the eight search caches below it and the closure indexes are
     # filled lazily, per instance; see ``search_morphisms``, ``copies_of``
     # and ``closures.u_closure_set``.
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash", "_adj",
-        "_plans", "_obligations", "_orbit_bounds", "_profile", "_incidence", "_nbhd",
-        "_closures",
+        "_plans", "_obligations", "_walk_pairs", "_orbit_bounds", "_profile", "_incidence",
+        "_nbhd", "_walks", "_closures",
     )
 
     def __init__(
@@ -123,10 +123,12 @@ class Structure:
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_plans", None)
         object.__setattr__(self, "_obligations", None)
+        object.__setattr__(self, "_walk_pairs", None)
         object.__setattr__(self, "_orbit_bounds", None)
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_nbhd", None)
+        object.__setattr__(self, "_walks", None)
         object.__setattr__(self, "_closures", None)
 
     # -- basic accessors ---------------------------------------------------
@@ -319,39 +321,30 @@ def _spans_irreducible(A: Structure, span: frozenset) -> bool:
             return False
         return True
 
-    return grow(frozenset(span))
+    try:
+        return grow(frozenset(span))
+    finally:
+        del grow  # unlink the recursive closure (see canonical_key)
 
 
 def _is_hom_embedding(source: Structure, target: Structure, d: Mapping[str, str]) -> bool:
-    if not _is_homomorphism(source, target, d):
-        return False
-    # injectivity on every pair that co-occurs in a tuple
+    """For a homomorphism d: does it separate Gaifman neighbours and send
+    no span obligation of the source into the target?  That is the
+    homomorphism-embedding test of ``_span_obligations``, on the
+    obligations the search filed for its unpinned plan."""
     adj = source.adjacency()
     for u in source.vertices:
         for v in adj[u]:
             if u < v and d[u] == d[v]:
                 return False
-    return _reflects_on_spans(source, target, d)
-
-
-def _reflects_on_spans(source: Structure, target: Structure, d: Mapping[str, str]) -> bool:
-    """Every target tuple pulls back along d on each choice of preimages
-    that sits inside an irreducible substructure of the source."""
-    preim: dict[str, list[str]] = {}
-    for v, w in d.items():
-        preim.setdefault(w, []).append(v)
-    for name, ts in target._relations.items():
-        st = source.tuples(name)
-        for t in ts:
-            pools = [preim.get(w) for w in t]
-            if any(p is None for p in pools):
-                continue
-            for s in itertools.product(*pools):
-                if s in st:
-                    continue
-                if _spans_irreducible(source, frozenset(s)):
-                    return False
-    return True
+    order = _source_plan(source, ())[0]
+    unary, checks = _span_obligations(source, ())
+    rels = target._relations
+    for v, names in zip(order, unary):
+        for name in names:
+            if (d[v],) in rels[name]:
+                return False
+    return not any(get(d) in rels[name] for cs in checks for name, get in cs)
 
 
 def verify_morphism(f: Morphism) -> bool:
@@ -454,24 +447,77 @@ def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
                 for j, u in enumerate(rest):
                     yield from cliques(S + (u,), [x for x in rest[j + 1:] if x in adj[u]])
 
-        for j, v in enumerate(A.vertices):
-            for S in cliques((v,), [u for u in A.vertices[j + 1:] if u in adj[v]]):
-                found = [
-                    (name, s)
-                    for name, arity in A.language.symbols
-                    if arity >= len(S)
-                    for s in itertools.product(S, repeat=arity)
-                    if len(set(s)) == len(S) and s not in A._relations[name]
-                ]
-                if found and _spans_irreducible(A, frozenset(S)):
-                    i = max(map(depth.__getitem__, S))
-                    for name, s in found:
-                        if len(s) == 1:
-                            unary[i].append(name)
-                        else:
-                            checks[i].append((name, itemgetter(*s)))
+        try:
+            for j, v in enumerate(A.vertices):
+                for S in cliques((v,), [u for u in A.vertices[j + 1:] if u in adj[v]]):
+                    found = [
+                        (name, s)
+                        for name, arity in A.language.symbols
+                        if arity >= len(S)
+                        for s in itertools.product(S, repeat=arity)
+                        if len(set(s)) == len(S) and s not in A._relations[name]
+                    ]
+                    if found and _spans_irreducible(A, frozenset(S)):
+                        i = max(map(depth.__getitem__, S))
+                        for name, s in found:
+                            if len(s) == 1:
+                                unary[i].append(name)
+                            else:
+                                checks[i].append((name, itemgetter(*s)))
+        finally:
+            del cliques  # unlink the recursive closure (see canonical_key)
         filed = cache[pinned] = (tuple(map(tuple, unary)), tuple(map(tuple, checks)))
     return filed
+
+
+def gaifman_distances(A: Structure, v: str, inside: Optional[set] = None) -> dict[str, int]:
+    """Gaifman distances from v to the vertices it reaches, by
+    breadth-first search, in the order reached; with ``inside``, along
+    paths through that vertex set only."""
+    adj = A.adjacency()
+    dist, frontier, L = {v: 0}, [v], 0
+    while frontier:
+        L += 1
+        reached = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in dist and (inside is None or y in inside):
+                    dist[y] = L
+                    reached.append(y)
+        frontier = reached
+    return dist
+
+
+def _walk_pairs(A: Structure, pinned: tuple[str, ...]) -> tuple:
+    """The walk-length screens of the plan of A for a tuple of pinned
+    vertices, per depth; cached on A next to the plan.
+
+    With ``order`` the plan's order, ``pairs[i]`` lists ``(u, L)`` for each
+    u in ``order[:i]`` whose Gaifman distance L to ``v = order[i]`` in A is
+    at least 2 and shorter than their distance inside
+    ``A[order[:i + 1]]``.  A map that separates Gaifman neighbours sends a
+    shortest u-v path onto a walk of exactly L steps, so ``d[v]`` ends
+    such a walk from ``d[u]``.  Where the two distances are equal, the
+    placed path already implies it, and distance 1 is the neighbour
+    screen.
+    """
+    cache = A._walk_pairs
+    if cache is None:
+        cache = {}
+        object.__setattr__(A, "_walk_pairs", cache)
+    pairs = cache.get(pinned)
+    if pairs is None:
+        order = _source_plan(A, pinned)[0]
+        found = []
+        for i, v in enumerate(order):
+            far = gaifman_distances(A, v)
+            near = gaifman_distances(A, v, set(order[:i + 1]))
+            # a distance inside the placed vertices is never below the distance in A
+            found.append(tuple(
+                (u, far[u]) for u in order[:i] if far.get(u, 0) >= 2 and near.get(u) != far[u]
+            ))
+        pairs = cache[pinned] = tuple(found)
+    return pairs
 
 
 def _orbit_bounds(A: Structure) -> tuple:
@@ -562,6 +608,41 @@ def _neighbourhoods(B: Structure, closed: bool) -> _Neighbourhoods:
         cache = (_Neighbourhoods(incidence, False), _Neighbourhoods(incidence, True))
         object.__setattr__(B, "_nbhd", cache)
     return cache[closed]
+
+
+class _WalkEnds(dict):
+    """x -> the ends of the walks of exactly L steps from x in the Gaifman
+    graph, as a frozenset; each entry is built on first lookup from the
+    ends of the walks of L - 1 steps (``fewer``, None for L = 1) and the
+    open neighbourhoods."""
+
+    __slots__ = ("fewer", "nbhd")
+
+    def __init__(self, fewer: Optional["_WalkEnds"], nbhd: _Neighbourhoods):
+        super().__init__()
+        self.fewer = fewer
+        self.nbhd = nbhd
+
+    def __missing__(self, x: str) -> frozenset:
+        nbhd = self.nbhd
+        if self.fewer is None:
+            ends = nbhd[x][1]
+        else:
+            ends = frozenset().union(*[nbhd[y][1] for y in self.fewer[x]])
+        self[x] = ends
+        return ends
+
+
+def _walk_ends(B: Structure, length: int) -> _WalkEnds:
+    """The walk ends of B for one length, cached on B by length next to
+    the neighbourhoods."""
+    walks = B._walks
+    if walks is None:
+        walks = []
+        object.__setattr__(B, "_walks", walks)
+    while len(walks) < length:
+        walks.append(_WalkEnds(walks[-1] if walks else None, _neighbourhoods(B, False)))
+    return walks[length - 1]
 
 
 def search_morphisms(
@@ -668,6 +749,15 @@ def compile_search(
     The pinned depths after the prefix are searched like the others, and
     below each pinned tuple the run stops at the first morphism, so one
     run replaces a run per tuple.
+
+    A projection of a kind that separates Gaifman neighbours (injective
+    kinds and homomorphism-embeddings) also screens candidates by walk
+    length (``_walk_pairs``): at source distance L from a placed u, a
+    candidate must end a walk of exactly L steps from u's image in B
+    (``_walk_ends``).  A pinned image with no earlier neighbour is
+    otherwise drawn from all of B, and one of the wrong parity or too far
+    away is refuted only after every path below it.  Other searches do
+    without the screen, which costs more there than it saves.
     """
     injective = require_injective or kind in ("monomorphism", "embedding")
     if injective and len(A.vertices) > len(B.vertices):
@@ -687,6 +777,10 @@ def compile_search(
         avoid_unary, avoid = ((),) * n, [()] * n
     if bounds is None:
         bounds = ((),) * n
+    if project and (injective or pairwise):
+        walks = [[(u, _walk_ends(B, L)) for u, L in pairs] for pairs in _walk_pairs(A, pinned)]
+    else:
+        walks = [()] * n
     nbhd = _neighbourhoods(B, not (injective or pairwise))
     inc, prof_b = _index(B)
     prof_a = _index(A)[1] if profiles else None
@@ -736,6 +830,9 @@ def compile_search(
             for u in nbrs:
                 allowed = nbhd[d[u]][1]
                 cands = [w for w in cands if w in allowed]
+            for u, ends in walks[i]:
+                allowed = ends[d[u]]
+                cands = [w for w in cands if w in allowed]
             if screened[i]:
                 ok = screens[i]
                 if ok is None:
@@ -775,10 +872,13 @@ def compile_search(
                             used.discard(w)
             d.pop(v, None)
 
-        if n == 0:
-            yield Morphism(A, B, (), kind)
-        else:
-            yield from extend(0)
+        try:
+            if n == 0:
+                yield Morphism(A, B, (), kind)
+            else:
+                yield from extend(0)
+        finally:
+            del extend  # unlink the recursive closure (see canonical_key)
 
     return run
 
@@ -811,19 +911,31 @@ def copies_of(A: Structure, B: Structure) -> dict[frozenset, list[Morphism]]:
     Embeddings with one image form a coset f∘Aut(A).  The search finds the
     least embedding of each coset only (see ``_orbit_bounds``), and each is
     composed with every automorphism of A to give the witnesses.  Aut(A) is
-    enumerated once, when the first copy turns up.  Callers that need only
-    the images use ``copy_images``.
+    enumerated once, when the first copy turns up.  The order of the
+    composed vectors depends only on how the least embedding's images
+    rank, so the automorphisms are sorted once per rank pattern, as
+    getters.  Callers that need only the images use ``copy_images``.
     """
     out: dict[frozenset, list[Morphism]] = {}
     perms = None
+    getters: dict[tuple, list[itemgetter]] = {}
     for m in _copy_search(A, B):
+        if len(A.vertices) < 2:
+            # Aut(A) is trivial; an itemgetter of one index gives no tuple
+            out[m.image_vertices()] = [m]
+            continue
         if perms is None:
             index = {v: i for i, v in enumerate(A.vertices)}
             perms = [tuple(index[w] for _, w in s.map) for s in compile_search(A, A, "embedding")(())]
         values = [w for _, w in m.map]
-        vectors = sorted(tuple(values[p] for p in perm) for perm in perms)
+        pattern = tuple(sorted(range(len(values)), key=values.__getitem__))
+        gets = getters.get(pattern)
+        if gets is None:
+            rank = dict(zip(pattern, count()))
+            perms.sort(key=lambda perm: list(map(rank.__getitem__, perm)))
+            gets = getters[pattern] = [itemgetter(*perm) for perm in perms]
         out[m.image_vertices()] = [
-            Morphism(A, B, tuple(zip(A.vertices, vector)), "embedding") for vector in vectors
+            Morphism(A, B, tuple(zip(A.vertices, get(values))), "embedding") for get in gets
         ]
     return dict(sorted(out.items(), key=lambda kv: tuple(sorted(kv[0]))))
 

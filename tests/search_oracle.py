@@ -11,7 +11,9 @@ each class piece got one compiled search: a fresh search per root tuple.
 ``oracle_copies_of`` is ``copies_of`` as it was before the copy search
 yielded one embedding per copy: every embedding, grouped by image.
 ``hom_embedding_oracle`` decides homomorphism-embeddings by checking every
-irreducible substructure of the source.
+irreducible substructure of the source; ``oracle_is_hom_embedding`` is the
+check ``verify_morphism`` made before it read the cached span obligations:
+every target tuple pulled back along every choice of preimages.
 ``oracle_projection`` answers a projected search as the canonical lift did
 before it projected: one compiled run per tuple of pinned images.
 ``oracle_orbit_bounds`` is ``_orbit_bounds`` as it was before it projected:
@@ -30,10 +32,10 @@ from ramseyforge.structures import (
     Morphism,
     Structure,
     _check_total,
-    _is_hom_embedding,
     _is_homomorphism,
     _reflects_on_image,
     _source_plan,
+    _spans_irreducible,
     compile_search,
     induced_substructure,
     is_irreducible,
@@ -127,9 +129,33 @@ def oracle_search(
             if not _reflects_on_image(A, B, full):
                 continue
         elif kind == "homomorphism-embedding":
-            if not _is_hom_embedding(A, B, full):
+            if not oracle_is_hom_embedding(A, B, full):
                 continue
         yield m
+
+
+def oracle_is_hom_embedding(source: Structure, target: Structure, d: Mapping[str, str]) -> bool:
+    """For a homomorphism d: injective on every pair that co-occurs in a
+    tuple, and every target tuple pulls back along d on each choice of
+    preimages that sits inside an irreducible substructure of the source."""
+    adj = source.adjacency()
+    for u in source.vertices:
+        for v in adj[u]:
+            if u < v and d[u] == d[v]:
+                return False
+    preim: dict[str, list[str]] = {}
+    for v, w in d.items():
+        preim.setdefault(w, []).append(v)
+    for name, ts in target._relations.items():
+        st = source.tuples(name)
+        for t in ts:
+            pools = [preim.get(w) for w in t]
+            if any(p is None for p in pools):
+                continue
+            for s in itertools.product(*pools):
+                if s not in st and _spans_irreducible(source, frozenset(s)):
+                    return False
+    return True
 
 
 def piece_roots_in(piece, A: Structure, at: tuple) -> bool:

@@ -1,0 +1,62 @@
+"""Recursive closures are unlinked when their search ends.
+
+A nested function that calls itself reaches itself through its closure
+cell, a reference cycle that only the cycle collector frees, with all the
+search state the closure holds.  Each such closure empties its cell in a
+``finally``, so a finished (or abandoned) search leaves no cycle behind.
+The searches below run with the collector saving everything it finds
+unreachable; no ``ramseyforge`` function may be among it.
+"""
+
+import gc
+
+from ramseyforge.build import complete_graph, cycle_graph, graph
+from ramseyforge.completion import _partitions, get_plugin, kfree_plugin
+from ramseyforge.pieces import PieceFamily, canonical_lift
+from ramseyforge.structures import Structure, compile_search, copies_of, language, search_morphisms, verify_morphism
+
+
+def library_functions_in_cycles(work) -> list[str]:
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        gc.collect()
+        return sorted(
+            f.__qualname__ for f in gc.garbage
+            if callable(f) and getattr(f, "__module__", "").startswith("ramseyforge")
+        )
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_searches_leave_no_cycles():
+    T = language(("E", 2), ("T", 3))
+    spanned = Structure(T, ["a", "b", "c"], {"E": [("a", "b"), ("b", "c"), ("a", "c")]})
+
+    def work():
+        C5, K4 = cycle_graph(5), complete_graph(4)
+        list(search_morphisms(C5, K4, "homomorphism"))
+        # abandoned after the first map
+        next(search_morphisms(C5, K4, "homomorphism-embedding"))
+        run = compile_search(graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), K4,
+                             "homomorphism-embedding", ("a", "c"), project=True)
+        list(run(()))
+        copies_of(complete_graph(3), complete_graph(5))
+        canonical_lift(complete_graph(4), PieceFamily([cycle_graph(7)]))
+        target = Structure(T, ["x", "y", "z"], {"E": [("x", "y"), ("y", "z"), ("x", "z")], "T": [("x", "y", "z")]})
+        f = next(search_morphisms(spanned, target, "homomorphism"))
+        verify_morphism(type(f)(f.source, f.target, f.map, "homomorphism-embedding"))
+
+    assert library_functions_in_cycles(work) == []
+
+
+def test_completion_leaves_no_cycles():
+    def work():
+        get_plugin("posets").obstacles_up_to(3)
+        kfree_plugin(3).obstacles_up_to(3)
+        list(_partitions("abcd"))
+
+    assert library_functions_in_cycles(work) == []

@@ -3,14 +3,24 @@
 Both must produce the same maps in the same order, for every kind, with and
 without pinned vertices and forced injectivity.  A projected search must
 yield the image tuples that runs pinned at each tuple find a map for, in
-the same order.
+the same order.  ``verify_morphism`` of a homomorphism-embedding, which
+reads the span obligations the search files, must agree with the check
+over every irreducible substructure.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from ramseyforge.structures import MORPHISM_KINDS, Structure, compile_search, language, search_morphisms
+from ramseyforge.structures import (
+    MORPHISM_KINDS,
+    Morphism,
+    Structure,
+    compile_search,
+    language,
+    search_morphisms,
+    verify_morphism,
+)
 
-from search_oracle import oracle_projection, oracle_search
+from search_oracle import hom_embedding_oracle, oracle_projection, oracle_search
 
 MIXED = language(("U", 1), ("E", 2), ("T", 3))
 # Names whose sorted order differs from their numeric order.
@@ -139,13 +149,15 @@ def spanned_sources(draw):
 
 
 @st.composite
-def hom_embedding_searches(draw):
+def spanned_images(draw):
+    """A spanned source A, a target B and a map f from A to B's vertices
+    (empty when B is).  A's image under f is planted in B, then random
+    tuples are added inside the image, loops and ternary tuples included:
+    exactly the tuples that span reflection must refuse to pull back."""
     A = draw(spanned_sources())
     B = draw(structures(5))
+    f = {}
     if B.vertices:
-        # Plant A's image, then add random tuples inside the image, loops
-        # and ternary tuples included: exactly the tuples that span
-        # reflection must refuse to pull back.
         if draw(st.booleans()) and len(A.vertices) <= len(B.vertices):
             f = dict(zip(A.vertices, draw(st.permutations(B.vertices))))
         else:
@@ -158,6 +170,13 @@ def hom_embedding_searches(draw):
             | set(draw(st.lists(st.tuples(*[inside] * arity), max_size=2)))
             for name, arity in MIXED.symbols
         })
+    return A, B, f
+
+
+@st.composite
+def hom_embedding_searches(draw):
+    A, B, f = draw(spanned_images())
+    if B.vertices:
         pinned = draw(st.lists(st.sampled_from(A.vertices), max_size=2, unique=True))
         fixed = {v: f[v] if draw(st.integers(0, 3)) else draw(st.sampled_from(B.vertices)) for v in pinned}
     else:
@@ -173,6 +192,17 @@ def test_hom_embedding_search_matches_oracle(case):
     assert maps(search_morphisms(A, B, kind, fixed=fixed, require_injective=injective)) == maps(
         oracle_search(A, B, kind, fixed=fixed, require_injective=injective)
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(spanned_images())
+def test_verify_hom_embedding_matches_exhaustive_oracle(case):
+    # verify_morphism reads the span obligations cached for the search;
+    # the oracle checks every irreducible substructure of the source.
+    A, B, f = case
+    if B.vertices:
+        m = Morphism.make(A, B, f, "homomorphism-embedding")
+        assert verify_morphism(m) == hom_embedding_oracle(m)
 
 
 def test_span_without_a_tuple_is_reflected():
