@@ -76,13 +76,13 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # ``_adj``, the eight search caches below it and the closure indexes are
+    # ``_adj``, the nine search caches below it and the closure indexes are
     # filled lazily, per instance; see ``search_morphisms``, ``copies_of``
     # and ``closures.u_closure_set``.
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash", "_adj",
         "_plans", "_obligations", "_walk_pairs", "_orbit_bounds", "_profile", "_incidence",
-        "_nbhd", "_walks", "_closures",
+        "_nbhd", "_walks", "_odd", "_closures",
     )
 
     def __init__(
@@ -129,6 +129,7 @@ class Structure:
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_nbhd", None)
         object.__setattr__(self, "_walks", None)
+        object.__setattr__(self, "_odd", None)
         object.__setattr__(self, "_closures", None)
 
     # -- basic accessors ---------------------------------------------------
@@ -645,6 +646,26 @@ def _walk_ends(B: Structure, length: int) -> _WalkEnds:
     return walks[length - 1]
 
 
+def _odd_vertices(A: Structure) -> frozenset:
+    """The vertices of A whose Gaifman component is not bipartite, cached
+    on A next to the walk ends.  One ``gaifman_distances`` call per
+    component: a component has an odd cycle iff one of its edges joins two
+    vertices at equal distance from its first vertex."""
+    odd = A._odd
+    if odd is None:
+        adj = A.adjacency()
+        found, seen = set(), set()
+        for v in A.vertices:
+            if v not in seen:
+                dist = gaifman_distances(A, v)
+                seen.update(dist)
+                if any(dist[x] == dist[y] for x in dist for y in adj[x]):
+                    found.update(dist)
+        odd = frozenset(found)
+        object.__setattr__(A, "_odd", odd)
+    return odd
+
+
 def search_morphisms(
     A: Structure,
     B: Structure,
@@ -693,6 +714,17 @@ def search_morphisms(
       sends one into the relation of B.  A map that separates Gaifman
       neighbours and sends no obligation into B is a
       homomorphism-embedding, so complete maps need no further check.
+    - **Walk-length and parity screens** (homomorphism-embeddings).  Such
+      a map separates Gaifman neighbours, so it sends a shortest path of L
+      steps onto a walk of exactly L steps and an odd closed walk onto an
+      odd closed walk.  A candidate at source distance L from a placed
+      vertex must end an L-step walk from that vertex's image, and a
+      vertex placed with no earlier neighbour, pinned or not, whose
+      component is not bipartite must go to a non-bipartite component of
+      B.  So a member of Forb(C9) such as K6,6 is refuted at C9's first
+      vertex, and one of odd girth 11 after five steps of each path, not
+      after every path.  Plain homomorphisms may merge neighbours and are
+      never screened (see ``compile_search``).
 
     The plan, the obligations, the incidence lists and profiles, and the
     sorted neighbourhoods are filled lazily on the structures themselves,
@@ -750,14 +782,18 @@ def compile_search(
     below each pinned tuple the run stops at the first morphism, so one
     run replaces a run per tuple.
 
-    A projection of a kind that separates Gaifman neighbours (injective
-    kinds and homomorphism-embeddings) also screens candidates by walk
-    length (``_walk_pairs``): at source distance L from a placed u, a
-    candidate must end a walk of exactly L steps from u's image in B
-    (``_walk_ends``).  A pinned image with no earlier neighbour is
-    otherwise drawn from all of B, and one of the wrong parity or too far
-    away is refuted only after every path below it.  Other searches do
-    without the screen, which costs more there than it saves.
+    Every homomorphism-embedding search, and every projection of an
+    injective kind, screens candidates twice; all these maps separate
+    Gaifman neighbours.  By walk length (``_walk_pairs``): at source
+    distance L from a placed u, a candidate must end a walk of exactly L
+    steps from u's image in B (``_walk_ends``).  By parity
+    (``_odd_vertices``): at a depth whose vertex has no earlier Gaifman
+    neighbour, pinned depths included, a vertex of a non-bipartite
+    component must go to a non-bipartite component of B.  Without them an
+    image of the wrong parity or too far away is refuted only after every
+    path below it.  Plain homomorphisms may merge neighbours, so neither
+    screen holds for them.  Iso and copy searches (unprojected embeddings)
+    go without: there the screens cost more than they save.
     """
     injective = require_injective or kind in ("monomorphism", "embedding")
     if injective and len(A.vertices) > len(B.vertices):
@@ -777,22 +813,31 @@ def compile_search(
         avoid_unary, avoid = ((),) * n, [()] * n
     if bounds is None:
         bounds = ((),) * n
-    if project and (injective or pairwise):
+    parity = [False] * n
+    if pairwise or (project and injective):
         walks = [[(u, _walk_ends(B, L)) for u, L in pairs] for pairs in _walk_pairs(A, pinned)]
+        odd_b = _odd_vertices(B)
+        if len(odd_b) < len(B.vertices):
+            odd_a = _odd_vertices(A)
+            parity = [not nbrs and v in odd_a for v, nbrs in zip(order, earlier)]
     else:
         walks = [()] * n
     nbhd = _neighbourhoods(B, not (injective or pairwise))
     inc, prof_b = _index(B)
     prof_a = _index(A)[1] if profiles else None
-    # Depths whose candidates are screened by unary symbols or profiles;
-    # each screen is built on first use and kept for later runs.
-    screened = [profiles or bool(held) or bool(avoided) for held, avoided in zip(plan_unary, avoid_unary)]
+    # Depths whose candidates are screened by unary symbols, profiles or
+    # parity; each screen is built on first use and kept for later runs.
+    screened = [
+        profiles or bool(held) or bool(avoided) or odd
+        for held, avoided, odd in zip(plan_unary, avoid_unary, parity)
+    ]
     screens: list[Optional[set]] = [None] * n
 
     def screen(i: int) -> set:
         """The targets that v = order[i] may take: those carrying v's unary
-        symbols, none of its unary obligations, and (monomorphisms and
-        embeddings) (symbol, position) counts covering v's."""
+        symbols, none of its unary obligations, (monomorphisms and
+        embeddings) (symbol, position) counts covering v's, and (parity
+        depths) in a non-bipartite component of B."""
         if profiles:
             pa = prof_a[order[i]]
             ok = {w for w in B.vertices if all(map(ge, prof_b[w], pa))}
@@ -802,6 +847,8 @@ def compile_search(
             ok.intersection_update(t[0] for t in rels[name])
         for name in avoid_unary[i]:
             ok.difference_update(t[0] for t in rels[name])
+        if parity[i]:
+            ok.intersection_update(odd_b)
         screens[i] = ok
         return ok
 
@@ -1184,6 +1231,17 @@ def _in_orbit(v: str, tried: list[str], autos: list[dict[str, str]], fixed: list
     return not orbit.isdisjoint(tried)
 
 
+def _relabelling_invariant(ts: frozenset, vertices: tuple) -> bool:
+    """Does every permutation of the vertices map the tuple set onto
+    itself?  One transposition and one cycle through all the vertices
+    generate the permutations, so it is enough that these two do."""
+    if len(vertices) < 2:
+        return True
+    cycle = dict(zip(vertices, vertices[1:] + vertices[:1]))
+    swap = dict(zip(vertices, vertices[1::-1] + vertices[2:]))
+    return all(tuple(map(s.__getitem__, t)) in ts for s in (swap, cycle) for t in ts)
+
+
 def canonical_key(A: Structure, pinned: Sequence[str] = ()) -> tuple:
     """A complete isomorphism invariant: the least encoding of A.
 
@@ -1197,7 +1255,9 @@ def canonical_key(A: Structure, pinned: Sequence[str] = ()) -> tuple:
     The least encoding is found exactly, by branch and bound.  Labels are
     given in increasing order.  A branch is dropped when a lower bound on
     its encodings, in which every unlabelled vertex takes the least label
-    it can still get, is greater than the best encoding found.  A choice is
+    it can still get, is greater than the best encoding found; the bound
+    skips symbols that encode alike under every labelling
+    (``_relabelling_invariant``), such as a complete relation.  A choice is
     skipped when an automorphism found at two leaves with equal encodings,
     fixing every vertex labelled so far, maps it onto a choice already
     searched (McKay & Piperno, "Practical graph isomorphism, II", 2014).
@@ -1213,14 +1273,19 @@ def canonical_key(A: Structure, pinned: Sequence[str] = ()) -> tuple:
         end += len(group)
         groups.append(group)
     names = sorted(A._relations)
-    # one getter of all vertex values per nonempty symbol, with its arity
-    parts = []
+    # One getter of all vertex values per nonempty symbol, with its arity.
+    # The bound leaves out a symbol that every relabelling maps onto
+    # itself: it encodes alike at every leaf, and its bound, below the
+    # best, would stop the later symbols from pruning.
+    getters, parts = {}, []
     for name in names:
         ts = A._relations[name]
         if ts:
             flat = list(itertools.chain.from_iterable(ts))
             get = itemgetter(*flat) if len(flat) > 1 else (lambda val, v=flat[0]: (val[v],))
-            parts.append((get, len(flat) // len(ts)))
+            getters[name] = (get, len(flat) // len(ts))
+            if not _relabelling_invariant(ts, A.vertices):
+                parts.append(getters[name])
 
     def encode() -> list:
         """The bound: per symbol, the sorted tuples as base-``end``
@@ -1313,7 +1378,7 @@ def canonical_key(A: Structure, pinned: Sequence[str] = ()) -> tuple:
         # descend reaches itself through its closure: emptying its cell
         # frees the search state now rather than at a cycle collection
         del descend
-    least = iter([sorted(zip(*[iter(get(best_val))] * k)) for get, k in parts])
+    least = iter([sorted(zip(*[iter(get(best_val))] * k)) for get, k in getters.values()])
     return (
         A.language,
         len(A.vertices),

@@ -5,9 +5,13 @@ encoding over the same labellings), so the order of obstacles, pieces and
 classes is unchanged.  Structures of at most 7 vertices over a unary, a
 binary and a ternary symbol are drawn with loops and 0-3 pinned roots;
 half of them are closed under a vertex permutation, so that they have
-automorphisms for the search to find and use.
+automorphisms for the search to find and use.  Symbols that every
+relabelling maps onto themselves, such as a complete E, are left out of
+the search's bound but not out of the key; structures with such symbols
+are drawn separately.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,7 @@ import pytest
 from ramseyforge import structures
 from ramseyforge.build import complete_graph, cycle_graph, graph
 from ramseyforge.errors import CapError
-from ramseyforge.structures import Language, Structure, are_isomorphic, canonical_key
+from ramseyforge.structures import Language, Structure, _relabelling_invariant, are_isomorphic, canonical_key
 
 from key_oracle import oracle_canonical_key
 
@@ -148,3 +152,69 @@ def test_node_budget_raises_cap_error(monkeypatch):
     # no branching at all: every free vertex is alone in its group
     path = graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert canonical_key(path, ["a"]) == oracle_canonical_key(path, ["a"])
+
+
+@st.composite
+def invariant_symbol_structures(draw):
+    """Structures on at most 7 vertices in which some symbols hold every
+    tuple of some equality patterns (all distinct pairs, all loops, all
+    distinct triples, every vertex), next to random tuples of the others,
+    with 0-3 pinned roots."""
+    n = draw(st.integers(1, 7))
+    verts = [f"v{i}" for i in range(n)]
+    vertex = st.sampled_from(verts)
+    full = {
+        "U": [(v,) for v in verts],
+        "E": list(itertools.permutations(verts, 2)) + ([(v, v) for v in verts] if draw(st.booleans()) else []),
+        "T": list(itertools.permutations(verts, 3)),
+    }
+    random_tuples = {
+        "U": st.lists(st.tuples(vertex), max_size=3),
+        "E": st.lists(st.tuples(vertex, vertex), max_size=8),
+        "T": st.lists(st.tuples(vertex, vertex, vertex), max_size=6),
+    }
+    invariant = draw(st.lists(st.sampled_from(sorted(full)), min_size=1, max_size=2, unique=True))
+    rels = {name: full[name] if name in invariant else draw(random_tuples[name]) for name in full}
+    roots = draw(st.permutations(verts))[: draw(st.integers(0, min(3, n)))]
+    return Structure(LANG, verts, rels), tuple(roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(invariant_symbol_structures())
+def test_key_with_invariant_symbols_equals_oracle(case):
+    A, roots = case
+    assert canonical_key(A, roots) == oracle_canonical_key(A, roots)
+
+
+def test_relabelling_invariant_symbols():
+    abc = ("a", "b", "c")
+    pairs = set(itertools.permutations(abc, 2))
+    loops = {(v, v) for v in abc}
+    assert _relabelling_invariant(frozenset(pairs), abc)
+    assert _relabelling_invariant(frozenset(pairs | loops), abc)
+    assert _relabelling_invariant(frozenset(loops), abc)
+    assert _relabelling_invariant(frozenset({("a", "a", "b"), ("a", "a", "c"), ("b", "b", "a"),
+                                             ("b", "b", "c"), ("c", "c", "a"), ("c", "c", "b")}), abc)
+    assert not _relabelling_invariant(frozenset(pairs - {("a", "b")}), abc)
+    assert not _relabelling_invariant(frozenset(pairs), abc + ("d",))  # d is left out
+    # closed under the cycle a -> b -> c -> a, not under swapping a and b
+    assert not _relabelling_invariant(frozenset({("a", "b"), ("b", "c"), ("c", "a")}), abc)
+    # closed under swapping a and b, not under the cycle
+    assert not _relabelling_invariant(frozenset({("a", "b"), ("b", "a")}), abc)
+    assert _relabelling_invariant(frozenset({("a",)}), ("a",))
+
+
+def test_complete_binary_symbol_does_not_weaken_the_bound(monkeypatch):
+    # Complete E on ten vertices and a ternary T closed under the rotation
+    # i -> i + 1: E encodes alike under every labelling, so a bound that
+    # read it stayed below the best leaf and T never pruned (the search ran
+    # past 200,000 nodes).  Without it the key takes a few hundred.
+    verts = [f"v{i}" for i in range(10)]
+    T = [tuple(f"v{(x + s) % 10}" for x in t) for t in ((0, 1, 3), (0, 2, 7)) for s in range(10)]
+    A = Structure(LANG, verts, {"E": list(itertools.permutations(verts, 2)), "T": T})
+    monkeypatch.setattr(structures, "KEY_NODE_BUDGET", 2000)
+    key = canonical_key(A)
+    assert len(key[3][0][1]) == 90  # the key still reads E
+    names = [f"x{i}" for i in range(10)]
+    random.Random(0).shuffle(names)
+    assert canonical_key(A.rename(dict(zip(verts, names)))) == key

@@ -13,7 +13,15 @@ import gc
 from ramseyforge.build import complete_graph, cycle_graph, graph
 from ramseyforge.completion import _partitions, get_plugin, kfree_plugin
 from ramseyforge.pieces import PieceFamily, canonical_lift
-from ramseyforge.structures import Structure, compile_search, copies_of, language, search_morphisms, verify_morphism
+from ramseyforge.structures import (
+    Structure,
+    _odd_vertices,
+    compile_search,
+    copies_of,
+    language,
+    search_morphisms,
+    verify_morphism,
+)
 
 
 def library_functions_in_cycles(work) -> list[str]:
@@ -41,6 +49,10 @@ def test_searches_leave_no_cycles():
         list(search_morphisms(C5, K4, "homomorphism"))
         # abandoned after the first map
         next(search_morphisms(C5, K4, "homomorphism-embedding"))
+        # screened by walk length and parity, refuted at the first vertex
+        K33 = graph(["a0", "a1", "a2", "b0", "b1", "b2"], [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+        list(search_morphisms(cycle_graph(9), K33, "homomorphism-embedding"))
+        _odd_vertices(graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c")]))
         run = compile_search(graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), K4,
                              "homomorphism-embedding", ("a", "c"), project=True)
         list(run(()))
