@@ -1142,8 +1142,9 @@ def completion_iff_strong(plugin: ClassPlugin, size_cap: int) -> EquivalenceRepo
     The patterns are walked as canonical pair vectors, size by size, and
     both sides are decided on the vector.  The strong side is the kernel's
     verdict ``plugin._decide``.  A strong completion is a completion
-    through the identity partition, which the quotient search confirms at
-    the cost of one more kernel call.  A completion restricts to one on
+    through the identity partition, the first of ``_index_quotients``,
+    whose quotient vector is the vector itself, so a kernel success is not
+    searched again.  A completion restricts to one on
     every induced part, so a kernel failure with a part that does not
     complete does not complete either (``_hereditary_walk``); only the
     other kernel failures are searched through their quotients.  A
@@ -1158,8 +1159,6 @@ def completion_iff_strong(plugin: ClassPlugin, size_cap: int) -> EquivalenceRepo
         checked += 1
         k = len(verts)
         if plugin._decide(verts, vec)[0] is None:
-            if not _quotient_completes(plugin, vec, quotients[k]):
-                raise StructureError("strong completion without a completion")
             return False
         # the identity partition is the kernel's own verdict
         if part_fails or not _quotient_completes(plugin, vec, quotients[k][1:]):

@@ -30,6 +30,7 @@ from .structures import (
     Language,
     Morphism,
     Structure,
+    _copy_search,
     canonical_key,
     copy_images,
     gaifman_distances,
@@ -812,14 +813,24 @@ class ArrowReport:
 
 
 def _mono_sets(C: Structure, A: Structure, B: Structure) -> tuple[list, list, list]:
+    """The copies of A and of B in C, as ``copy_images`` orders them, and
+    per copy of B the ascending indices of the copies of A inside it.
+
+    An embedding of B maps the copies of A in B onto exactly the copies of
+    A in C inside its image.  So the copies of A in B are found once, as
+    positions in ``B.vertices``, and read off each copy's assignment
+    vector; no copy of A is tested against every copy of B.
+    """
     a_images = copy_images(A, C)
-    b_images = copy_images(B, C)
     index = {img: i for i, img in enumerate(a_images)}
-    groups = []
-    for img in b_images:
-        inside = [index[a] for a in a_images if a <= img]
-        groups.append(tuple(inside))
-    return a_images, b_images, groups
+    position = {v: i for i, v in enumerate(B.vertices)}
+    inside = [tuple(map(position.__getitem__, img)) for img in copy_images(A, B)]
+    b_copies = sorted(((frozenset(vec), vec) for vec in _copy_search(B, C)), key=lambda c: sorted(c[0]))
+    groups = [
+        tuple(sorted(index[frozenset(map(vec.__getitem__, at))] for at in inside))
+        for _, vec in b_copies
+    ]
+    return a_images, [img for img, _ in b_copies], groups
 
 
 def _has_mono(colouring: Sequence[int], groups: Sequence[tuple]) -> bool:

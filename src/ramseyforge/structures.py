@@ -210,12 +210,13 @@ class Structure:
         return Structure(self.language, [m(v) for v in self.vertices], rels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     """A map between structures together with its claimed kind.
 
     The certificate is re-checkable: ``verify_morphism`` decides whether the
-    mapping really is of the declared kind.
+    mapping really is of the declared kind.  Constructing one checks the
+    kind; the searches build theirs through ``_morphism``, which does not.
     """
 
     source: Structure
@@ -244,6 +245,28 @@ class Morphism:
         d = self.as_dict()
         comp = {u: d[v] for u, v in other.map}
         return Morphism.make(other.source, self.target, comp, kind or self.kind)
+
+
+_new_morphism = object.__new__
+_set_source, _set_target, _set_map, _set_kind = (
+    getattr(Morphism, name).__set__ for name in ("source", "target", "map", "kind")
+)
+
+
+def _morphism(source: Structure, target: Structure, map: tuple, kind: str) -> Morphism:
+    """A ``Morphism`` built through its slots, without ``__post_init__``.
+
+    Only for maps whose kind is known to be valid: those of
+    ``search_morphisms``, which checks the kind on entry, and the witness
+    embeddings of ``copies_of``.  It equals, hashes and prints like
+    ``Morphism(source, target, map, kind)``.
+    """
+    m = _new_morphism(Morphism)
+    _set_source(m, source)
+    _set_target(m, target)
+    _set_map(m, map)
+    _set_kind(m, kind)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -729,10 +752,12 @@ def search_morphisms(
     The plan, the obligations, the incidence lists and profiles, and the
     sorted neighbourhoods are filled lazily on the structures themselves,
     so their set-up is paid once per structure.  The search itself is
-    ``compile_search`` followed by one run.  That one kernel also serves
-    the copy searches (with orbit bounds) and projections: which images of
-    the pinned vertices extend to a morphism, in one run, for canonical
-    lifts and orbit bounds.
+    ``compile_search`` followed by one run, whose assignment vectors are
+    wrapped here, each into one ``Morphism``; the kernel builds none.
+    That one kernel also serves the copy searches (with orbit bounds),
+    which read the vectors directly, and projections: which images of the
+    pinned vertices extend to a morphism, in one run, for canonical lifts
+    and orbit bounds.
     """
     if A.language != B.language:
         raise LanguageMismatchError("morphism search requires a shared language")
@@ -746,7 +771,9 @@ def search_morphisms(
                 raise MorphismError("fixed assignment uses undeclared vertices")
     pinned = tuple(sorted(fixed))
     run = compile_search(A, B, kind, pinned, require_injective)
-    yield from run(tuple(map(fixed.__getitem__, pinned)))
+    verts = A.vertices
+    for vec in run(tuple(map(fixed.__getitem__, pinned))):
+        yield _morphism(A, B, tuple(zip(verts, vec)), kind)
 
 
 def compile_search(
@@ -761,10 +788,14 @@ def compile_search(
     """The compile step of ``search_morphisms``, for repeated pinned runs.
 
     ``pinned`` is a sorted tuple of distinct source vertices.  The result
-    ``run(values)`` yields what ``search_morphisms(A, B, kind, fixed=
-    dict(zip(pinned, values)), require_injective=...)`` yields, in the same
-    order; runs are independent of each other.  Everything but the pinned
-    values is set up here, once: the plan, B's relations bound to its
+    ``run(values)`` yields assignment vectors in ``A.vertices`` order: the
+    images of A's vertices under each map that ``search_morphisms(A, B,
+    kind, fixed=dict(zip(pinned, values)), require_injective=...)``
+    yields, in the same order, and ``()`` once for an empty A, so a caller
+    asks ``is not None`` of a first vector, never its truth.  No
+    ``Morphism`` is built here.  Runs are independent of each other.
+    Everything but the pinned values is set up here, once: the plan, B's
+    relations bound to its
     checks and obligations, the neighbourhoods, the incidence lists and
     profiles, and the per-depth candidate screens.  The arguments are not
     validated; ``search_morphisms`` is the checked entry point.
@@ -907,7 +938,7 @@ def compile_search(
                         if not last:
                             yield from extend(i + 1)
                         elif not project:
-                            yield Morphism(A, B, tuple(zip(A.vertices, map(d.__getitem__, A.vertices))), kind)
+                            yield tuple(map(d.__getitem__, A.vertices))
                         elif i + 1 == n:
                             yield tuple(map(d.__getitem__, pinned))
                         elif next(extend(i + 1), None) is not None:
@@ -921,7 +952,7 @@ def compile_search(
 
         try:
             if n == 0:
-                yield Morphism(A, B, (), kind)
+                yield ()
             else:
                 yield from extend(0)
         finally:
@@ -935,9 +966,10 @@ def enumerate_morphisms(A: Structure, B: Structure, kind: str) -> list[Morphism]
     return list(search_morphisms(A, B, kind))
 
 
-def _copy_search(A: Structure, B: Structure) -> Iterator[Morphism]:
+def _copy_search(A: Structure, B: Structure) -> Iterator[tuple[str, ...]]:
     """One embedding per copy of A in B, the least of its coset f∘Aut(A),
-    in the order of assignment vectors."""
+    as its assignment vector in ``A.vertices`` order, in the order of
+    those vectors."""
     if A.language != B.language:
         raise LanguageMismatchError("morphism search requires a shared language")
     return compile_search(A, B, "embedding", bounds=_orbit_bounds(A))(())
@@ -946,8 +978,9 @@ def _copy_search(A: Structure, B: Structure) -> Iterator[Morphism]:
 def copy_images(A: Structure, B: Structure) -> list[frozenset]:
     """The copies of A in B as image vertex sets, in the order of their
     sorted tuples: the keys of ``copies_of``, found with one embedding per
-    copy instead of |Aut(A)|."""
-    return sorted((m.image_vertices() for m in _copy_search(A, B)), key=sorted)
+    copy instead of |Aut(A)|.  Each copy is the vertex set of one
+    assignment vector of the copy search; no ``Morphism`` is built."""
+    return sorted(map(frozenset, _copy_search(A, B)), key=sorted)
 
 
 def copies_of(A: Structure, B: Structure) -> dict[frozenset, list[Morphism]]:
@@ -956,33 +989,35 @@ def copies_of(A: Structure, B: Structure) -> dict[frozenset, list[Morphism]]:
     assignment vectors.
 
     Embeddings with one image form a coset f∘Aut(A).  The search finds the
-    least embedding of each coset only (see ``_orbit_bounds``), and each is
-    composed with every automorphism of A to give the witnesses.  Aut(A) is
-    enumerated once, when the first copy turns up.  The order of the
-    composed vectors depends only on how the least embedding's images
-    rank, so the automorphisms are sorted once per rank pattern, as
-    getters.  Callers that need only the images use ``copy_images``.
+    assignment vector of the least embedding of each coset only (see
+    ``_orbit_bounds``), and each is composed with every automorphism of A
+    to give the witnesses.  Aut(A) is enumerated once, as vectors, when
+    the first copy turns up.  The order of the composed vectors depends
+    only on how the least vector's images rank, so the automorphisms are
+    sorted once per rank pattern, as getters.  The witnesses are the only
+    ``Morphism`` objects built.  Callers that need only the images use
+    ``copy_images``.
     """
     out: dict[frozenset, list[Morphism]] = {}
+    verts = A.vertices
     perms = None
     getters: dict[tuple, list[itemgetter]] = {}
-    for m in _copy_search(A, B):
-        if len(A.vertices) < 2:
+    for vec in _copy_search(A, B):
+        if len(verts) < 2:
             # Aut(A) is trivial; an itemgetter of one index gives no tuple
-            out[m.image_vertices()] = [m]
+            out[frozenset(vec)] = [_morphism(A, B, tuple(zip(verts, vec)), "embedding")]
             continue
         if perms is None:
-            index = {v: i for i, v in enumerate(A.vertices)}
-            perms = [tuple(index[w] for _, w in s.map) for s in compile_search(A, A, "embedding")(())]
-        values = [w for _, w in m.map]
-        pattern = tuple(sorted(range(len(values)), key=values.__getitem__))
+            index = {v: i for i, v in enumerate(verts)}
+            perms = [tuple(map(index.__getitem__, s)) for s in compile_search(A, A, "embedding")(())]
+        pattern = tuple(sorted(range(len(vec)), key=vec.__getitem__))
         gets = getters.get(pattern)
         if gets is None:
             rank = dict(zip(pattern, count()))
             perms.sort(key=lambda perm: list(map(rank.__getitem__, perm)))
             gets = getters[pattern] = [itemgetter(*perm) for perm in perms]
-        out[m.image_vertices()] = [
-            Morphism(A, B, tuple(zip(A.vertices, get(values))), "embedding") for get in gets
+        out[frozenset(vec)] = [
+            _morphism(A, B, tuple(zip(verts, get(vec))), "embedding") for get in gets
         ]
     return dict(sorted(out.items(), key=lambda kv: tuple(sorted(kv[0]))))
 
@@ -1169,9 +1204,7 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Morphism]:
             return None
     if sorted(_index(A)[1].values()) != sorted(_index(B)[1].values()):
         return None
-    for m in search_morphisms(A, B, "embedding"):
-        return Morphism.make(A, B, m.as_dict(), "embedding")
-    return None
+    return next(search_morphisms(A, B, "embedding"), None)
 
 
 # Search nodes ``canonical_key`` may visit before it raises CapError.

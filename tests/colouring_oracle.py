@@ -6,11 +6,30 @@ colours ascending with the first copy pinned to 0, and tests a group only
 once its largest member is coloured.  It never rules a colour out ahead of
 time, so it is obviously faithful to the definition; the tests compare the
 kernel's verdict, colouring and node count against it.
+
+``oracle_mono_sets`` builds the groups of an arrow C -> (B)^A_k as
+``ramsey._mono_sets`` did before it mapped the copies of A in B through
+each copy of B: every copy of A is tested against every copy of B.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
+
+from ramseyforge.structures import Structure, copy_images
+
+
+def oracle_mono_sets(C: Structure, A: Structure, B: Structure) -> tuple[list, list, list]:
+    """The copies of A and of B in C, and per copy of B the indices of the
+    copies of A that are subsets of it, ascending."""
+    a_images = copy_images(A, C)
+    b_images = copy_images(B, C)
+    index = {img: i for i, img in enumerate(a_images)}
+    groups = []
+    for img in b_images:
+        inside = [index[a] for a in a_images if a <= img]
+        groups.append(tuple(inside))
+    return a_images, b_images, groups
 
 
 def oracle_search(

@@ -16,7 +16,9 @@ built-in class has a violation, so the weak side is also checked alone: on
 every canonical pattern with at most four vertices that the kernel fails,
 the quotient verdict on the vector must be ``try_completion``'s, and the
 toy class of one looped vertex, which has violations, must give the
-oracle's report.
+oracle's report.  The first quotient, the identity partition, must read
+every canonical pattern on at most five vertices as itself, so that the
+report may take a kernel success for a completion without asking again.
 """
 
 import itertools
@@ -311,6 +313,35 @@ def test_quotient_verdicts_match_try_completion(name):
     # failures complete through a quotient
     assert (tried == 0) == (name == "metric:1,2")
     assert (weak > 0) == (name == "toy-loop")
+
+
+class _KernelRecorder:
+    """Stands in for a plugin in ``_quotient_completes``: records each
+    quotient pattern the kernel is asked about and completes it."""
+
+    def __init__(self):
+        self.asked = []
+
+    def _decide(self, verts, vec):
+        self.asked.append((verts, tuple(vec)))
+        return (None,)
+
+
+# one built-in plugin per distinct pair_flip
+FLIP_PLUGINS = sorted({plugin.pair_flip: name for name, plugin in reversed(PLUGINS.items())}.values())
+
+
+@pytest.mark.parametrize("name", FLIP_PLUGINS)
+def test_identity_quotient_reads_every_vector_as_itself(name):
+    # completion_iff_strong takes a kernel success for a completion
+    # through the identity partition without asking the kernel again
+    flip = PLUGINS[name].pair_flip
+    for k in range(6):
+        identity = _index_quotients(k, flip)[0]
+        for vec in _canonical_pair_vectors(k, len(flip), flip):
+            recorder = _KernelRecorder()
+            assert _quotient_completes(recorder, vec, [identity])
+            assert recorder.asked == [(_pattern_vertices(k), vec)], (k, vec)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,10 @@
 ``copies_of`` and ``copy_images`` search for one embedding per copy and
 rebuild the witnesses from Aut(A).  Both must agree with the oracle that
 groups all embeddings found by the unindexed search by their images: equal
-dicts, equal key order and equal witness order.  The patterns are chosen for
-large automorphism groups, where the bounds cut the most.  The bounds
+dicts, equal key order and equal witness order, and the copy search must
+yield the assignment vector of each copy's first embedding, in order.  The
+patterns are chosen for large automorphism groups, where the bounds cut the
+most.  The empty source yields the empty vector, once.  The bounds
 themselves, read off one projected search per depth, must equal those of
 one first-witness run per later vertex.
 """
@@ -15,13 +17,17 @@ from hypothesis import given, settings, strategies as st
 from ramseyforge.build import ORDERED_GRAPH
 from ramseyforge.errors import LanguageMismatchError
 from ramseyforge.structures import (
+    MORPHISM_KINDS,
     Morphism,
     Structure,
     _copy_search,
     _orbit_bounds,
+    are_isomorphic,
+    compile_search,
     copies_of,
     copy_images,
     language,
+    search_morphisms,
 )
 
 from search_oracle import oracle_copies_of, oracle_orbit_bounds, oracle_search
@@ -98,11 +104,12 @@ def copy_searches(draw):
 
 
 def first_per_image(found):
+    """The assignment vector of the first map with each image."""
     seen, out = set(), []
     for m in found:
         if m.image_vertices() not in seen:
             seen.add(m.image_vertices())
-            out.append(m.map)
+            out.append(tuple(w for _, w in m.map))
     return out
 
 
@@ -116,8 +123,8 @@ def test_copies_match_grouped_oracle(case):
     assert list(found) == list(expected)
     assert all(found[image] == ms for image, ms in expected.items())
     assert copy_images(A, B) == list(expected)
-    # the search itself yields exactly the first embedding of each copy
-    assert [m.map for m in _copy_search(A, B)] == first_per_image(oracle_search(A, B, "embedding"))
+    # the search itself yields exactly the first embedding of each copy, as a vector
+    assert list(_copy_search(A, B)) == first_per_image(oracle_search(A, B, "embedding"))
 
 
 @st.composite
@@ -145,6 +152,18 @@ def test_copies_of_the_empty_structure():
     assert copies_of(empty, B) == {frozenset(): [Morphism(empty, B, (), "embedding")]} == oracle_copies_of(empty, B)
     assert copy_images(empty, B) == [frozenset()]
     assert copies_of(empty, empty) == {frozenset(): [Morphism(empty, empty, (), "embedding")]}
+    assert copy_images(empty, empty) == [frozenset()]
+
+
+def test_the_empty_source_yields_the_empty_vector():
+    # ``()`` is falsy, so a first vector is asked ``is not None``
+    empty = Structure(MIXED, [], {})
+    B = Structure(MIXED, ["a", "b"], {"E": [("a", "b")]})
+    assert list(_copy_search(empty, B)) == [()]
+    for kind in MORPHISM_KINDS:
+        assert list(compile_search(empty, B, kind)(())) == [()]
+        assert list(search_morphisms(empty, B, kind)) == [Morphism(empty, B, (), kind)]
+    assert are_isomorphic(empty, Structure(MIXED, [], {})) == Morphism(empty, empty, (), "embedding")
 
 
 def test_no_copies_of_a_larger_pattern():

@@ -1,7 +1,9 @@
 """The indexed morphism search against the unindexed reference backtracker.
 
 Both must produce the same maps in the same order, for every kind, with and
-without pinned vertices and forced injectivity.  A projected search must
+without pinned vertices and forced injectivity.  An unprojected compiled
+run must yield those maps as assignment vectors in the source's vertex
+order, nothing else and in the same order.  A projected search must
 yield the image tuples that runs pinned at each tuple find a map for, in
 the same order.  ``verify_morphism`` of a homomorphism-embedding, which
 reads the span obligations the search files, must agree with the check
@@ -107,6 +109,18 @@ def test_indexed_search_matches_oracle(case):
     assert maps(search_morphisms(A, B, kind, fixed=fixed, require_injective=injective)) == maps(
         oracle_search(A, B, kind, fixed=fixed, require_injective=injective)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_unprojected_runs_yield_assignment_vectors(case):
+    A, B, kind, fixed, injective = case
+    pinned = tuple(sorted(fixed))
+    run = compile_search(A, B, kind, pinned, injective)
+    assert list(run(tuple(map(fixed.__getitem__, pinned)))) == [
+        tuple(w for _, w in m.map)
+        for m in oracle_search(A, B, kind, fixed=fixed, require_injective=injective)
+    ]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from ramseyforge.structures import (
     is_strong_amalgamation,
     language,
     linear_order,
+    search_morphisms,
     verify_morphism,
 )
 
@@ -350,6 +352,39 @@ class TestAmalgamation:
         d2 = am.right.as_dict()
         for t in am.structure.tuples("E"):
             assert not (d1["x"] in t and d2["y"] in t)
+
+
+class TestMorphismObjects:
+    """Morphisms built by the search, by ``copies_of`` and by the public
+    constructor are alike: slots, frozen, equal, equal hashes and reprs."""
+
+    def test_search_and_copies_build_public_morphisms(self):
+        A = graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        B = graph(["k0", "k1", "k2", "k3"], [("k0", "k2"), ("k1", "k2"), ("k2", "k3")])
+        searched = next(search_morphisms(A, B, "embedding", fixed={"b": "k2"}))
+        witness = copies_of(A, B)[frozenset({"k0", "k1", "k2"})][1]
+        for m in (searched, witness):
+            built = Morphism(m.source, m.target, m.map, m.kind)
+            assert m == built and hash(m) == hash(built) and repr(m) == repr(built)
+            assert m.kind == "embedding" and verify_morphism(m)
+            assert not hasattr(m, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                m.kind = "homomorphism"
+            # a new name fails too: there is no __dict__ to take it (the
+            # frozen check raises TypeError here on a slotted dataclass)
+            with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+                m.extra = 1
+        assert searched.map == (("a", "k0"), ("b", "k2"), ("c", "k1"))
+        assert witness.map == (("a", "k1"), ("b", "k2"), ("c", "k0"))
+
+    def test_public_constructor_still_validates_the_kind(self):
+        A = Structure(GRAPH, [], {})
+        with pytest.raises(MorphismError):
+            Morphism(A, A, (), "bogus")
+        with pytest.raises(MorphismError):
+            Morphism.make(A, A, {}, "bogus")
+        with pytest.raises(MorphismError):
+            next(search_morphisms(A, A, "bogus"))
 
 
 class TestIsomorphism:
