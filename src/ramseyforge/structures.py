@@ -10,7 +10,6 @@ declare the tuples they mean.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, count, repeat
@@ -76,12 +75,15 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # ``_adj``, the nine search caches below it and the closure indexes are
+    # ``_adj``, the eight search caches below it and the closure indexes are
     # filled lazily, per instance; see ``search_morphisms``, ``copies_of``
-    # and ``closures.u_closure_set``.
+    # and ``closures.u_closure_set``.  ``_nbhd``, ``_walks`` and ``_odd``
+    # hold bitmasks over the sorted vertices, bit j for ``vertices[j]``:
+    # neighbourhoods and tuple incidences, walk ends per length, and the
+    # non-bipartite components (see ``_vertex_masks``).
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash", "_adj",
-        "_plans", "_obligations", "_walk_pairs", "_orbit_bounds", "_profile", "_incidence",
+        "_plans", "_obligations", "_walk_pairs", "_orbit_bounds", "_profile",
         "_nbhd", "_walks", "_odd", "_closures",
     )
 
@@ -126,7 +128,6 @@ class Structure:
         object.__setattr__(self, "_walk_pairs", None)
         object.__setattr__(self, "_orbit_bounds", None)
         object.__setattr__(self, "_profile", None)
-        object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_nbhd", None)
         object.__setattr__(self, "_walks", None)
         object.__setattr__(self, "_odd", None)
@@ -401,8 +402,8 @@ def _source_plan(A: Structure, pinned: tuple[str, ...]) -> tuple:
     where the getter reads the tuple's image off the partial map;
     ``unary[i]`` names the unary symbols holding ``(order[i],)``;
     ``occurrences[i]`` counts the occurrences of ``order[i]`` in all those
-    tuples; ``earlier[i]`` lists the Gaifman neighbours of ``order[i]``
-    that come before it.
+    tuples; ``earlier[i]`` lists the depths of the Gaifman neighbours of
+    ``order[i]`` that come before it.
     """
     plans = A._plans
     if plans is None:
@@ -426,7 +427,7 @@ def _source_plan(A: Structure, pinned: tuple[str, ...]) -> tuple:
                     checks[i].append((name, itemgetter(*t)))
         adj = A.adjacency()
         earlier = tuple(
-            tuple(u for u in order[:i] if u in adj[v]) for i, v in enumerate(order)
+            tuple(j for j, u in enumerate(order[:i]) if u in adj[v]) for i, v in enumerate(order)
         )
         plan = (order, tuple(map(tuple, checks)), tuple(map(tuple, unary)),
                 tuple(occurrences), earlier)
@@ -579,114 +580,142 @@ def _orbit_bounds(A: Structure) -> tuple:
     return bounds
 
 
-def _index(B: Structure) -> tuple[dict[str, list[tuple]], dict[str, list[int]]]:
-    """Incidence lists and vertex profiles of B, built in one pass and
-    cached on B.
-
-    ``incidence[w]`` lists the tuples of B (of any symbol) that contain w,
-    once per occurrence of w.  ``profile[w]`` counts w's occurrences by
-    (symbol, position); the slots run over the language's symbols in
-    declaration order and over each symbol's positions, so profiles of two
-    structures over one language compare slot by slot.
+def _profiles(B: Structure) -> dict[str, list[int]]:
+    """The vertex profiles of B, cached on B: ``profile[w]`` counts w's
+    occurrences by (symbol, position).  The slots run over the language's
+    symbols in declaration order and over each symbol's positions, so
+    profiles of two structures over one language compare slot by slot.
     """
-    if B._incidence is None:
+    if B._profile is None:
         base, width = {}, 0
         for name, arity in B.language.symbols:
             base[name] = width
             width += arity
-        incidence: dict[str, list[tuple]] = {w: [] for w in B.vertices}
         profile = {w: [0] * width for w in B.vertices}
         for name, ts in B._relations.items():
             for t in ts:
                 for i, w in enumerate(t, base[name]):
-                    incidence[w].append(t)
                     profile[w][i] += 1
-        object.__setattr__(B, "_incidence", incidence)
         object.__setattr__(B, "_profile", profile)
-    return B._incidence, B._profile
+    return B._profile
 
 
-class _Neighbourhoods(dict):
-    """w -> the Gaifman neighbourhood of w, with w itself when ``closed``,
-    as ``(sorted tuple, set)``; each entry is built on first lookup from
-    the incidence lists of ``_index``."""
+def _vertex_masks(B: Structure) -> tuple:
+    """The bitmask view of B that the search runs on, built in one pass
+    over the tuples and cached on B.
 
-    __slots__ = ("incidence", "closed")
-
-    def __init__(self, incidence: dict[str, list[tuple]], closed: bool):
-        super().__init__()
-        self.incidence = incidence
-        self.closed = closed
-
-    def __missing__(self, w: str) -> tuple[tuple, frozenset]:
-        s = frozenset().union(*self.incidence[w])
-        s = s | {w} if self.closed else s - {w}
-        hit = self[w] = (tuple(sorted(s)), s)
-        return hit
-
-
-def _neighbourhoods(B: Structure, closed: bool) -> _Neighbourhoods:
+    Bit j of a mask stands for ``B.vertices[j]``; the vertices are sorted,
+    so ascending bit order is sorted vertex order.  Returns ``(index,
+    open, closed, alone, by_top)``: ``index`` maps each vertex to its bit;
+    ``open[j]`` and ``closed[j]`` are the Gaifman neighbourhood of vertex
+    j without and with j itself.  The other two file the occurrences of j
+    in the tuples of B, of any symbol, for the reflection count:
+    ``alone[j]`` counts those in tuples on j alone; every other tuple is
+    filed under its top member besides j, a neighbour's bit x, with
+    ``by_top[j][x] = [occurrences in tuples on j and x alone, masks of
+    the wider tuples, once per occurrence]``.  A tuple lies inside a
+    vertex set holding j only if its top member does, so the count over
+    a set visits only its members' entries.
+    """
     cache = B._nbhd
     if cache is None:
-        incidence = _index(B)[0]
-        cache = (_Neighbourhoods(incidence, False), _Neighbourhoods(incidence, True))
+        index = {w: j for j, w in enumerate(B.vertices)}
+        closed = [1 << j for j in range(len(index))]
+        alone = [0] * len(closed)
+        by_top: list[dict[int, list]] = [{} for _ in closed]
+        for ts in B._relations.values():
+            for t in ts:
+                js = list(map(index.__getitem__, t))
+                m = 0
+                for j in js:
+                    m |= 1 << j
+                for j in js:
+                    closed[j] |= m
+                    others = m ^ 1 << j
+                    if not others:
+                        alone[j] += 1
+                        continue
+                    top = 1 << others.bit_length() - 1
+                    filed = by_top[j].get(top)
+                    if filed is None:
+                        filed = by_top[j][top] = [0, []]
+                    if others == top:
+                        filed[0] += 1
+                    else:
+                        filed[1].append(m)
+        opened = [m ^ 1 << j for j, m in enumerate(closed)]
+        cache = (index, opened, closed, alone, by_top)
         object.__setattr__(B, "_nbhd", cache)
-    return cache[closed]
+    return cache
 
 
-class _WalkEnds(dict):
-    """x -> the ends of the walks of exactly L steps from x in the Gaifman
-    graph, as a frozenset; each entry is built on first lookup from the
-    ends of the walks of L - 1 steps (``fewer``, None for L = 1) and the
-    open neighbourhoods."""
-
-    __slots__ = ("fewer", "nbhd")
-
-    def __init__(self, fewer: Optional["_WalkEnds"], nbhd: _Neighbourhoods):
-        super().__init__()
-        self.fewer = fewer
-        self.nbhd = nbhd
-
-    def __missing__(self, x: str) -> frozenset:
-        nbhd = self.nbhd
-        if self.fewer is None:
-            ends = nbhd[x][1]
-        else:
-            ends = frozenset().union(*[nbhd[y][1] for y in self.fewer[x]])
-        self[x] = ends
-        return ends
+# the ``by_top`` entry of a neighbour that tops no tuple
+_UNFILED = (0, ())
 
 
-def _walk_ends(B: Structure, length: int) -> _WalkEnds:
-    """The walk ends of B for one length, cached on B by length next to
-    the neighbourhoods."""
+def _walk_ends(B: Structure, length: int) -> list[int]:
+    """``ends[j]``: the ends of the walks of exactly ``length`` steps from
+    vertex j in the Gaifman graph of B, as a mask.  Cached on B by length,
+    each length built from the one below it: a walk of L steps is a step
+    to a neighbour and a walk of L - 1 steps from there."""
     walks = B._walks
     if walks is None:
         walks = []
         object.__setattr__(B, "_walks", walks)
+    opened = _vertex_masks(B)[1]
     while len(walks) < length:
-        walks.append(_WalkEnds(walks[-1] if walks else None, _neighbourhoods(B, False)))
+        if not walks:
+            walks.append(opened)
+            continue
+        fewer, ends = walks[-1], []
+        for m in opened:
+            e = 0
+            while m:
+                low = m & -m
+                e |= fewer[low.bit_length() - 1]
+                m ^= low
+            ends.append(e)
+        walks.append(ends)
     return walks[length - 1]
 
 
-def _odd_vertices(A: Structure) -> frozenset:
-    """The vertices of A whose Gaifman component is not bipartite, cached
-    on A next to the walk ends.  One ``gaifman_distances`` call per
-    component: a component has an odd cycle iff one of its edges joins two
-    vertices at equal distance from its first vertex."""
+def _odd_mask(A: Structure) -> int:
+    """The mask of the vertices of A whose Gaifman component is not
+    bipartite, cached on A next to the walk ends.  One breadth-first search
+    per component on the open neighbourhoods: a component has an odd cycle
+    iff one of its edges joins two vertices at equal distance from its
+    first vertex."""
     odd = A._odd
     if odd is None:
-        adj = A.adjacency()
-        found, seen = set(), set()
-        for v in A.vertices:
-            if v not in seen:
-                dist = gaifman_distances(A, v)
-                seen.update(dist)
-                if any(dist[x] == dist[y] for x in dist for y in adj[x]):
-                    found.update(dist)
-        odd = frozenset(found)
+        opened = _vertex_masks(A)[1]
+        full = (1 << len(opened)) - 1
+        odd = seen = 0
+        while seen != full:
+            # the component of the first vertex not seen yet, layer by layer
+            layer = component = ~seen & (seen + 1)
+            odd_edge = False
+            while layer:
+                reached, m = 0, layer
+                while m:
+                    low = m & -m
+                    nbrs = opened[low.bit_length() - 1]
+                    odd_edge = odd_edge or bool(nbrs & layer)
+                    reached |= nbrs
+                    m ^= low
+                layer = reached & ~component
+                component |= layer
+            seen |= component
+            if odd_edge:
+                odd |= component
         object.__setattr__(A, "_odd", odd)
     return odd
+
+
+def _odd_vertices(A: Structure) -> frozenset:
+    """The vertices of A whose Gaifman component is not bipartite
+    (``_odd_mask`` as names)."""
+    odd = _odd_mask(A)
+    return frozenset(v for j, v in enumerate(A.vertices) if odd >> j & 1)
 
 
 def search_morphisms(
@@ -717,18 +746,20 @@ def search_morphisms(
       share a source tuple, so their images share a target tuple or
       coincide: v's image lies in ``adj_B(d[u]) | {d[u]}``, and in
       ``adj_B(d[u])`` alone when the map must separate u and v (injective
-      kinds and homomorphism-embeddings).  The candidates are the first
-      such neighbourhood, kept as a sorted tuple, filtered by membership in
-      the others; with no earlier neighbour they are all of B's vertices.
-      No set is ever iterated to order candidates.
+      kinds and homomorphism-embeddings).  Each neighbourhood is a bitmask
+      over B's sorted vertices, so the candidates are the AND of those of
+      all earlier neighbours (all of B's vertices when there is none),
+      taken lowest bit first, which is sorted order.
     - **Incremental reflection** (embeddings).  When v is mapped to w, the
       occurrences of w in target tuples inside the image are counted.  The
       depth's source tuples map injectively onto some of those tuples, with
       w occurring where v did, so every one of them pulls back to a source
       tuple exactly when the count equals v's occurrences in the depth's
       source tuples.  A partial map that fails cannot extend to an
-      embedding.  Monomorphisms and embeddings also skip targets whose
-      (symbol, position) occurrence counts fall below v's.
+      embedding.  The count visits only the tuples that ``_vertex_masks``
+      files under w's neighbours in the image.  Monomorphisms and
+      embeddings also skip targets whose (symbol, position) occurrence
+      counts fall below v's.
     - **Span reflection as plan checks** (homomorphism-embeddings).  The
       source's span obligations (tuples outside a relation of A whose
       vertices lie in an irreducible substructure; see
@@ -749,15 +780,15 @@ def search_morphisms(
       after every path.  Plain homomorphisms may merge neighbours and are
       never screened (see ``compile_search``).
 
-    The plan, the obligations, the incidence lists and profiles, and the
-    sorted neighbourhoods are filled lazily on the structures themselves,
-    so their set-up is paid once per structure.  The search itself is
-    ``compile_search`` followed by one run, whose assignment vectors are
-    wrapped here, each into one ``Morphism``; the kernel builds none.
-    That one kernel also serves the copy searches (with orbit bounds),
-    which read the vectors directly, and projections: which images of the
-    pinned vertices extend to a morphism, in one run, for canonical lifts
-    and orbit bounds.
+    The plan, the obligations, the profiles, and the neighbourhood,
+    incidence and walk-end masks are filled lazily on the structures
+    themselves, so their set-up is paid once per structure.  The search
+    itself is ``compile_search`` followed by one run, whose assignment
+    vectors are wrapped here, each into one ``Morphism``; the kernel
+    builds none.  That one kernel also serves the copy searches (with
+    orbit bounds), which read the vectors directly, and projections: which
+    images of the pinned vertices extend to a morphism, in one run, for
+    canonical lifts and orbit bounds.
     """
     if A.language != B.language:
         raise LanguageMismatchError("morphism search requires a shared language")
@@ -795,30 +826,41 @@ def compile_search(
     asks ``is not None`` of a first vector, never its truth.  No
     ``Morphism`` is built here.  Runs are independent of each other.
     Everything but the pinned values is set up here, once: the plan, B's
-    relations bound to its
-    checks and obligations, the neighbourhoods, the incidence lists and
-    profiles, and the per-depth candidate screens.  The arguments are not
-    validated; ``search_morphisms`` is the checked entry point.
+    relations bound to its checks and obligations, B's vertex masks and
+    the per-depth candidate screens.  The arguments are not validated;
+    ``search_morphisms`` is the checked entry point.
+
+    A run is one flat loop over bitmasks of B's vertices (bit j for
+    ``B.vertices[j]``, see ``_vertex_masks``), with no generator or call
+    per search node.  On entering depth i it builds the candidate mask
+    once, as one AND chain: the neighbourhoods of the earlier neighbours'
+    images, the walk ends, the depth's screen, the images of the earlier
+    depths cleared when the map must be injective there, and the bits
+    above the largest bounded image.  The depth's remaining candidates
+    wait on a stack while the run goes deeper, and are taken lowest bit
+    first, which is B's sorted vertex order.  The relation checks, the
+    span obligations and the reflection count then test each candidate
+    in turn.
 
     The copy searches pass ``bounds``, per depth the earlier source
     vertices whose images a candidate must exceed (``_orbit_bounds``);
-    the output is then the subsequence of maps that satisfy them.  Since
-    candidates come in sorted order, a bound just cuts off a prefix.
+    the output is then the subsequence of maps that satisfy them.
 
     With ``project`` (and ``pinned`` non-empty), ``run(values)`` answers
     a projection instead: it yields every tuple of pairwise distinct
     images of ``pinned`` that starts with ``values`` (a prefix, possibly
     empty) and extends to a morphism, once each, in lexicographic order.
-    The pinned depths after the prefix are searched like the others, and
-    below each pinned tuple the run stops at the first morphism, so one
-    run replaces a run per tuple.
+    The pinned depths after the prefix are searched like the others;
+    the first complete map below a pinned tuple yields it, and the run
+    goes straight back to the last pinned depth, so one run replaces a
+    run per tuple.
 
     Every homomorphism-embedding search, and every projection of an
     injective kind, screens candidates twice; all these maps separate
     Gaifman neighbours.  By walk length (``_walk_pairs``): at source
     distance L from a placed u, a candidate must end a walk of exactly L
     steps from u's image in B (``_walk_ends``).  By parity
-    (``_odd_vertices``): at a depth whose vertex has no earlier Gaifman
+    (``_odd_mask``): at a depth whose vertex has no earlier Gaifman
     neighbour, pinned depths included, a vertex of a non-bipartite
     component must go to a non-bipartite component of B.  Without them an
     image of the wrong parity or too far away is refuted only after every
@@ -835,7 +877,12 @@ def compile_search(
 
     order, plan_checks, plan_unary, occurrences, earlier = _source_plan(A, pinned)
     n, k = len(order), len(pinned)
+    verts, verts_a = B.vertices, A.vertices
     rels = B._relations
+    index, opened, closed, alone, by_top = _vertex_masks(B)
+    nbhd = opened if injective or pairwise else closed
+    full = (1 << len(verts)) - 1
+    depth = {v: i for i, v in enumerate(order)}
     checks = [[(rels[name], get) for name, get in cs] for cs in plan_checks]
     if pairwise:
         avoid_unary, avoid_checks = _span_obligations(A, pinned)
@@ -843,85 +890,85 @@ def compile_search(
     else:
         avoid_unary, avoid = ((),) * n, [()] * n
     if bounds is None:
-        bounds = ((),) * n
+        bounded = [()] * n
+    else:
+        bounded = [tuple(map(depth.__getitem__, b)) for b in bounds]
     parity = [False] * n
+    odd_b = full
     if pairwise or (project and injective):
-        walks = [[(u, _walk_ends(B, L)) for u, L in pairs] for pairs in _walk_pairs(A, pinned)]
-        odd_b = _odd_vertices(B)
-        if len(odd_b) < len(B.vertices):
-            odd_a = _odd_vertices(A)
-            parity = [not nbrs and v in odd_a for v, nbrs in zip(order, earlier)]
+        walks = [[(depth[u], _walk_ends(B, L)) for u, L in pairs] for pairs in _walk_pairs(A, pinned)]
+        odd_b = _odd_mask(B)
+        if odd_b != full:
+            odd_a, index_a = _odd_mask(A), _vertex_masks(A)[0]
+            parity = [not nbrs and odd_a >> index_a[v] & 1 for v, nbrs in zip(order, earlier)]
     else:
         walks = [()] * n
-    nbhd = _neighbourhoods(B, not (injective or pairwise))
-    inc, prof_b = _index(B)
-    prof_a = _index(A)[1] if profiles else None
-    # Depths whose candidates are screened by unary symbols, profiles or
-    # parity; each screen is built on first use and kept for later runs.
-    screened = [
-        profiles or bool(held) or bool(avoided) or odd
+    prof_b = _profiles(B) if profiles else None
+    prof_a = _profiles(A) if profiles else None
+    # Per depth, the targets that order[i] may take: those carrying its
+    # unary symbols, none of its unary obligations, (monomorphisms and
+    # embeddings) (symbol, position) counts covering its own, and (parity
+    # depths) in a non-bipartite component of B.  Each screen is built on
+    # first use and kept for later runs; None marks one not built yet.
+    screens: list[Optional[int]] = [
+        None if profiles or held or avoided or odd else full
         for held, avoided, odd in zip(plan_unary, avoid_unary, parity)
     ]
-    screens: list[Optional[set]] = [None] * n
 
-    def screen(i: int) -> set:
-        """The targets that v = order[i] may take: those carrying v's unary
-        symbols, none of its unary obligations, (monomorphisms and
-        embeddings) (symbol, position) counts covering v's, and (parity
-        depths) in a non-bipartite component of B."""
+    def screen(i: int) -> int:
+        ok = full
         if profiles:
             pa = prof_a[order[i]]
-            ok = {w for w in B.vertices if all(map(ge, prof_b[w], pa))}
-        else:
-            ok = set(B.vertices)
+            ok = sum(1 << j for j, w in enumerate(verts) if all(map(ge, prof_b[w], pa)))
         for name in plan_unary[i]:
-            ok.intersection_update(t[0] for t in rels[name])
+            ok &= sum({1 << index[w] for w, in rels[name]})
         for name in avoid_unary[i]:
-            ok.difference_update(t[0] for t in rels[name])
+            ok &= ~sum({1 << index[w] for w, in rels[name]})
         if parity[i]:
-            ok.intersection_update(odd_b)
+            ok &= odd_b
         screens[i] = ok
         return ok
 
-    # a projection yields after the last pinned depth
-    stop = k if project else n
+    # One tuple per depth, unpacked by ``run``: the source vertex, the
+    # depths of its earlier neighbours, its walk screens and bounds,
+    # whether its image must differ from the earlier ones, its checks and
+    # obligations, its occurrences, and whether it is the last depth.
+    steps = list(zip(
+        order, earlier, walks, bounded,
+        [injective or (project and i < k) for i in range(n)],
+        checks, avoid, occurrences,
+        [i + 1 == n for i in range(n)],
+    ))
 
     def run(values: tuple[str, ...]) -> Iterator:
-        d: dict[str, str] = {}
-        used: set[str] = set()
+        if n == 0:
+            yield ()
+            return
         fixed = len(values)
-
-        def extend(i: int) -> Iterator:
-            v = order[i]
-            nbrs = earlier[i]
-            if i < fixed:
-                cands = (values[i],)
-            elif nbrs:
-                cands = nbhd[d[nbrs[0]]][0]
-                nbrs = nbrs[1:]
-            else:
-                cands = B.vertices
-            if project and i < k:
-                cands = [w for w in cands if w not in d.values()]
-            if bounds[i]:
-                cands = cands[bisect_right(cands, max(map(d.__getitem__, bounds[i]))):]
-            for u in nbrs:
-                allowed = nbhd[d[u]][1]
-                cands = [w for w in cands if w in allowed]
-            for u, ends in walks[i]:
-                allowed = ends[d[u]]
-                cands = [w for w in cands if w in allowed]
-            if screened[i]:
+        d: dict[str, str] = {}
+        at = [0] * n  # the image's bit position, per depth placed
+        used = [0] * (n + 1)  # the images of the depths before each depth
+        rest = [0] * n  # per depth, the candidates not tried yet while deeper ones run
+        i, fresh = 0, True
+        while True:
+            v, nbrs, ends, above, distinct, checks_i, avoid_i, occ, last = steps[i]
+            if fresh:
+                m = 1 << index[values[i]] if i < fixed else full
+                for e in nbrs:
+                    m &= nbhd[at[e]]
+                for e, reach in ends:
+                    m &= reach[at[e]]
                 ok = screens[i]
-                if ok is None:
-                    ok = screen(i)
-                cands = [w for w in cands if w in ok]
-            checks_i, avoid_i, occ = checks[i], avoid[i], occurrences[i]
-            last = i + 1 == n or i + 1 == stop
-            for w in cands:
-                if injective and w in used:
-                    continue
-                d[v] = w
+                m &= screen(i) if ok is None else ok
+                if distinct:
+                    m &= ~used[i]
+                if above:
+                    m &= -2 << max(map(at.__getitem__, above))
+            while m:
+                low = m & -m
+                m ^= low
+                j = low.bit_length() - 1
+                d[v] = verts[j]
                 for rel, get in checks_i:
                     if get(d) not in rel:
                         break
@@ -930,33 +977,39 @@ def compile_search(
                         if get(d) in rel:
                             break
                     else:
-                        if injective:
-                            used.add(w)
-                            if reflect and sum(map(used.issuperset, inc[w])) != occ:
-                                used.discard(w)
+                        if reflect:
+                            # the candidate's occurrences in target tuples inside the image
+                            u, count, filed = used[i] | low, alone[j], by_top[j]
+                            tops = u & opened[j]
+                            while tops:
+                                x = tops & -tops
+                                tops ^= x
+                                pairs, wider = filed.get(x, _UNFILED)
+                                count += pairs
+                                for t in wider:
+                                    count += u | t == u
+                            if count != occ:
                                 continue
                         if not last:
-                            yield from extend(i + 1)
-                        elif not project:
-                            yield tuple(map(d.__getitem__, A.vertices))
-                        elif i + 1 == n:
-                            yield tuple(map(d.__getitem__, pinned))
-                        elif next(extend(i + 1), None) is not None:
-                            # the probe stopped inside its witness: take its images back
-                            for u in order[k:]:
-                                used.discard(d.pop(u))
-                            yield tuple(map(d.__getitem__, pinned))
-                        if injective:
-                            used.discard(w)
-            d.pop(v, None)
-
-        try:
-            if n == 0:
-                yield ()
+                            rest[i], at[i], used[i + 1] = m, j, used[i] | low
+                            i, fresh = i + 1, True
+                            break
+                        if not project:
+                            yield tuple(map(d.__getitem__, verts_a))
+                            continue
+                        yield tuple(map(d.__getitem__, pinned))
+                        if i >= k:
+                            # a witness below the pinned tuple: on to the next one
+                            i = k - 1
+                            if i < 0:
+                                return
+                            m, fresh = rest[i], False
+                            break
             else:
-                yield from extend(0)
-        finally:
-            del extend  # unlink the recursive closure (see canonical_key)
+                i -= 1
+                if i < 0:
+                    return
+                m, fresh = rest[i], False
 
     return run
 
@@ -1202,7 +1255,7 @@ def are_isomorphic(A: Structure, B: Structure) -> Optional[Morphism]:
     for name in A.language.names():
         if len(A.tuples(name)) != len(B.tuples(name)):
             return None
-    if sorted(_index(A)[1].values()) != sorted(_index(B)[1].values()):
+    if sorted(_profiles(A).values()) != sorted(_profiles(B).values()):
         return None
     return next(search_morphisms(A, B, "embedding"), None)
 
@@ -1215,11 +1268,11 @@ def _key_groups(A: Structure, free: Iterable[str]) -> list[list[str]]:
     """The free vertices of A grouped by their occurrence counts per
     (symbol, position) and their loops, per symbol in name order.
 
-    The counts are read off the ``_index`` profiles.  Groups come in sorted
+    The counts are read off the ``_profiles``.  Groups come in sorted
     order of these invariants, which fixes the order of keys, hence of
     obstacles and of the lift's ``ext:i:w`` numbering.
     """
-    profile = _index(A)[1]
+    profile = _profiles(A)
     loops: dict[tuple[str, str], int] = {}
     for name, ts in A._relations.items():
         for t in ts:

@@ -1,11 +1,14 @@
-"""Recursive closures are unlinked when their search ends.
+"""Searches leave no reference cycles, finished or abandoned.
 
 A nested function that calls itself reaches itself through its closure
 cell, a reference cycle that only the cycle collector frees, with all the
-search state the closure holds.  Each such closure empties its cell in a
-``finally``, so a finished (or abandoned) search leaves no cycle behind.
-The searches below run with the collector saving everything it finds
-unreachable; no ``ramseyforge`` function may be among it.
+search state the closure holds.  The morphism search kernel
+(``compile_search``) is one flat loop with no recursive closure, so its
+runs, projected and copy searches included, hold no cycle even when
+dropped part way.  The recursive closures left elsewhere empty their cell
+in a ``finally``.  The searches below run with the collector saving
+everything it finds unreachable; no ``ramseyforge`` function may be among
+it.
 """
 
 import gc
@@ -15,6 +18,7 @@ from ramseyforge.completion import _partitions, get_plugin, kfree_plugin
 from ramseyforge.pieces import PieceFamily, canonical_lift
 from ramseyforge.structures import (
     Structure,
+    _copy_search,
     _odd_vertices,
     compile_search,
     copies_of,
@@ -56,6 +60,9 @@ def test_searches_leave_no_cycles():
         run = compile_search(graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), K4,
                              "homomorphism-embedding", ("a", "c"), project=True)
         list(run(()))
+        # a projected run and a copy search, each abandoned after one hit
+        next(run(()))
+        next(_copy_search(complete_graph(3), complete_graph(5)))
         copies_of(complete_graph(3), complete_graph(5))
         canonical_lift(complete_graph(4), PieceFamily([cycle_graph(7)]))
         target = Structure(T, ["x", "y", "z"], {"E": [("x", "y"), ("y", "z"), ("x", "z")], "T": [("x", "y", "z")]})

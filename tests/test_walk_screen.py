@@ -158,13 +158,15 @@ def test_screened_lift_matches_search_per_root_tuple(name, A):
 @settings(max_examples=100, deadline=None)
 @given(targets(), st.integers(1, 5))
 def test_walk_ends_are_the_ends_of_walks(B, length):
+    # ends[j] is a mask with bit i for B.vertices[i], one per vertex
     adj = B.adjacency()
     ends = _walk_ends(B, length)
-    for x in B.vertices:
+    assert len(ends) == len(B.vertices)
+    for j, x in enumerate(B.vertices):
         reached = {x}
         for _ in range(length):
             reached = {y for w in reached for y in adj[w]}
-        assert ends[x] == reached
+        assert ends[j] == sum(1 << B.vertices.index(w) for w in reached)
 
 
 def test_walk_pairs_of_a_path_pinned_at_its_ends():
