@@ -21,6 +21,8 @@ from .structures import (
     Language,
     Morphism,
     Structure,
+    _bits,
+    _vertex_masks,
     canonical_key,
     induced_substructure,
     is_irreducible,
@@ -104,12 +106,11 @@ def is_completion(C: Structure, C_prime: Structure, strong: bool) -> bool:
 
 def holes(A: Structure) -> list[tuple[str, str]]:
     """Pairs of distinct vertices sharing no tuple."""
-    adj = A.adjacency()
-    out = []
-    for u, v in itertools.combinations(A.vertices, 2):
-        if v not in adj[u]:
-            out.append((u, v))
-    return out
+    opened = _vertex_masks(A)[1]
+    return [
+        (u, v) for (i, u), (j, v) in itertools.combinations(enumerate(A.vertices), 2)
+        if not opened[i] >> j & 1
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +408,6 @@ def _oriented_masks(k: int, states: Sequence[int]) -> tuple[list[int], list[int]
 # digraphs on vertex indices, as successor bitmasks
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _mask_toposort(succ: Sequence[int]) -> Optional[list[int]]:
     """Stable topological order, ties broken by index: the least vertex
     whose predecessors are all placed goes next.  None on a cycle; loops
@@ -593,9 +584,9 @@ class PosetPlugin(ClassPlugin):
                         "missing-reflexive", (v,), absent=[(sym, (v, v))],
                         note=f"{sym} misses the reflexive pair",
                     )
-        adj = A.adjacency()
-        for u, v in itertools.combinations(vs, 2):
-            frozen = v in adj[u]
+        opened = _vertex_masks(A)[1]
+        for (i, u), (j, v) in itertools.combinations(enumerate(vs), 2):
+            frozen = opened[i] >> j & 1
             fwd, bwd = (u, v) in leq, (v, u) in leq
             if fwd and bwd:
                 return fail(
@@ -827,7 +818,7 @@ class ForbiddenPlugin(ClassPlugin):
         for F in self.forbidden:
             if F.language != ORDERED_GRAPH:
                 raise PreconditionError("forbidden members must be ordered graphs")
-            if not is_irreducible(F, ignore_order=True):
+            if not is_irreducible(F.replace({"leq": ()})):
                 raise PreconditionError(
                     "forbidden members must be irreducible without order"
                 )
@@ -867,15 +858,15 @@ class ForbiddenPlugin(ClassPlugin):
                 return fail("edge-loop", (v,), present=[("E", (v, v))])
             if (v, v) not in leq:
                 return fail("missing-reflexive", (v,), absent=[("leq", (v, v))])
-        adj = A.adjacency()
-        for u, v in itertools.combinations(vs, 2):
+        opened = _vertex_masks(A)[1]
+        for (i, u), (j, v) in itertools.combinations(enumerate(vs), 2):
             fwd, bwd = (u, v) in leq, (v, u) in leq
             if fwd and bwd:
                 return fail(
                     "order-antisymmetry", (u, v),
                     present=[("leq", (u, v)), ("leq", (v, u))],
                 )
-            if v in adj[u] and not (fwd or bwd):
+            if opened[i] >> j & 1 and not (fwd or bwd):
                 return fail(
                     "unordered-pair", (u, v),
                     absent=[("leq", (u, v)), ("leq", (v, u))],

@@ -19,6 +19,7 @@ from .structures import (
     Language,
     Morphism,
     Structure,
+    _vertex_masks,
     are_isomorphic,
     canonical_key,
     compile_search,
@@ -113,13 +114,11 @@ def minimal_separating_cuts(A: Structure) -> list[Cut]:
     the sets of ``_cut_candidates`` are tried.
     """
     verts = A.vertices
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    adj = A.adjacency()
-    nbrs = [sum(bit[u] for u in adj[v]) for v in verts]
+    index, nbrs = _vertex_masks(A)[:2]
     spans = set()
     for ts in A.relations.values():
         for t in ts:
-            span = sum(bit[v] for v in set(t))
+            span = sum(1 << index[v] for v in set(t))
             if span & (span - 1):
                 spans.add(span)
 

@@ -33,7 +33,8 @@ class Language:
 
     ``order_symbol`` optionally designates one binary symbol as the linear
     order used by ordered classes; it takes part in irreducibility checks
-    unless a caller asks for irreducible-without-order semantics.
+    like any other symbol (drop its tuples first for irreducibility
+    without the order).
     """
 
     symbols: tuple[tuple[str, int], ...]
@@ -75,16 +76,17 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # ``_adj``, the eight search caches below it and the closure indexes are
-    # filled lazily, per instance; see ``search_morphisms``, ``copies_of``
-    # and ``closures.u_closure_set``.  ``_nbhd``, ``_walks`` and ``_odd``
-    # hold bitmasks over the sorted vertices, bit j for ``vertices[j]``:
-    # neighbourhoods and tuple incidences, walk ends per length, and the
-    # non-bipartite components (see ``_vertex_masks``).
+    # The nine caches after ``_hash`` are filled lazily, per instance; see
+    # ``search_morphisms``, ``copies_of`` and ``closures.u_closure_set``.
+    # ``_nbhd``, ``_walks`` and ``_comps`` hold bitmasks over the sorted
+    # vertices, bit j for ``vertices[j]``: the Gaifman neighbourhoods and
+    # tuple incidences, which every Gaifman reader uses (see
+    # ``_vertex_masks``), walk ends per length, and the connected
+    # components with their parity (see ``_components``).
     __slots__ = (
-        "language", "vertices", "_relations", "_key", "_hash", "_adj",
+        "language", "vertices", "_relations", "_key", "_hash",
         "_plans", "_obligations", "_walk_pairs", "_orbit_bounds", "_profile",
-        "_nbhd", "_walks", "_odd", "_closures",
+        "_nbhd", "_walks", "_comps", "_closures",
     )
 
     def __init__(
@@ -122,7 +124,6 @@ class Structure:
         )
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_plans", None)
         object.__setattr__(self, "_obligations", None)
         object.__setattr__(self, "_walk_pairs", None)
@@ -130,7 +131,7 @@ class Structure:
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_nbhd", None)
         object.__setattr__(self, "_walks", None)
-        object.__setattr__(self, "_odd", None)
+        object.__setattr__(self, "_comps", None)
         object.__setattr__(self, "_closures", None)
 
     # -- basic accessors ---------------------------------------------------
@@ -171,26 +172,6 @@ class Structure:
 
     # -- derived data -------------------------------------------------------
 
-    def adjacency(self, ignore_order: bool = False) -> dict[str, set[str]]:
-        """Gaifman adjacency: u ~ v iff distinct and co-occurring in a tuple."""
-        cached = self._adj
-        if cached is None:
-            cached = {}
-            object.__setattr__(self, "_adj", cached)
-        if ignore_order not in cached:
-            adj: dict[str, set] = {v: set() for v in self.vertices}
-            skip = self.language.order_symbol if ignore_order else None
-            for name, ts in self._relations.items():
-                if name == skip:
-                    continue
-                for t in ts:
-                    uniq = set(t)
-                    for u, v in itertools.combinations(sorted(uniq), 2):
-                        adj[u].add(v)
-                        adj[v].add(u)
-            cached[ignore_order] = adj
-        return cached[ignore_order]
-
     def replace(self, relations: Mapping[str, Iterable[Sequence[str]]]) -> "Structure":
         """Copy with some relations replaced wholesale."""
         rels = {name: ts for name, ts in self._relations.items()}
@@ -211,7 +192,7 @@ class Structure:
         return Structure(self.language, [m(v) for v in self.vertices], rels)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Morphism:
     """A map between structures together with its claimed kind.
 
@@ -219,6 +200,11 @@ class Morphism:
     mapping really is of the declared kind.  Constructing one checks the
     kind; the searches build theirs through ``_morphism``, which does not.
     """
+
+    # Declared by hand, not with ``slots=True``: that rebuilds the class,
+    # and the frozen ``__setattr__`` would then fail with a ``TypeError``
+    # on a new attribute name instead of ``FrozenInstanceError``.
+    __slots__ = ("source", "target", "map", "kind")
 
     source: Structure
     target: Structure
@@ -317,11 +303,12 @@ def _spans_irreducible(A: Structure, span: frozenset) -> bool:
     """
     if len(span) <= 1:
         return True
-    adj = A.adjacency()
-    # quick necessary condition
-    for u, v in itertools.combinations(sorted(span), 2):
-        if v not in adj[u]:
-            return False
+    index, _, closed = _vertex_masks(A)[:3]
+    # quick necessary condition: span is a clique of the Gaifman graph
+    js = [index[v] for v in span]
+    m = sum(1 << j for j in js)
+    if any(closed[j] & m != m for j in js):
+        return False
     all_tuples = [set(t) for _, t in A.all_tuples()]
     seen_fail: set[frozenset] = set()
 
@@ -357,11 +344,10 @@ def _is_hom_embedding(source: Structure, target: Structure, d: Mapping[str, str]
     no span obligation of the source into the target?  That is the
     homomorphism-embedding test of ``_span_obligations``, on the
     obligations the search filed for its unpinned plan."""
-    adj = source.adjacency()
-    for u in source.vertices:
-        for v in adj[u]:
-            if u < v and d[u] == d[v]:
-                return False
+    verts, opened = source.vertices, _vertex_masks(source)[1]
+    for j, u in enumerate(verts):
+        if any(d[verts[x]] == d[u] for x in _bits(opened[j] >> j << j)):
+            return False
     order = _source_plan(source, ())[0]
     unary, checks = _span_obligations(source, ())
     rels = target._relations
@@ -425,9 +411,10 @@ def _source_plan(A: Structure, pinned: tuple[str, ...]) -> tuple:
                     unary[i].append(name)
                 else:
                     checks[i].append((name, itemgetter(*t)))
-        adj = A.adjacency()
+        index, opened = _vertex_masks(A)[:2]
         earlier = tuple(
-            tuple(j for j, u in enumerate(order[:i]) if u in adj[v]) for i, v in enumerate(order)
+            tuple(j for j, u in enumerate(order[:i]) if opened[index[v]] >> index[u] & 1)
+            for i, v in enumerate(order)
         )
         plan = (order, tuple(map(tuple, checks)), tuple(map(tuple, unary)),
                 tuple(occurrences), earlier)
@@ -461,20 +448,23 @@ def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
     if filed is None:
         order = _source_plan(A, pinned)[0]
         depth = {v: i for i, v in enumerate(order)}
-        adj = A.adjacency()
+        verts, opened = A.vertices, _vertex_masks(A)[1]
         top = max((arity for _, arity in A.language.symbols), default=0)
         unary: list[list] = [[] for _ in order]
         checks: list[list] = [[] for _ in order]
 
-        def cliques(S: tuple, rest: list) -> Iterator[tuple]:
+        # the cliques of the Gaifman graph on at most ``top`` vertices that
+        # extend S by the later vertices of ``rest``, in sorted order
+        def cliques(S: tuple, rest: int) -> Iterator[tuple]:
             yield S
             if len(S) < top:
-                for j, u in enumerate(rest):
-                    yield from cliques(S + (u,), [x for x in rest[j + 1:] if x in adj[u]])
+                for j in _bits(rest):
+                    rest ^= 1 << j
+                    yield from cliques(S + (verts[j],), rest & opened[j])
 
         try:
-            for j, v in enumerate(A.vertices):
-                for S in cliques((v,), [u for u in A.vertices[j + 1:] if u in adj[v]]):
+            for j, v in enumerate(verts):
+                for S in cliques((v,), opened[j] >> j << j):
                     found = [
                         (name, s)
                         for name, arity in A.language.symbols
@@ -495,21 +485,25 @@ def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
     return filed
 
 
-def gaifman_distances(A: Structure, v: str, inside: Optional[set] = None) -> dict[str, int]:
+def gaifman_distances(A: Structure, v: str, inside: Optional[Iterable[str]] = None) -> dict[str, int]:
     """Gaifman distances from v to the vertices it reaches, by
-    breadth-first search, in the order reached; with ``inside``, along
-    paths through that vertex set only."""
-    adj = A.adjacency()
-    dist, frontier, L = {v: 0}, [v], 0
-    while frontier:
+    breadth-first search on the neighbourhood masks, layer by layer and in
+    sorted order within a layer; with ``inside``, along paths through that
+    vertex set only."""
+    index, opened = _vertex_masks(A)[:2]
+    allowed = -1 if inside is None else sum(1 << index[u] for u in set(inside))
+    verts = A.vertices
+    dist, L = {v: 0}, 0
+    layer = seen = 1 << index[v]
+    while layer:
         L += 1
-        reached = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist and (inside is None or y in inside):
-                    dist[y] = L
-                    reached.append(y)
-        frontier = reached
+        reached = 0
+        for j in _bits(layer):
+            reached |= opened[j]
+        layer = reached & allowed & ~seen
+        seen |= layer
+        for j in _bits(layer):
+            dist[verts[j]] = L
     return dist
 
 
@@ -601,8 +595,9 @@ def _profiles(B: Structure) -> dict[str, list[int]]:
 
 
 def _vertex_masks(B: Structure) -> tuple:
-    """The bitmask view of B that the search runs on, built in one pass
-    over the tuples and cached on B.
+    """The bitmask view of B, built in one pass over the tuples and cached
+    on B: the only form in which B keeps its Gaifman graph, read by the
+    search and by every other Gaifman reader.
 
     Bit j of a mask stands for ``B.vertices[j]``; the vertices are sorted,
     so ascending bit order is sorted vertex order.  Returns ``(index,
@@ -653,6 +648,16 @@ def _vertex_masks(B: Structure) -> tuple:
 _UNFILED = (0, ())
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _walk_ends(B: Structure, length: int) -> list[int]:
     """``ends[j]``: the ends of the walks of exactly ``length`` steps from
     vertex j in the Gaifman graph of B, as a mask.  Cached on B by length,
@@ -670,52 +675,48 @@ def _walk_ends(B: Structure, length: int) -> list[int]:
         fewer, ends = walks[-1], []
         for m in opened:
             e = 0
-            while m:
-                low = m & -m
-                e |= fewer[low.bit_length() - 1]
-                m ^= low
+            for x in _bits(m):
+                e |= fewer[x]
             ends.append(e)
         walks.append(ends)
     return walks[length - 1]
 
 
-def _odd_mask(A: Structure) -> int:
-    """The mask of the vertices of A whose Gaifman component is not
-    bipartite, cached on A next to the walk ends.  One breadth-first search
+def _components(A: Structure) -> tuple:
+    """The connected components of the Gaifman graph of A, cached on A:
+    ``(mask, odd)`` per component, in order of least vertex, with ``odd``
+    true when the component is not bipartite.  One breadth-first search
     per component on the open neighbourhoods: a component has an odd cycle
     iff one of its edges joins two vertices at equal distance from its
-    first vertex."""
-    odd = A._odd
-    if odd is None:
+    least vertex."""
+    comps = A._comps
+    if comps is None:
         opened = _vertex_masks(A)[1]
         full = (1 << len(opened)) - 1
-        odd = seen = 0
+        found, seen = [], 0
         while seen != full:
-            # the component of the first vertex not seen yet, layer by layer
+            # the component of the least vertex not seen yet, layer by layer
             layer = component = ~seen & (seen + 1)
-            odd_edge = False
+            odd = False
             while layer:
-                reached, m = 0, layer
-                while m:
-                    low = m & -m
-                    nbrs = opened[low.bit_length() - 1]
-                    odd_edge = odd_edge or bool(nbrs & layer)
+                reached = 0
+                for j in _bits(layer):
+                    nbrs = opened[j]
+                    odd = odd or bool(nbrs & layer)
                     reached |= nbrs
-                    m ^= low
                 layer = reached & ~component
                 component |= layer
             seen |= component
-            if odd_edge:
-                odd |= component
-        object.__setattr__(A, "_odd", odd)
-    return odd
+            found.append((component, odd))
+        comps = tuple(found)
+        object.__setattr__(A, "_comps", comps)
+    return comps
 
 
-def _odd_vertices(A: Structure) -> frozenset:
-    """The vertices of A whose Gaifman component is not bipartite
-    (``_odd_mask`` as names)."""
-    odd = _odd_mask(A)
-    return frozenset(v for j, v in enumerate(A.vertices) if odd >> j & 1)
+def _odd_mask(A: Structure) -> int:
+    """The mask of the vertices of A whose Gaifman component is not
+    bipartite (see ``_components``)."""
+    return sum(m for m, odd in _components(A) if odd)
 
 
 def search_morphisms(
@@ -1097,42 +1098,27 @@ GAIFMAN_LANGUAGE = Language((("E", 2),))
 
 def gaifman_graph(A: Structure) -> Structure:
     """The 2-section: symmetric binary structure of co-occurring pairs."""
-    adj = A.adjacency()
-    edges = []
-    for u in A.vertices:
-        for v in adj[u]:
-            edges.append((u, v))
-    return Structure(GAIFMAN_LANGUAGE, A.vertices, {"E": edges})
+    verts, opened = A.vertices, _vertex_masks(A)[1]
+    edges = [(u, verts[x]) for j, u in enumerate(verts) for x in _bits(opened[j])]
+    return Structure(GAIFMAN_LANGUAGE, verts, {"E": edges})
 
 
-def is_irreducible(A: Structure, ignore_order: bool = False) -> bool:
-    adj = A.adjacency(ignore_order)
-    n = len(A.vertices)
-    return all(len(adj[v]) == n - 1 for v in A.vertices)
+def is_irreducible(A: Structure) -> bool:
+    """Is every pair of distinct vertices of A in some tuple?"""
+    closed = _vertex_masks(A)[2]
+    full = (1 << len(closed)) - 1
+    return all(m == full for m in closed)
 
 
 def connected_components(A: Structure) -> list[frozenset]:
-    adj = A.adjacency()
-    seen: set[str] = set()
-    comps = []
-    for v in A.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    """The vertex sets of the Gaifman components of A, in order of least
+    vertex."""
+    verts = A.vertices
+    return [frozenset(verts[j] for j in _bits(m)) for m, _ in _components(A)]
 
 
 def is_connected(A: Structure) -> bool:
-    return len(connected_components(A)) <= 1
+    return len(_components(A)) <= 1
 
 
 def linear_order(A: Structure) -> Optional[list[str]]:

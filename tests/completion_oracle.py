@@ -47,6 +47,7 @@ from ramseyforge.errors import StructureError
 from ramseyforge.rsf import format_rational
 from ramseyforge.structures import Structure
 
+from conftest import gaifman_adjacency
 import pattern_oracle
 
 
@@ -152,7 +153,7 @@ def poset_completion(plugin: PosetPlugin, A: Structure) -> CompletionResult:
                     "missing-reflexive", (v,), absent=[(sym, (v, v))],
                     note=f"{sym} misses the reflexive pair",
                 )
-    adj = A.adjacency()
+    adj = gaifman_adjacency(A)
     for u, v in itertools.combinations(vs, 2):
         frozen = v in adj[u]
         fwd, bwd = (u, v) in leq, (v, u) in leq
@@ -253,7 +254,7 @@ def forbidden_completion(plugin: ForbiddenPlugin, A: Structure) -> CompletionRes
             return _fail("edge-loop", (v,), present=[("E", (v, v))])
         if (v, v) not in leq:
             return _fail("missing-reflexive", (v,), absent=[("leq", (v, v))])
-    adj = A.adjacency()
+    adj = gaifman_adjacency(A)
     for u, v in itertools.combinations(vs, 2):
         fwd, bwd = (u, v) in leq, (v, u) in leq
         if fwd and bwd:

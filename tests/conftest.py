@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ramseyforge.build import complete_graph, cycle_graph, graph, pointed_equivalence
-from ramseyforge.structures import Structure
+from ramseyforge.structures import Structure, _odd_mask
 
 
 @pytest.fixture
@@ -24,6 +24,25 @@ def k2():
 @pytest.fixture
 def c5():
     return cycle_graph(5)
+
+
+def gaifman_adjacency(A: Structure) -> dict[str, set[str]]:
+    """Gaifman adjacency read straight off A's tuples: u ~ v iff u != v and
+    some tuple holds both.  It shares no code with the library's
+    neighbourhood masks, so tests can check those against it."""
+    adj: dict[str, set[str]] = {v: set() for v in A.vertices}
+    for ts in A.relations.values():
+        for t in ts:
+            for u in t:
+                adj[u].update(w for w in t if w != u)
+    return adj
+
+
+def odd_vertices(A: Structure) -> frozenset:
+    """The vertices of A whose Gaifman component is not bipartite: the
+    library's ``_odd_mask`` as names."""
+    odd = _odd_mask(A)
+    return frozenset(v for j, v in enumerate(A.vertices) if odd >> j & 1)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Structure:

@@ -24,9 +24,11 @@ from ramseyforge.structures import (
     induced_substructure,
 )
 
+from conftest import gaifman_adjacency
+
 
 def oracle_minimal_separating_cuts(A: Structure) -> list[Cut]:
-    adj = A.adjacency()
+    adj = gaifman_adjacency(A)
     verts = list(A.vertices)
     out = []
     seen = set()

@@ -42,6 +42,8 @@ from ramseyforge.structures import (
     verify_morphism,
 )
 
+from conftest import gaifman_adjacency
+
 
 def _forward_ok(source, target, d, newly: str) -> bool:
     """All source tuples fully assigned after mapping `newly` land in target."""
@@ -92,7 +94,7 @@ def oracle_search(
     prune_profiles = kind in ("monomorphism", "embedding")
     profA = _vertex_profile(A) if prune_profiles else None
     profB = _vertex_profile(B) if prune_profiles else None
-    adjA = A.adjacency()
+    adjA = gaifman_adjacency(A)
 
     d: dict[str, str] = {}
 
@@ -138,7 +140,7 @@ def oracle_is_hom_embedding(source: Structure, target: Structure, d: Mapping[str
     """For a homomorphism d: injective on every pair that co-occurs in a
     tuple, and every target tuple pulls back along d on each choice of
     preimages that sits inside an irreducible substructure of the source."""
-    adj = source.adjacency()
+    adj = gaifman_adjacency(source)
     for u in source.vertices:
         for v in adj[u]:
             if u < v and d[u] == d[v]:

@@ -19,13 +19,14 @@ from ramseyforge.pieces import PieceFamily, canonical_lift
 from ramseyforge.structures import (
     Structure,
     _copy_search,
-    _odd_vertices,
     compile_search,
     copies_of,
     language,
     search_morphisms,
     verify_morphism,
 )
+
+from conftest import odd_vertices
 
 
 def library_functions_in_cycles(work) -> list[str]:
@@ -56,7 +57,7 @@ def test_searches_leave_no_cycles():
         # screened by walk length and parity, refuted at the first vertex
         K33 = graph(["a0", "a1", "a2", "b0", "b1", "b2"], [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
         list(search_morphisms(cycle_graph(9), K33, "homomorphism-embedding"))
-        _odd_vertices(graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c")]))
+        odd_vertices(graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c")]))
         run = compile_search(graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), K4,
                              "homomorphism-embedding", ("a", "c"), project=True)
         list(run(()))

@@ -20,12 +20,12 @@ from ramseyforge.build import GRAPH, cycle_graph, graph
 from ramseyforge.pieces import forb_membership
 from ramseyforge.structures import (
     Structure,
-    _odd_vertices,
     language,
     search_morphisms,
     verify_morphism,
 )
 
+from conftest import gaifman_adjacency, odd_vertices
 from search_oracle import oracle_search
 
 MIXED = language(("U", 1), ("E", 2), ("T", 3))
@@ -122,7 +122,7 @@ def test_screened_hom_embedding_search_matches_oracle(case):
 def odd_closed_walk_through(A, v):
     """Does an odd closed walk of at most 2|A| + 1 steps start at v?  By
     stepping along the Gaifman graph, one length at a time."""
-    adj = A.adjacency()
+    adj = gaifman_adjacency(A)
     reached = {v}
     for steps in range(1, 2 * len(A.vertices) + 2):
         reached = {y for x in reached for y in adj[x]}
@@ -134,7 +134,7 @@ def odd_closed_walk_through(A, v):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(sources(), targets()))
 def test_odd_vertices_lie_on_odd_closed_walks(A):
-    assert _odd_vertices(A) == {v for v in A.vertices if odd_closed_walk_through(A, v)}
+    assert odd_vertices(A) == {v for v in A.vertices if odd_closed_walk_through(A, v)}
 
 
 def test_parity_screen_is_not_applied_to_homomorphisms():
@@ -181,9 +181,9 @@ def test_c9_membership_of_tripled_c11():
 def test_odd_vertices_of_mixed_components():
     G = graph([f"v{i}" for i in range(9)],
               cycle_edges(["v0", "v1", "v2", "v3", "v4"]) + [("v5", "v6"), ("v6", "v7")])
-    assert _odd_vertices(G) == {"v0", "v1", "v2", "v3", "v4"}
-    assert _odd_vertices(complete_bipartite(3)) == frozenset()
-    assert _odd_vertices(Structure(GRAPH, [], {})) == frozenset()
+    assert odd_vertices(G) == {"v0", "v1", "v2", "v3", "v4"}
+    assert odd_vertices(complete_bipartite(3)) == frozenset()
+    assert odd_vertices(Structure(GRAPH, [], {})) == frozenset()
     # loops lie outside the Gaifman graph
-    assert _odd_vertices(Structure(GRAPH, ["x", "y"], {"E": [("x", "x"), ("x", "y"), ("y", "x")]})) == frozenset()
+    assert odd_vertices(Structure(GRAPH, ["x", "y"], {"E": [("x", "x"), ("x", "y"), ("y", "x")]})) == frozenset()
     assert list(itertools.islice(search_morphisms(cycle_graph(5), G, "homomorphism-embedding"), 1))

@@ -31,7 +31,7 @@ from ramseyforge.structures import (
     is_connected,
 )
 
-from conftest import random_graph
+from conftest import gaifman_adjacency, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ class TestCuts:
     def test_c5_has_five_distance_two_cuts(self, c5):
         cuts = minimal_separating_cuts(c5)
         assert len(cuts) == 5
-        adj = c5.adjacency()
+        adj = gaifman_adjacency(c5)
         for cut in cuts:
             u, v = sorted(cut.cut)
             assert v not in adj[u]  # the cut pairs are non-adjacent
@@ -52,7 +52,7 @@ class TestCuts:
         assert minimal_separating_cuts(complete_graph(4)) == []
 
     def test_cut_condition_holds(self, c5):
-        adj = c5.adjacency()
+        adj = gaifman_adjacency(c5)
         for cut in minimal_separating_cuts(c5):
             for side in cut.sides:
                 neigh = set().union(*(adj[v] for v in side)) - side

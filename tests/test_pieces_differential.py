@@ -20,6 +20,7 @@ from ramseyforge.pieces import (
 )
 from ramseyforge.structures import Language, Structure, is_connected
 
+from conftest import gaifman_adjacency
 from piece_oracle import oracle_family, oracle_minimal_separating_cuts
 
 LANG = Language((("U", 1), ("E", 2), ("T", 3)))
@@ -123,7 +124,7 @@ def test_c15_free_graph_lifts_with_the_c15_family():
     # homomorphism-embedding of a path is a walk, so (x, y) is in a class
     # exactly when x != y and some piece's length is the length of a walk
     # from x to y.
-    adj = G.adjacency()
+    adj = gaifman_adjacency(G)
     for cls in family.classes:
         lengths = {len(piece.body.vertices) - 1 for piece in cls.pieces}
         expected = set()
