@@ -210,24 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_paths(args) -> None:
-    candidates = []
-    for attr in ("source", "target", "left", "right", "structure", "graph",
-                 "big", "small", "middle", "base", "closures", "distances"):
-        value = getattr(args, attr, None)
-        if isinstance(value, str):
-            candidates.append(value)
-    if getattr(args, "family", None):
-        candidates.extend(args.family.split(","))
-    if getattr(args, "over", None):
-        candidates.append(args.over)
-    for path in candidates:
-        if path is None:
-            continue
-        if not Path(path).exists():
-            raise FormatError(f"input path does not exist: {path}")
-
-
 def _structure_payload(A) -> dict:
     return rsf.structure_to_obj(A)
 
@@ -239,9 +221,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        _check_paths(args)
         return _dispatch(args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
+        # an input that cannot be read, like one that cannot be parsed
         sys.stderr.write(f"format error: {exc}\n")
         return EXIT_USAGE
     except CapError as exc:

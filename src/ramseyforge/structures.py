@@ -76,8 +76,9 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # The nine caches after ``_hash`` are filled lazily, per instance; see
+    # The six caches after ``_hash`` are filled lazily, per instance; see
     # ``search_morphisms``, ``copies_of`` and ``closures.u_closure_set``.
+    # ``_plans`` holds one ``_Plan`` per tuple of pinned vertices.
     # ``_nbhd``, ``_walks`` and ``_comps`` hold bitmasks over the sorted
     # vertices, bit j for ``vertices[j]``: the Gaifman neighbourhoods and
     # tuple incidences, which every Gaifman reader uses (see
@@ -85,8 +86,7 @@ class Structure:
     # components with their parity (see ``_components``).
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash",
-        "_plans", "_obligations", "_walk_pairs", "_orbit_bounds", "_profile",
-        "_nbhd", "_walks", "_comps", "_closures",
+        "_plans", "_profile", "_nbhd", "_walks", "_comps", "_closures",
     )
 
     def __init__(
@@ -125,9 +125,6 @@ class Structure:
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_plans", None)
-        object.__setattr__(self, "_obligations", None)
-        object.__setattr__(self, "_walk_pairs", None)
-        object.__setattr__(self, "_orbit_bounds", None)
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_nbhd", None)
         object.__setattr__(self, "_walks", None)
@@ -309,6 +306,8 @@ def _spans_irreducible(A: Structure, span: frozenset) -> bool:
     m = sum(1 << j for j in js)
     if any(closed[j] & m != m for j in js):
         return False
+    if len(span) == 2:  # the tuple joining two neighbours induces an irreducible substructure
+        return True
     all_tuples = [set(t) for _, t in A.all_tuples()]
     seen_fail: set[frozenset] = set()
 
@@ -348,10 +347,9 @@ def _is_hom_embedding(source: Structure, target: Structure, d: Mapping[str, str]
     for j, u in enumerate(verts):
         if any(d[verts[x]] == d[u] for x in _bits(opened[j] >> j << j)):
             return False
-    order = _source_plan(source, ())[0]
     unary, checks = _span_obligations(source, ())
     rels = target._relations
-    for v, names in zip(order, unary):
+    for v, names in zip(_source_plan(source, ()).order, unary):
         for name in names:
             if (d[v],) in rels[name]:
                 return False
@@ -378,19 +376,34 @@ def verify_morphism(f: Morphism) -> bool:
 # enumeration
 
 
-def _source_plan(A: Structure, pinned: tuple[str, ...]) -> tuple:
-    """The search plan of A for a tuple of pinned vertices, cached on A.
+class _Plan:
+    """The search plan of a source for one tuple of pinned vertices, with
+    every table a search reads off the source, per depth.
 
-    Returns ``(order, checks, unary, occurrences, earlier)``.  ``order`` is
-    the search order: the pinned vertices, then the others in sorted order.
-    For each depth i, ``checks[i]`` holds ``(name, getter)`` for every tuple
-    of arity at least 2 whose last vertex in that order is ``order[i]``,
-    where the getter reads the tuple's image off the partial map;
+    ``order`` is the search order: the pinned vertices, then the others in
+    sorted order.  At depth i, ``checks[i]`` holds ``(name, getter)`` for
+    every tuple of arity at least 2 whose last vertex in that order is
+    ``order[i]``, the getter reading the tuple's image off the partial map;
     ``unary[i]`` names the unary symbols holding ``(order[i],)``;
     ``occurrences[i]`` counts the occurrences of ``order[i]`` in all those
     tuples; ``earlier[i]`` lists the depths of the Gaifman neighbours of
-    ``order[i]`` that come before it.
+    ``order[i]`` before it.  The depth-form ``obligations``, ``walks`` and
+    ``bounds`` start as None, each filled on first use by
+    ``_span_obligations``, ``_walk_pairs`` or ``_orbit_bounds``.  No plan
+    refers to its source, so the source's ``_plans`` makes no cycle.
     """
+
+    __slots__ = ("order", "checks", "unary", "occurrences", "earlier",
+                 "obligations", "walks", "bounds")
+
+    def __init__(self, order, checks, unary, occurrences, earlier):
+        self.order, self.checks, self.unary = order, checks, unary
+        self.occurrences, self.earlier = occurrences, earlier
+        self.obligations = self.walks = self.bounds = None
+
+
+def _source_plan(A: Structure, pinned: tuple[str, ...]) -> _Plan:
+    """The ``_Plan`` of A for a tuple of pinned vertices, cached on A."""
     plans = A._plans
     if plans is None:
         plans = {}
@@ -416,15 +429,14 @@ def _source_plan(A: Structure, pinned: tuple[str, ...]) -> tuple:
             tuple(j for j, u in enumerate(order[:i]) if opened[index[v]] >> index[u] & 1)
             for i, v in enumerate(order)
         )
-        plan = (order, tuple(map(tuple, checks)), tuple(map(tuple, unary)),
-                tuple(occurrences), earlier)
-        plans[pinned] = plan
+        plan = plans[pinned] = _Plan(order, tuple(map(tuple, checks)), tuple(map(tuple, unary)),
+                                     tuple(occurrences), earlier)
     return plan
 
 
 def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
     """The span obligations of A, filed by depth of the plan for a tuple of
-    pinned vertices and cached on A next to the plan.
+    pinned vertices and cached on that plan.
 
     An obligation is a tuple s of A's vertices, of a symbol R's arity, with
     s not in R^A and ``set(s)`` inside an irreducible induced substructure
@@ -440,18 +452,13 @@ def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
     getter)`` for every longer obligation whose last vertex in the plan's
     order is ``order[i]``.
     """
-    cache = A._obligations
-    if cache is None:
-        cache = {}
-        object.__setattr__(A, "_obligations", cache)
-    filed = cache.get(pinned)
-    if filed is None:
-        order = _source_plan(A, pinned)[0]
-        depth = {v: i for i, v in enumerate(order)}
+    plan = _source_plan(A, pinned)
+    if plan.obligations is None:
         verts, opened = A.vertices, _vertex_masks(A)[1]
+        depth = {v: i for i, v in enumerate(plan.order)}
         top = max((arity for _, arity in A.language.symbols), default=0)
-        unary: list[list] = [[] for _ in order]
-        checks: list[list] = [[] for _ in order]
+        unary: list[list] = [[] for _ in verts]
+        checks: list[list] = [[] for _ in verts]
 
         # the cliques of the Gaifman graph on at most ``top`` vertices that
         # extend S by the later vertices of ``rest``, in sorted order
@@ -481,8 +488,8 @@ def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
                                 checks[i].append((name, itemgetter(*s)))
         finally:
             del cliques  # unlink the recursive closure (see canonical_key)
-        filed = cache[pinned] = (tuple(map(tuple, unary)), tuple(map(tuple, checks)))
-    return filed
+        plan.obligations = (tuple(map(tuple, unary)), tuple(map(tuple, checks)))
+    return plan.obligations
 
 
 def gaifman_distances(A: Structure, v: str, inside: Optional[Iterable[str]] = None) -> dict[str, int]:
@@ -509,43 +516,40 @@ def gaifman_distances(A: Structure, v: str, inside: Optional[Iterable[str]] = No
 
 def _walk_pairs(A: Structure, pinned: tuple[str, ...]) -> tuple:
     """The walk-length screens of the plan of A for a tuple of pinned
-    vertices, per depth; cached on A next to the plan.
+    vertices, per depth; cached on that plan.
 
-    With ``order`` the plan's order, ``pairs[i]`` lists ``(u, L)`` for each
-    u in ``order[:i]`` whose Gaifman distance L to ``v = order[i]`` in A is
-    at least 2 and shorter than their distance inside
+    With ``order`` the plan's order, ``walks[i]`` lists ``(e, L)`` for each
+    earlier depth e whose vertex u has Gaifman distance L to ``v =
+    order[i]`` in A at least 2 and shorter than their distance inside
     ``A[order[:i + 1]]``.  A map that separates Gaifman neighbours sends a
     shortest u-v path onto a walk of exactly L steps, so ``d[v]`` ends
     such a walk from ``d[u]``.  Where the two distances are equal, the
     placed path already implies it, and distance 1 is the neighbour
     screen.
     """
-    cache = A._walk_pairs
-    if cache is None:
-        cache = {}
-        object.__setattr__(A, "_walk_pairs", cache)
-    pairs = cache.get(pinned)
-    if pairs is None:
-        order = _source_plan(A, pinned)[0]
+    plan = _source_plan(A, pinned)
+    if plan.walks is None:
+        order = plan.order
         found = []
         for i, v in enumerate(order):
             far = gaifman_distances(A, v)
             near = gaifman_distances(A, v, set(order[:i + 1]))
             # a distance inside the placed vertices is never below the distance in A
             found.append(tuple(
-                (u, far[u]) for u in order[:i] if far.get(u, 0) >= 2 and near.get(u) != far[u]
+                (e, far[u]) for e, u in enumerate(order[:i])
+                if far.get(u, 0) >= 2 and near.get(u) != far[u]
             ))
-        pairs = cache[pinned] = tuple(found)
-    return pairs
+        plan.walks = tuple(found)
+    return plan.walks
 
 
 def _orbit_bounds(A: Structure) -> tuple:
-    """Per depth of the unpinned plan of A, the earlier vertices whose
-    images a copy search must exceed; cached on A next to the plan.
+    """Per depth of the unpinned plan of A, the earlier depths whose
+    images a copy search must exceed; cached on that plan.
 
     With ``order`` the plan's order, let ``orbit[i]`` be the orbit of
     ``order[i]`` under the automorphisms of A that fix ``order[:i]``
-    pointwise.  ``bounds[j]`` lists ``order[i]`` for every i < j with
+    pointwise.  ``bounds[j]`` lists i for every i < j with
     ``order[j]`` in ``orbit[i]``.  An embedding f is the least of its coset
     f∘Aut(A), in the order of assignment vectors, iff
     ``f(order[i]) < f(order[j])`` for all those pairs: a non-identity
@@ -558,20 +562,19 @@ def _orbit_bounds(A: Structure) -> tuple:
     ``order[:i + 1]`` pinned, ``order[:i]`` fixed to itself, yield the
     images of ``order[i]``.  Aut(A) itself is never enumerated.
     """
-    bounds = A._orbit_bounds
-    if bounds is None:
-        order = _source_plan(A, ())[0]
+    plan = _source_plan(A, ())
+    if plan.bounds is None:
+        order = plan.order
         depth = {v: j for j, v in enumerate(order)}
         found: list[list] = [[] for _ in order]
-        for i, v in enumerate(order[:-1]):
+        for i in range(len(order) - 1):
             run = compile_search(A, A, "embedding", order[:i + 1], project=True)
             for images in run(order[:i]):
                 j = depth[images[i]]
                 if j > i:
-                    found[j].append(v)
-        bounds = tuple(map(tuple, found))
-        object.__setattr__(A, "_orbit_bounds", bounds)
-    return bounds
+                    found[j].append(i)
+        plan.bounds = tuple(map(tuple, found))
+    return plan.bounds
 
 
 def _profiles(B: Structure) -> dict[str, list[int]]:
@@ -781,15 +784,15 @@ def search_morphisms(
       after every path.  Plain homomorphisms may merge neighbours and are
       never screened (see ``compile_search``).
 
-    The plan, the obligations, the profiles, and the neighbourhood,
-    incidence and walk-end masks are filled lazily on the structures
-    themselves, so their set-up is paid once per structure.  The search
-    itself is ``compile_search`` followed by one run, whose assignment
-    vectors are wrapped here, each into one ``Morphism``; the kernel
-    builds none.  That one kernel also serves the copy searches (with
-    orbit bounds), which read the vectors directly, and projections: which
-    images of the pinned vertices extend to a morphism, in one run, for
-    canonical lifts and orbit bounds.
+    The plans (with their obligations, walk screens and orbit bounds), the
+    profiles, and the neighbourhood, incidence and walk-end masks are
+    filled lazily on the structures themselves, so their set-up is paid
+    once per structure.  The search itself is ``compile_search`` followed
+    by one run, whose assignment vectors are wrapped here, each into one
+    ``Morphism``; the kernel builds none.  That one kernel also serves the
+    copy searches (with orbit bounds), which read the vectors directly,
+    and projections: which images of the pinned vertices extend to a
+    morphism, in one run, for canonical lifts and orbit bounds.
     """
     if A.language != B.language:
         raise LanguageMismatchError("morphism search requires a shared language")
@@ -826,10 +829,10 @@ def compile_search(
     yields, in the same order, and ``()`` once for an empty A, so a caller
     asks ``is not None`` of a first vector, never its truth.  No
     ``Morphism`` is built here.  Runs are independent of each other.
-    Everything but the pinned values is set up here, once: the plan, B's
-    relations bound to its checks and obligations, B's vertex masks and
-    the per-depth candidate screens.  The arguments are not validated;
-    ``search_morphisms`` is the checked entry point.
+    Everything but the pinned values is set up here, once: B's relations
+    bound to the plan's checks and obligations, B's vertex masks and walk
+    ends, and the per-depth candidate screens.  The arguments are not
+    validated; ``search_morphisms`` is the checked entry point.
 
     A run is one flat loop over bitmasks of B's vertices (bit j for
     ``B.vertices[j]``, see ``_vertex_masks``), with no generator or call
@@ -843,9 +846,9 @@ def compile_search(
     span obligations and the reflection count then test each candidate
     in turn.
 
-    The copy searches pass ``bounds``, per depth the earlier source
-    vertices whose images a candidate must exceed (``_orbit_bounds``);
-    the output is then the subsequence of maps that satisfy them.
+    The copy search passes ``bounds``, per depth the earlier depths whose
+    images a candidate must exceed (``_orbit_bounds``); the output is then
+    the subsequence of maps that satisfy them.
 
     With ``project`` (and ``pinned`` non-empty), ``run(values)`` answers
     a projection instead: it yields every tuple of pairwise distinct
@@ -876,32 +879,29 @@ def compile_search(
     reflect = kind == "embedding"
     profiles = kind in ("monomorphism", "embedding")
 
-    order, plan_checks, plan_unary, occurrences, earlier = _source_plan(A, pinned)
+    plan = _source_plan(A, pinned)
+    order = plan.order
     n, k = len(order), len(pinned)
     verts, verts_a = B.vertices, A.vertices
     rels = B._relations
     index, opened, closed, alone, by_top = _vertex_masks(B)
     nbhd = opened if injective or pairwise else closed
     full = (1 << len(verts)) - 1
-    depth = {v: i for i, v in enumerate(order)}
-    checks = [[(rels[name], get) for name, get in cs] for cs in plan_checks]
+    checks = [[(rels[name], get) for name, get in cs] for cs in plan.checks]
     if pairwise:
         avoid_unary, avoid_checks = _span_obligations(A, pinned)
         avoid = [[(rels[name], get) for name, get in cs] for cs in avoid_checks]
     else:
         avoid_unary, avoid = ((),) * n, [()] * n
-    if bounds is None:
-        bounded = [()] * n
-    else:
-        bounded = [tuple(map(depth.__getitem__, b)) for b in bounds]
+    bounded = [()] * n if bounds is None else bounds
     parity = [False] * n
     odd_b = full
     if pairwise or (project and injective):
-        walks = [[(depth[u], _walk_ends(B, L)) for u, L in pairs] for pairs in _walk_pairs(A, pinned)]
+        walks = [[(e, _walk_ends(B, L)) for e, L in pairs] for pairs in _walk_pairs(A, pinned)]
         odd_b = _odd_mask(B)
         if odd_b != full:
             odd_a, index_a = _odd_mask(A), _vertex_masks(A)[0]
-            parity = [not nbrs and odd_a >> index_a[v] & 1 for v, nbrs in zip(order, earlier)]
+            parity = [not nbrs and odd_a >> index_a[v] & 1 for v, nbrs in zip(order, plan.earlier)]
     else:
         walks = [()] * n
     prof_b = _profiles(B) if profiles else None
@@ -913,7 +913,7 @@ def compile_search(
     # first use and kept for later runs; None marks one not built yet.
     screens: list[Optional[int]] = [
         None if profiles or held or avoided or odd else full
-        for held, avoided, odd in zip(plan_unary, avoid_unary, parity)
+        for held, avoided, odd in zip(plan.unary, avoid_unary, parity)
     ]
 
     def screen(i: int) -> int:
@@ -921,7 +921,7 @@ def compile_search(
         if profiles:
             pa = prof_a[order[i]]
             ok = sum(1 << j for j, w in enumerate(verts) if all(map(ge, prof_b[w], pa)))
-        for name in plan_unary[i]:
+        for name in plan.unary[i]:
             ok &= sum({1 << index[w] for w, in rels[name]})
         for name in avoid_unary[i]:
             ok &= ~sum({1 << index[w] for w, in rels[name]})
@@ -935,9 +935,9 @@ def compile_search(
     # whether its image must differ from the earlier ones, its checks and
     # obligations, its occurrences, and whether it is the last depth.
     steps = list(zip(
-        order, earlier, walks, bounded,
+        order, plan.earlier, walks, bounded,
         [injective or (project and i < k) for i in range(n)],
-        checks, avoid, occurrences,
+        checks, avoid, plan.occurrences,
         [i + 1 == n for i in range(n)],
     ))
 

@@ -198,14 +198,15 @@ def oracle_projection(A, B, kind, pinned, prefix=(), require_injective=False) ->
 def oracle_orbit_bounds(A: Structure) -> tuple:
     """``_orbit_bounds`` by first-witness runs: with ``order[:i + 1]``
     pinned, one run per later vertex ``order[j]`` asks whether an
-    automorphism fixing ``order[:i]`` sends ``order[i]`` to it."""
-    order = _source_plan(A, ())[0]
+    automorphism fixing ``order[:i]`` sends ``order[i]`` to it; if so,
+    depth i bounds depth j."""
+    order = _source_plan(A, ()).order
     found: list[list] = [[] for _ in order]
-    for i, v in enumerate(order[:-1]):
+    for i in range(len(order) - 1):
         run = compile_search(A, A, "embedding", order[:i + 1])
         for j in range(i + 1, len(order)):
             if next(run(order[:i] + (order[j],)), None) is not None:
-                found[j].append(v)
+                found[j].append(i)
     return tuple(map(tuple, found))
 
 

@@ -65,6 +65,19 @@ class TestMorph:
                     "--bogus", files["K1.rsf"], files["K3.rsf"]]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["pieces", "classes", "{dir}/nope.json"],
+    ["complete", "obstacles", "--class", "forbidden:{dir}/nope.json", "--cap", "3"],
+    ["complete", "holes", "{dir}"],
+])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, argv):
+    # a missing file or a directory is a format error (exit 3), not a
+    # traceback with the exit code of a refuted answer
+    code = run([a.format(dir=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and err.startswith("format error: ")
+
+
 class TestMetricCli:
     def test_four_values_witness_and_exit(self, files, capsys):
         code, payload = run_json(

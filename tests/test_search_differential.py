@@ -10,13 +10,20 @@ reads the span obligations the search files, must agree with the check
 over every irreducible substructure.
 """
 
+import gc
+
 from hypothesis import given, settings, strategies as st
 
+from ramseyforge.build import cycle_graph, graph
 from ramseyforge.structures import (
     MORPHISM_KINDS,
     Morphism,
     Structure,
+    _orbit_bounds,
+    _span_obligations,
+    _walk_pairs,
     compile_search,
+    copy_images,
     language,
     search_morphisms,
     verify_morphism,
@@ -146,6 +153,36 @@ def test_repeated_searches_reuse_cached_plans(A, B):
             assert maps(search_morphisms(A, B, kind, fixed=fixed)) == maps(
                 oracle_search(A, B, kind, fixed=fixed)
             )
+
+
+def test_one_plan_per_source_holds_every_table():
+    # A path searched four ways fills the tables of its plans; called
+    # again, the builders hand back the very objects the plans hold.  The
+    # orbit bounds add plans pinned at a, at a, b and at a, b, c.
+    A = graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    C6 = cycle_graph(6)
+    f = next(search_morphisms(A, C6, "homomorphism-embedding"))
+    assert list(compile_search(A, C6, "homomorphism-embedding", ("a", "d"), project=True)(()))
+    assert len(copy_images(A, C6)) == 6
+    assert verify_morphism(Morphism(A, C6, f.map, "homomorphism-embedding"))
+    plans = A._plans
+    assert set(plans) == {(), ("a",), ("a", "b"), ("a", "b", "c"), ("a", "d")}
+    for pinned in ((), ("a", "d")):
+        obligations, walks = plans[pinned].obligations, plans[pinned].walks
+        assert obligations is not None and walks is not None
+        assert _span_obligations(A, pinned) is obligations
+        assert _walk_pairs(A, pinned) is walks
+    bounds = plans[()].bounds
+    assert _orbit_bounds(A) is bounds
+    for pinned, plan in plans.items():
+        assert (plan.bounds is None) == (pinned != ())
+        # the plan holds no reference to its source, so A makes no cycle
+        assert not any(x is A for x in gc.get_referents(plan))
+    # walks and bounds name earlier depths of the plan's order
+    assert plans[("a", "d")].order == ("a", "d", "b", "c")
+    assert plans[("a", "d")].walks == ((), ((0, 3),), ((1, 2),), ())
+    assert bounds == ((), (), (), (0,))
+    assert len(Structure.__slots__) == 11
 
 
 @st.composite

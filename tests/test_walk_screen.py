@@ -175,7 +175,8 @@ def test_walk_pairs_of_a_path_pinned_at_its_ends():
     # from d; c's earlier vertices are a neighbour and a vertex whose
     # distance the placed path a - b - c already gives.
     A = graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
-    assert _walk_pairs(A, ("a", "d")) == ((), (("a", 3),), (("d", 2),), ())
+    # the order is a, d, b, c; each pair names an earlier depth
+    assert _walk_pairs(A, ("a", "d")) == ((), ((0, 3),), ((1, 2),), ())
     # unpinned, the sorted order walks along the path: nothing to screen
     assert _walk_pairs(A, ()) == ((), (), (), ())
     # vertices in different components are joined by no walk
