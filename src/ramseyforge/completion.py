@@ -92,6 +92,16 @@ class CompletionResult:
         return self.status == "completed"
 
 
+def _fail(kind, vertices, present=(), absent=(), note="", extra=()) -> CompletionResult:
+    """A strong completion that fails, with its certificate."""
+    return CompletionResult(
+        "no-completion",
+        certificate=ObstacleCertificate(
+            kind, tuple(vertices), tuple(present), tuple(absent), note, tuple(extra)
+        ),
+    )
+
+
 def is_completion(C: Structure, C_prime: Structure, strong: bool) -> bool:
     """Does C_prime complete C: irreducible plus a (one-to-one when strong)
     homomorphism-embedding C -> C_prime, decided by search."""
@@ -569,47 +579,39 @@ class PosetPlugin(ClassPlugin):
         leq, prec = A.tuples("leq"), A.tuples("prec")
         vs = A.vertices
 
-        def fail(kind, vertices, present=(), absent=(), note="", extra=()):
-            return CompletionResult(
-                "no-completion",
-                certificate=ObstacleCertificate(
-                    kind, tuple(vertices), tuple(present), tuple(absent), note, tuple(extra)
-                ),
-            )
-
         for v in vs:
             for sym in ("prec", "leq"):
                 if (v, v) not in A.tuples(sym):
-                    return fail(
+                    return _fail(
                         "missing-reflexive", (v,), absent=[(sym, (v, v))],
                         note=f"{sym} misses the reflexive pair",
                     )
-        opened = _vertex_masks(A)[1]
-        for (i, u), (j, v) in itertools.combinations(enumerate(vs), 2):
-            frozen = opened[i] >> j & 1
+        # in the poset language a pair shares a tuple iff prec or leq holds on it
+        for u, v in itertools.combinations(vs, 2):
             fwd, bwd = (u, v) in leq, (v, u) in leq
             if fwd and bwd:
-                return fail(
+                return _fail(
                     "order-antisymmetry", (u, v),
                     present=[("leq", (u, v)), ("leq", (v, u))],
                 )
-            if (u, v) in prec and (v, u) in prec:
-                return fail(
+            up, down = (u, v) in prec, (v, u) in prec
+            if up and down:
+                return _fail(
                     "prec-antisymmetry", (u, v),
                     present=[("prec", (u, v)), ("prec", (v, u))],
                 )
-            if frozen and not (fwd or bwd):
-                return fail(
+            if (up or down) and not (fwd or bwd):
+                return _fail(
                     "unordered-pair", (u, v),
                     absent=[("leq", (u, v)), ("leq", (v, u))],
                     note="pair shares a tuple but has no orientation",
                 )
-            for (a, b) in (((u, v) if fwd else (v, u)),) if (fwd or bwd) else ():
-                if (b, a) in prec:
-                    return fail(
-                        "prec-against-order", (a, b),
-                        present=[("leq", (a, b)), ("prec", (b, a))],
-                    )
+            if fwd and down or bwd and up:
+                a, b = (u, v) if fwd else (v, u)
+                return _fail(
+                    "prec-against-order", (a, b),
+                    present=[("leq", (a, b)), ("prec", (b, a))],
+                )
 
         kind, data = self._decide(vs, _oriented_vector(vs, leq, prec))
         if kind is None:
@@ -625,14 +627,14 @@ class PosetPlugin(ClassPlugin):
         if kind == "frozen-prec-gap":
             qc = quasi_cycle_scan(A)
             if qc is not None:
-                return fail(
+                return _fail(
                     "quasi-cycle", qc.vertices,
                     present=[("leq", (qc.vertices[0], qc.vertices[-1]))],
                     absent=[("prec", (qc.vertices[0], qc.vertices[-1]))],
                     note="prec chain against a frozen pair",
                 )
             a, b = vs[data[0]], vs[data[1]]
-            return fail(
+            return _fail(
                 "frozen-prec-gap", (a, b),
                 absent=[("prec", (a, b))],
                 note="transitivity forces prec on a frozen pair without it",
@@ -641,7 +643,7 @@ class PosetPlugin(ClassPlugin):
             "prec-cycle": "prec chain closes on itself",
             "order-cycle": "no linear extension exists",
         }[kind]
-        return fail(kind, tuple(vs[i] for i in data), note=note)
+        return _fail(kind, tuple(vs[i] for i in data), note=note)
 
     def _decide(self, verts: Sequence[str], states: Sequence[int]) -> tuple:
         """The poset completion kernel on a pair-state vector (see
@@ -724,19 +726,11 @@ class MetricPlugin(ClassPlugin):
         from .rsf import format_rational
 
         try:
-            G = metric_mod.structure_to_sgraph(A, self.S)
+            ranks = metric_mod.structure_ranks(A, self.S)
         except StructureError as exc:
-            return CompletionResult(
-                "no-completion",
-                certificate=ObstacleCertificate(
-                    "malformed-distance-graph", tuple(A.vertices), note=str(exc)
-                ),
-            )
-        vs, rank = G.vertices, self.S._rank
-        states = [
-            0 if q is None else rank[q] + 1
-            for q in (G.dist.get(pair) for pair in itertools.combinations(vs, 2))
-        ]
+            return _fail("malformed-distance-graph", A.vertices, note=str(exc))
+        vs, values = A.vertices, self.S._values
+        states = [ranks.get(pair, -1) + 1 for pair in itertools.combinations(vs, 2)]
         kind, data = self._decide(vs, states)
         if kind is None:
             names = self.S._symbols
@@ -748,25 +742,20 @@ class MetricPlugin(ClassPlugin):
             )
         i, j, shortest, walk = data
         walk = tuple(vs[w] for w in walk)
-        recorded = G.get(vs[i], vs[j])
-        shortest = self.S._values[shortest]
-        edges = [G.get(walk[h], walk[h + 1]) for h in range(len(walk) - 1)]
+        recorded = values[ranks[vs[i], vs[j]]]
+        shortest = values[shortest]
+        edges = [values[ranks[metric_mod._pair(a, b)]] for a, b in zip(walk, walk[1:])]
         present = [
             (f"d:{format_rational(q)}", (walk[h], walk[h + 1]))
             for h, q in enumerate(edges)
         ]
         present.append((f"d:{format_rational(recorded)}", (vs[i], vs[j])))
-        return CompletionResult(
-            "no-completion",
-            certificate=ObstacleCertificate(
-                "non-metric-cycle",
-                walk,
-                present=tuple(present),
-                note=f"recorded {recorded} exceeds walk length {shortest}",
-                extra=(
-                    ("distances", ",".join(format_rational(q) for q in edges + [recorded])),
-                    ("shortest", format_rational(shortest)),
-                ),
+        return _fail(
+            "non-metric-cycle", walk, present=present,
+            note=f"recorded {recorded} exceeds walk length {shortest}",
+            extra=(
+                ("distances", ",".join(format_rational(q) for q in edges + [recorded])),
+                ("shortest", format_rational(shortest)),
             ),
         )
 
@@ -845,56 +834,40 @@ class ForbiddenPlugin(ClassPlugin):
         leq, edges = A.tuples("leq"), A.tuples("E")
         vs = A.vertices
 
-        def fail(kind, vertices, present=(), absent=(), note=""):
-            return CompletionResult(
-                "no-completion",
-                certificate=ObstacleCertificate(
-                    kind, tuple(vertices), tuple(present), tuple(absent), note
-                ),
-            )
-
         for v in vs:
             if (v, v) in edges:
-                return fail("edge-loop", (v,), present=[("E", (v, v))])
+                return _fail("edge-loop", (v,), present=[("E", (v, v))])
             if (v, v) not in leq:
-                return fail("missing-reflexive", (v,), absent=[("leq", (v, v))])
-        opened = _vertex_masks(A)[1]
-        for (i, u), (j, v) in itertools.combinations(enumerate(vs), 2):
+                return _fail("missing-reflexive", (v,), absent=[("leq", (v, v))])
+        # in the ordered-graph language a pair shares a tuple iff E or leq holds on it
+        for u, v in itertools.combinations(vs, 2):
             fwd, bwd = (u, v) in leq, (v, u) in leq
             if fwd and bwd:
-                return fail(
+                return _fail(
                     "order-antisymmetry", (u, v),
                     present=[("leq", (u, v)), ("leq", (v, u))],
                 )
-            if opened[i] >> j & 1 and not (fwd or bwd):
-                return fail(
+            there, back = (u, v) in edges, (v, u) in edges
+            if (there or back) and not (fwd or bwd):
+                return _fail(
                     "unordered-pair", (u, v),
                     absent=[("leq", (u, v)), ("leq", (v, u))],
                 )
-            if (u, v) in edges and (v, u) not in edges:
-                return fail(
-                    "one-way-edge", (u, v),
-                    present=[("E", (u, v))], absent=[("E", (v, u))],
-                )
-            if (v, u) in edges and (u, v) not in edges:
-                return fail(
-                    "one-way-edge", (v, u),
-                    present=[("E", (v, u))], absent=[("E", (u, v))],
+            if there != back:
+                a, b = (u, v) if there else (v, u)
+                return _fail(
+                    "one-way-edge", (a, b), present=[("E", (a, b))], absent=[("E", (b, a))]
                 )
         kind, data = self._decide(vs, _oriented_vector(vs, leq, edges))
         if kind is None:
             return CompletionResult("completed", completed=_ordered_completion(vs, *data))
         if kind == "order-cycle":
-            return fail(kind, tuple(vs[i] for i in data))
+            return _fail(kind, tuple(vs[i] for i in data))
         F, m = data
-        return CompletionResult(
-            "no-completion",
-            certificate=ObstacleCertificate(
-                "forbidden-member",
-                tuple(sorted(m.image_vertices())),
-                note=f"embeds a forbidden structure on {len(F.vertices)} vertices",
-                extra=tuple(("witness:" + src, dst) for src, dst in m.map),
-            ),
+        return _fail(
+            "forbidden-member", sorted(m.image_vertices()),
+            note=f"embeds a forbidden structure on {len(F.vertices)} vertices",
+            extra=[("witness:" + src, dst) for src, dst in m.map],
         )
 
     def _decide(self, verts: Sequence[str], states: Sequence[int]) -> tuple:
@@ -993,6 +966,8 @@ def get_plugin(selector: str) -> ClassPlugin:
 
 def complete_with(A: Structure, plugin: ClassPlugin) -> CompletionResult:
     """Strong completion of A in the plugin's class."""
+    if A.language != plugin.language:
+        raise PreconditionError("the structure must live in the plugin's language")
     return plugin.try_strong_completion(A)
 
 
@@ -1048,6 +1023,8 @@ def try_completion(A: Structure, plugin: ClassPlugin) -> Optional[tuple[Morphism
     most-blocks-first order) whose collapse is a homomorphism-embedding and
     whose image strongly completes; None when no completion exists.
     """
+    if A.language != plugin.language:
+        raise PreconditionError("the structure must live in the plugin's language")
     for blocks in _partitions(A.vertices):
         Q, q = quotient_structure(A, blocks)
         if not verify_morphism(q):

@@ -327,24 +327,35 @@ def sgraph_to_structure(G: SGraph, S: DistanceSet) -> Structure:
 
 
 def structure_to_sgraph(A: Structure, S: DistanceSet) -> SGraph:
-    """Interpret a distance-language structure as an S-graph.
+    """Interpret a distance-language structure as an S-graph; raises as
+    ``structure_ranks`` does."""
+    values = S._values
+    return SGraph(A.vertices, {p: values[r] for p, r in structure_ranks(A, S).items()})
 
-    Raises when the structure is not a well-formed S-graph (loops, one-way
-    tuples, or two distances on a pair).
-    """
-    dist: dict[tuple[str, str], Fraction] = {}
-    for q, name in zip(S._values, S._symbols):
+
+def structure_ranks(A: Structure, S: DistanceSet) -> dict[tuple[str, str], int]:
+    """Per pair u < v of a distance-language structure that has a
+    distance, its rank in ``S.sorted()``.  Raises when the structure is not
+    a well-formed S-graph (loops, one-way tuples, or two distances on a
+    pair), naming the first fault, symbols in distance order and tuples
+    sorted."""
+    ranks: dict[tuple[str, str], int] = {}
+    for r, name in enumerate(S._symbols):
         ts = A.tuples(name)
-        for (u, v) in ts:
+        faults = []
+        for t in ts:
+            u, v = t
             if u == v:
-                raise StructureError(f"loop in {name!r}")
-            if (v, u) not in ts:
-                raise StructureError(f"one-way distance tuple {(u, v)!r}")
-            p = _pair(u, v)
-            if p in dist and dist[p] != q:
-                raise StructureError(f"two distances on pair {p!r}")
-            dist[p] = q
-    return SGraph(A.vertices, dist)
+                faults.append((t, f"loop in {name!r}"))
+            elif (v, u) not in ts:
+                faults.append((t, f"one-way distance tuple {t!r}"))
+            elif u < v and ranks.setdefault(t, r) != r:
+                faults.append((t, f"two distances on pair {t!r}"))
+        if faults:
+            # whether a tuple fails depends on the earlier symbols only, not
+            # on the order the set gives, so the least one is named
+            raise StructureError(min(faults)[1])
+    return ranks
 
 
 # ---------------------------------------------------------------------------

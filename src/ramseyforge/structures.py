@@ -80,10 +80,10 @@ class Structure:
     # ``search_morphisms``, ``copies_of`` and ``closures.u_closure_set``.
     # ``_plans`` holds one ``_Plan`` per tuple of pinned vertices.
     # ``_nbhd``, ``_walks`` and ``_comps`` hold bitmasks over the sorted
-    # vertices, bit j for ``vertices[j]``: the Gaifman neighbourhoods and
-    # tuple incidences, which every Gaifman reader uses (see
-    # ``_vertex_masks``), walk ends per length, and the connected
-    # components with their parity (see ``_components``).
+    # vertices, bit j for ``vertices[j]``: the Gaifman neighbourhoods,
+    # which every Gaifman reader uses, and the tuple incidences, filed for
+    # embedding targets (see ``_vertex_masks``), walk ends per length, and
+    # the connected components with their parity (see ``_components``).
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash",
         "_plans", "_profile", "_nbhd", "_walks", "_comps", "_closures",
@@ -597,7 +597,7 @@ def _profiles(B: Structure) -> dict[str, list[int]]:
     return B._profile
 
 
-def _vertex_masks(B: Structure) -> tuple:
+def _vertex_masks(B: Structure, filed: bool = False) -> tuple:
     """The bitmask view of B, built in one pass over the tuples and cached
     on B: the only form in which B keeps its Gaifman graph, read by the
     search and by every other Gaifman reader.
@@ -613,14 +613,15 @@ def _vertex_masks(B: Structure) -> tuple:
     ``by_top[j][x] = [occurrences in tuples on j and x alone, masks of
     the wider tuples, once per occurrence]``.  A tuple lies inside a
     vertex set holding j only if its top member does, so the count over
-    a set visits only its members' entries.
+    a set visits only its members' entries.  Only an embedding search
+    reads these two, so they are None unless ``filed`` asks; then masks
+    built without them are built again, with them.
     """
     cache = B._nbhd
-    if cache is None:
+    if cache is None or filed and cache[3] is None:
         index = {w: j for j, w in enumerate(B.vertices)}
         closed = [1 << j for j in range(len(index))]
-        alone = [0] * len(closed)
-        by_top: list[dict[int, list]] = [{} for _ in closed]
+        alone, by_top = ([0] * len(closed), [{} for _ in closed]) if filed else (None, None)
         for ts in B._relations.values():
             for t in ts:
                 js = list(map(index.__getitem__, t))
@@ -629,18 +630,20 @@ def _vertex_masks(B: Structure) -> tuple:
                     m |= 1 << j
                 for j in js:
                     closed[j] |= m
+                    if not filed:
+                        continue
                     others = m ^ 1 << j
                     if not others:
                         alone[j] += 1
                         continue
                     top = 1 << others.bit_length() - 1
-                    filed = by_top[j].get(top)
-                    if filed is None:
-                        filed = by_top[j][top] = [0, []]
+                    entry = by_top[j].get(top)
+                    if entry is None:
+                        entry = by_top[j][top] = [0, []]
                     if others == top:
-                        filed[0] += 1
+                        entry[0] += 1
                     else:
-                        filed[1].append(m)
+                        entry[1].append(m)
         opened = [m ^ 1 << j for j, m in enumerate(closed)]
         cache = (index, opened, closed, alone, by_top)
         object.__setattr__(B, "_nbhd", cache)
@@ -761,7 +764,8 @@ def search_morphisms(
       tuple exactly when the count equals v's occurrences in the depth's
       source tuples.  A partial map that fails cannot extend to an
       embedding.  The count visits only the tuples that ``_vertex_masks``
-      files under w's neighbours in the image.  Monomorphisms and
+      files under w's neighbours in the image, filed for embedding
+      targets only.  Monomorphisms and
       embeddings also skip targets whose (symbol, position) occurrence
       counts fall below v's.
     - **Span reflection as plan checks** (homomorphism-embeddings).  The
@@ -884,7 +888,7 @@ def compile_search(
     n, k = len(order), len(pinned)
     verts, verts_a = B.vertices, A.vertices
     rels = B._relations
-    index, opened, closed, alone, by_top = _vertex_masks(B)
+    index, opened, closed, alone, by_top = _vertex_masks(B, reflect)
     nbhd = opened if injective or pairwise else closed
     full = (1 << len(verts)) - 1
     checks = [[(rels[name], get) for name, get in cs] for cs in plan.checks]

@@ -8,8 +8,9 @@ strong completion with one kernel on the pattern's pair-state vector:
 - posets: transitive closure of prec on vertex-token pairs, a digraph cycle
   search, then a stable topological sort on tokens and the plugin's
   membership test on the completed structure;
-- metric: the structure read as an S-graph and completed by Floyd-Warshall
-  on ``Fraction`` distances (``pattern_oracle.fraction_completion``);
+- metric: the structure read as an S-graph of ``Fraction`` distances,
+  tuples in sorted order (``sgraph_of``), and completed by Floyd-Warshall
+  (``pattern_oracle.fraction_completion``);
 - forbidden: the order cycle search and topological sort on tokens, then an
   embedding search for the forbidden members in the completed structure.
 
@@ -215,9 +216,28 @@ def poset_completion(plugin: PosetPlugin, A: Structure) -> CompletionResult:
     return CompletionResult("completed", completed=completed)
 
 
+def sgraph_of(A: Structure, S) -> metric_mod.SGraph:
+    """A distance-language structure read as an S-graph of ``Fraction``
+    distances, tuple by tuple in sorted order, raising at the first fault:
+    ``metric.structure_to_sgraph`` before it read integer ranks."""
+    dist = {}
+    for q, name in zip(S.sorted(), S._symbols):
+        ts = A.tuples(name)
+        for (u, v) in sorted(ts):
+            if u == v:
+                raise StructureError(f"loop in {name!r}")
+            if (v, u) not in ts:
+                raise StructureError(f"one-way distance tuple {(u, v)!r}")
+            p = (u, v) if u <= v else (v, u)
+            if p in dist and dist[p] != q:
+                raise StructureError(f"two distances on pair {p!r}")
+            dist[p] = q
+    return metric_mod.SGraph(A.vertices, dist)
+
+
 def metric_completion(plugin: MetricPlugin, A: Structure) -> CompletionResult:
     try:
-        G = metric_mod.structure_to_sgraph(A, plugin.S)
+        G = sgraph_of(A, plugin.S)
     except StructureError as exc:
         return _fail("malformed-distance-graph", A.vertices, note=str(exc))
     # the plugin checked the 4-values condition when it was made

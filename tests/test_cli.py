@@ -163,6 +163,12 @@ class TestCompleteCli:
         for sym, t in payload["certificate"]["present"]:
             assert tuple(t) in bad.tuples(sym)
 
+    @pytest.mark.parametrize("klass", ["posets", "metric:1,2"])
+    def test_structure_outside_the_language_is_usage_error(self, files, capsys, klass):
+        code = run(["complete", "run", "--class", klass, files["K3.rsf"]])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "" and err.startswith("error: ")
+
     def test_holes(self, files, capsys):
         code, payload = run_json(capsys, ["complete", "holes", files["P3.rsf"]])
         assert code == 0 and payload["holes"] == [["p0", "p2"]]

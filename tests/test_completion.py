@@ -166,6 +166,33 @@ class TestMetricPluginCompletion:
         assert is_completion(partial, result.completed, strong=True)
 
 
+class TestLanguageGuard:
+    """A structure outside the plugin's language is a precondition error,
+    not an answer: the metric plugin used to refuse K3 as a malformed
+    distance graph, and the posets plugin to complete a structure with one
+    more symbol into one that drops it."""
+
+    def _refused(self, A, plugin):
+        with pytest.raises(PreconditionError):
+            complete_with(A, plugin)
+        with pytest.raises(PreconditionError):
+            try_completion(A, plugin)
+
+    def test_metric_refuses_a_graph(self):
+        K3 = graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        self._refused(K3, get_plugin("metric:1,2"))
+
+    def test_posets_refuse_an_extra_symbol(self):
+        L = language(("prec", 2), ("leq", 2), ("X", 2), order_symbol="leq")
+        loops = [("a", "a"), ("b", "b")]
+        rels = {"prec": loops, "leq": loops + [("a", "b")]}
+        A = Structure(L, ["a", "b"], {**rels, "X": [("a", "b")]})
+        self._refused(A, get_plugin("posets"))
+        # the same structure without X completes
+        B = Structure(POSET, ["a", "b"], rels)
+        assert complete_with(B, get_plugin("posets")).ok
+
+
 class TestMembershipNeedsLinearOrder:
     """Both ordered plugins read ``leq`` through ``structures.linear_order``."""
 

@@ -6,8 +6,10 @@ keeps the earlier token-level bodies: closure, cycle search and topological
 sort on vertex tokens, Floyd-Warshall on ``Fraction`` distances.  On random
 structures in the poset, ordered-graph and distance languages, malformed
 ones included, both must give the same status, the same certificate (every
-field) and the same completed structure.  Vertex tokens are inserted in an
-order that differs from their sorted order.  On every canonical pattern
+field) and the same completed structure; a second draw toggles one to six
+tuples on two to six vertices, so that most structures have several
+faults.  Vertex tokens are inserted in an order that differs from their
+sorted order.  On every canonical pattern
 with at most four vertices, the kernel's verdict must be the oracle's, and
 the completion-iff-strong report, which decides both sides on pair
 vectors, must be the one the oracle's loop gives by strongly completing
@@ -88,18 +90,22 @@ def assert_same(plugin, A):
 
 
 @st.composite
-def vertex_tokens(draw, max_size=6):
-    n = draw(st.integers(0, max_size))
+def vertex_tokens(draw, min_size=0, max_size=6):
+    n = draw(st.integers(min_size, max_size))
     return draw(st.permutations(TOKENS))[:n]
 
 
 @st.composite
-def tweaks(draw, symbols, verts):
+def tweaks(draw, symbols, verts, faulty=False):
     """A few tuples to toggle: mostly none, so that most structures are
-    well formed and reach the kernel, else loops and one-way pairs."""
+    well formed and reach the kernel, else loops and one-way pairs.  With
+    ``faulty``, always one to six, so that a structure often has several
+    faults at once."""
     if not verts:
         return []
     pair = st.tuples(st.sampled_from(symbols), st.sampled_from(verts), st.sampled_from(verts))
+    if faulty:
+        return draw(st.lists(pair, min_size=1, max_size=6))
     return draw(st.one_of(st.just([]), st.just([]), st.lists(pair, min_size=1, max_size=3)))
 
 
@@ -111,12 +117,12 @@ def toggled(rels, changes):
 
 
 @st.composite
-def oriented_structures(draw, language, second, states=st.integers(0, 4)):
+def oriented_structures(draw, language, second, states=st.integers(0, 4), min_size=0, faulty=False):
     """Pair states drawn from ``states`` over the tokens as inserted (0 a
     hole, 1/2 the order one way, 3/4 the order plus the second relation
     oriented like it; the ordered graph's edge is stored both ways), then a
     few toggled tuples."""
-    verts = draw(vertex_tokens())
+    verts = draw(vertex_tokens(min_size))
     rels = {"leq": {(v, v) for v in verts}, second: set()}
     if second == "prec":
         rels["prec"] |= {(v, v) for v in verts}
@@ -130,22 +136,22 @@ def oriented_structures(draw, language, second, states=st.integers(0, 4)):
             rels[second].add((a, b))
             if second == "E":
                 rels["E"].add((b, a))
-    rels = toggled(rels, draw(tweaks(("leq", second), verts)))
+    rels = toggled(rels, draw(tweaks(("leq", second), verts, faulty)))
     return Structure(language, verts, rels)
 
 
 @st.composite
-def distance_structures(draw, plugin):
+def distance_structures(draw, plugin, min_size=0, faulty=False):
     """A random distance graph over the tokens as inserted, then a few
     toggled tuples: loops, one-way tuples, two distances on a pair."""
-    verts = draw(vertex_tokens())
+    verts = draw(vertex_tokens(min_size))
     names = plugin.S._symbols
     rels = {name: set() for name in names}
     for u, v in itertools.combinations(verts, 2):
         r = draw(st.integers(-1, len(names) - 1))
         if r >= 0:
             rels[names[r]] |= {(u, v), (v, u)}
-    rels = toggled(rels, draw(tweaks(names, verts)))
+    rels = toggled(rels, draw(tweaks(names, verts, faulty)))
     return Structure(plugin.language, verts, rels)
 
 
@@ -193,6 +199,22 @@ EDGE_HEAVY = st.sampled_from((0, 1, 2, 4) + (3,) * 12)
 @given(A=oriented_structures(ORDERED_GRAPH, "E", EDGE_HEAVY), name=st.sampled_from(FORBIDDEN))
 def test_forbidden_kernel_matches_oracle(A, name):
     assert_same(PLUGINS[name], A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PLUGINS)))
+def test_faulty_structures_match_oracle(data, name):
+    # 2-6 vertices and one to six toggled tuples: several faults at once,
+    # so the one named must be the oracle's first (for distance graphs the
+    # least in sorted order), and pairs that share only a prec or E tuple
+    plugin = PLUGINS[name]
+    if name == "posets":
+        A = data.draw(oriented_structures(POSET, "prec", min_size=2, faulty=True))
+    elif name in METRIC:
+        A = data.draw(distance_structures(plugin, min_size=2, faulty=True))
+    else:
+        A = data.draw(oriented_structures(ORDERED_GRAPH, "E", EDGE_HEAVY, min_size=2, faulty=True))
+    assert_same(plugin, A)
 
 
 def poset(verts, leq, prec, diag=True):

@@ -15,7 +15,9 @@ wrong, each checked map for map and in order against ``oracle_search``,
 - vertex names whose sorted order is not their numeric order, so bit
   order must follow the sorted names;
 - targets of more than 64 vertices, whose masks are wider than a machine
-  word.
+  word;
+- embedding and copy searches into targets whose masks a Gaifman reader
+  built first, without the tuples filed for the reflection count.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from ramseyforge.structures import (
     MORPHISM_KINDS,
     Structure,
     compile_search,
+    connected_components,
     copies_of,
     language,
 )
@@ -135,6 +138,23 @@ def test_runs_pinned_elsewhere_take_turns():
 def test_copies(case):
     A, B = case[:2]
     assert copies_of(A, B) == oracle_copies_of(A, B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_searches())
+def test_embeddings_into_targets_masked_without_filing(case):
+    # A Gaifman reader builds B's masks without the tuples filed for the
+    # reflection count; the first embedding search into B files them.
+    A, B, _, pinned, values, _ = case
+    connected_components(B)
+    assert B._nbhd[3] is None and B._nbhd[4] is None
+    run = compile_search(A, B, "embedding", pinned)
+    assert list(run(values)) == vectors(A, B, "embedding", dict(zip(pinned, values)))
+    # a source larger than B is refused before any mask is read
+    assert (B._nbhd[3] is not None) == (len(A.vertices) <= len(B.vertices))
+    C = Structure(MIXED, B.vertices, B.relations)
+    connected_components(C)
+    assert copies_of(A, C) == oracle_copies_of(A, C)
 
 
 @st.composite

@@ -2,9 +2,10 @@
 
 The morphism search draws candidates from neighbourhood sets, the closure
 checks collect prefixes in sets, obstacle search keeps failing pattern
-vectors in sets, lifts collect root tuples in sets, and copies are keyed by
-image sets; this runs fixed searches and reports in fresh interpreters
-under different hash seeds and requires byte-identical output.
+vectors in sets, lifts collect root tuples in sets, copies are keyed by
+image sets, and a distance structure's tuples are read from sets; this
+runs fixed searches and reports in fresh interpreters under different hash
+seeds and requires byte-identical output.
 """
 
 import os
@@ -169,6 +170,25 @@ print("forbidden", kfree_plugin(4).try_strong_completion(G).certificate.to_obj()
 """
 
 
+DISTANCE_FAULT_SCRIPT = r"""
+from ramseyforge.completion import get_plugin
+from ramseyforge.errors import StructureError
+from ramseyforge.metric import structure_to_sgraph
+from ramseyforge.structures import Structure
+
+# two one-way d:1 tuples: the least fault, on (a, b), is the one reported
+m12 = get_plugin("metric:1,2")
+A = Structure(m12.language, ["f", "e", "d", "c", "b", "a"], {
+    "d:1": [("c", "d"), ("a", "b")], "d:2": [("e", "f"), ("f", "e")],
+})
+print("certificate", m12.try_strong_completion(A).certificate.to_obj(), sep="\t")
+try:
+    structure_to_sgraph(A, m12.S)
+except StructureError as exc:
+    print("reader", exc, sep="\t")
+"""
+
+
 def _run(hashseed: str, script: str = SCRIPT) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -234,3 +254,12 @@ def test_completion_certificates_identical_across_hash_seeds():
         "prec-against-order", "prec-cycle", "quasi-cycle", "frozen-prec-gap", "order-cycle",
         "forbidden-member",
     ]
+
+
+def test_distance_fault_identical_across_hash_seeds():
+    outputs = [_run(seed, DISTANCE_FAULT_SCRIPT) for seed in ("0", "1", "2", "3")]
+    assert all(out == outputs[0] for out in outputs[1:])
+    certificate, reader = outputs[0].splitlines()
+    assert "'kind': 'malformed-distance-graph'" in certificate
+    assert "'note': \"one-way distance tuple ('a', 'b')\"" in certificate
+    assert reader == "reader\tone-way distance tuple ('a', 'b')"
