@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 from . import metric as metric_mod
 from .build import POSET, ORDERED_GRAPH, linear_order_tuples
 from .errors import PreconditionError, StructureError
-from .metric import DistanceSet, SGraph
+from .metric import DistanceSet
 from .structures import (
     Language,
     Morphism,
@@ -28,7 +28,6 @@ from .structures import (
     is_irreducible,
     linear_order,
     search_morphisms,
-    verify_morphism,
 )
 
 
@@ -107,11 +106,8 @@ def is_completion(C: Structure, C_prime: Structure, strong: bool) -> bool:
     homomorphism-embedding C -> C_prime, decided by search."""
     if not is_irreducible(C_prime):
         return False
-    for _ in search_morphisms(
-        C, C_prime, "homomorphism-embedding", require_injective=strong
-    ):
-        return True
-    return False
+    found = search_morphisms(C, C_prime, "homomorphism-embedding", require_injective=strong)
+    return next(found, None) is not None
 
 
 def holes(A: Structure) -> list[tuple[str, str]]:
@@ -136,24 +132,27 @@ class ClassPlugin:
     pair shows when read the other way round.  A plugin supplies the flip
     table and ``_pattern(k, states)``, which builds the structure.
 
-    Strong completion is decided once per class, by ``_decide(verts,
-    states)`` on the pair-state vector of a structure over its sorted
-    vertices ``verts``.  It returns ``(None, data)`` when the structure
-    strongly completes and ``(kind, data)`` when it does not; the data are
-    the plugin's own, in vertex indices 0..k-1.  ``try_strong_completion``
-    screens a structure for well-formedness, reads its vector and turns the
-    verdict back into a completed structure or a certificate;
-    ``obstacles_up_to`` and ``completion_iff_strong`` read only the
-    verdict, on the pattern's vector and, for completions, on the vectors
-    of its quotients.  So the data need not be a structure: the
-    ordered-graph kernel returns edge bitmasks and a linear order, and only
-    ``try_strong_completion`` builds the completed structure from them.
+    A structure is read once, by ``_read(A)``: it raises
+    ``PreconditionError`` outside the plugin's language and returns
+    ``(states, None)``, the pair vector over the sorted vertices, or
+    ``(None, failure)`` when a screen finds A malformed (a missing loop, a
+    pair ordered both ways, a one-way tuple, two distances on a pair).
+    ``_decide(verts, states)`` decides strong completion, ``(None, data)``
+    or ``(kind, data)`` in vertex indices 0..k-1; ``try_strong_completion``
+    turns its verdict into a certificate or, by ``_completed(verts,
+    data)``, a completed structure, while the pattern loops read verdicts
+    only, so the data need not be a structure (the ordered-graph kernel
+    returns edge bitmasks and a linear order).
 
-    Both loops assume that the pair vector describes the pattern fully and
-    that its vertices are all alike (the same loops and unary facts), with
-    state 0 the hole, the pair that shares no tuple.  Then identifying
-    vertices is a rule on pair states (``_quotient_completes``), and a
-    pattern is built only when it is reported.
+    A vector that passes the screen, like every pattern, describes the
+    structure fully, its vertices all alike (the same loops and unary
+    facts), state 0 the hole, the pair sharing no tuple.  A partition then
+    collapses it by a homomorphism-embedding iff every pair inside a block
+    is a hole and two blocks show one state besides holes; the quotient's
+    vector is read off the blocks (``_quotients``), one ``_decide`` each,
+    and only the answer is built.  A screen fault sits on one vertex or
+    pair, which such a collapse maps onto one vertex or pair and reflects,
+    so a structure that fails the screen has no completion.
     """
 
     name: str
@@ -166,7 +165,13 @@ class ClassPlugin:
     def try_strong_completion(self, A: Structure) -> CompletionResult:
         raise NotImplementedError
 
+    def _read(self, A: Structure) -> tuple:
+        raise NotImplementedError
+
     def _decide(self, verts: Sequence[str], states: Sequence[int]) -> tuple:
+        raise NotImplementedError
+
+    def _completed(self, verts: Sequence[str], data) -> Structure:
         raise NotImplementedError
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
@@ -382,24 +387,6 @@ def _oriented_pairs(
     return order, second
 
 
-def _oriented_vector(
-    verts: Sequence[str], order: frozenset, second: frozenset
-) -> list[int]:
-    """The oriented pair-state vector over ``verts`` of a structure with
-    order pairs ``order`` and second-relation pairs ``second``: the inverse
-    of ``_oriented_pairs``.  Assumes no pair is ordered both ways and every
-    second-relation pair is ordered the same way."""
-    out = []
-    for u, v in itertools.combinations(verts, 2):
-        if (u, v) in order:
-            out.append(3 if (u, v) in second else 1)
-        elif (v, u) in order:
-            out.append(4 if (v, u) in second else 2)
-        else:
-            out.append(0)
-    return out
-
-
 def _oriented_masks(k: int, states: Sequence[int]) -> tuple[list[int], list[int]]:
     """Successor bitmasks over vertex indices 0..k-1: bit b of ``order[a]``
     says a is ordered below b, bit b of ``second[a]`` that the pair also
@@ -575,55 +562,56 @@ class PosetPlugin(ClassPlugin):
             above[a].add(b)
         return all(above[b] <= above[a] for a, b in prec)
 
-    def try_strong_completion(self, A: Structure) -> CompletionResult:
+    def _read(self, A: Structure) -> tuple:
+        _check_language(A, self)
         leq, prec = A.tuples("leq"), A.tuples("prec")
         vs = A.vertices
-
         for v in vs:
             for sym in ("prec", "leq"):
                 if (v, v) not in A.tuples(sym):
-                    return _fail(
+                    return None, _fail(
                         "missing-reflexive", (v,), absent=[(sym, (v, v))],
                         note=f"{sym} misses the reflexive pair",
                     )
         # in the poset language a pair shares a tuple iff prec or leq holds on it
+        states = []
         for u, v in itertools.combinations(vs, 2):
             fwd, bwd = (u, v) in leq, (v, u) in leq
             if fwd and bwd:
-                return _fail(
+                return None, _fail(
                     "order-antisymmetry", (u, v),
                     present=[("leq", (u, v)), ("leq", (v, u))],
                 )
             up, down = (u, v) in prec, (v, u) in prec
             if up and down:
-                return _fail(
+                return None, _fail(
                     "prec-antisymmetry", (u, v),
                     present=[("prec", (u, v)), ("prec", (v, u))],
                 )
             if (up or down) and not (fwd or bwd):
-                return _fail(
+                return None, _fail(
                     "unordered-pair", (u, v),
                     absent=[("leq", (u, v)), ("leq", (v, u))],
                     note="pair shares a tuple but has no orientation",
                 )
             if fwd and down or bwd and up:
                 a, b = (u, v) if fwd else (v, u)
-                return _fail(
+                return None, _fail(
                     "prec-against-order", (a, b),
                     present=[("leq", (a, b)), ("prec", (b, a))],
                 )
+            # prec now implies leq the same way
+            states.append(3 if up else 1 if fwd else 4 if down else 2 if bwd else 0)
+        return states, None
 
-        kind, data = self._decide(vs, _oriented_vector(vs, leq, prec))
+    def try_strong_completion(self, A: Structure) -> CompletionResult:
+        states, fault = self._read(A)
+        if fault is not None:
+            return fault
+        vs = A.vertices
+        kind, data = self._decide(vs, states)
         if kind is None:
-            closure, topo = data
-            final_prec = [(v, v) for v in vs]
-            for a, succ in enumerate(closure):
-                final_prec.extend((vs[a], vs[b]) for b in _bits(succ))
-            completed = Structure(
-                POSET, vs,
-                {"prec": final_prec, "leq": linear_order_tuples([vs[i] for i in topo])},
-            )
-            return CompletionResult("completed", completed=completed)
+            return CompletionResult("completed", completed=self._completed(vs, data))
         if kind == "frozen-prec-gap":
             qc = quasi_cycle_scan(A)
             if qc is not None:
@@ -687,6 +675,14 @@ class PosetPlugin(ClassPlugin):
             raise StructureError("poset completion produced a non-member")
         return None, (closure, topo)
 
+    def _completed(self, vs: Sequence[str], data) -> Structure:
+        closure, topo = data
+        final_prec = [(v, v) for v in vs]
+        for a, succ in enumerate(closure):
+            final_prec.extend((vs[a], vs[b]) for b in _bits(succ))
+        leq = linear_order_tuples([vs[i] for i in topo])
+        return Structure(POSET, vs, {"prec": final_prec, "leq": leq})
+
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, 1/2 order one way, 3/4 order plus prec
         verts = _pattern_vertices(k)
@@ -716,39 +712,45 @@ class MetricPlugin(ClassPlugin):
         self.name = "metric:" + ",".join(format_rational(q) for q in S.sorted())
 
     def membership(self, A: Structure) -> bool:
+        # total, and a <= b + c for a in S reads rank(a) <= rank(b (+) c)
         try:
-            G = metric_mod.structure_to_sgraph(A, self.S)
+            ranks = metric_mod.structure_ranks(A, self.S)
         except StructureError:
             return False
-        return G.is_metric(self.S)
+        vs, oplus = A.vertices, self.S._oplus_rank
+        if len(ranks) != len(vs) * (len(vs) - 1) // 2:
+            return False
+        for u, v, w in itertools.combinations(vs, 3):
+            a, b, c = ranks[u, v], ranks[u, w], ranks[v, w]
+            if a > oplus[b][c] or b > oplus[a][c] or c > oplus[a][b]:
+                return False
+        return True
+
+    def _read(self, A: Structure) -> tuple:
+        _check_language(A, self)
+        try:
+            ranks = metric_mod.structure_ranks(A, self.S)
+        except StructureError as exc:
+            return None, _fail("malformed-distance-graph", A.vertices, note=str(exc))
+        return [ranks.get(pair, -1) + 1 for pair in itertools.combinations(A.vertices, 2)], None
 
     def try_strong_completion(self, A: Structure) -> CompletionResult:
         from .rsf import format_rational
 
-        try:
-            ranks = metric_mod.structure_ranks(A, self.S)
-        except StructureError as exc:
-            return _fail("malformed-distance-graph", A.vertices, note=str(exc))
+        states, fault = self._read(A)
+        if fault is not None:
+            return fault
         vs, values = A.vertices, self.S._values
-        states = [ranks.get(pair, -1) + 1 for pair in itertools.combinations(vs, 2)]
         kind, data = self._decide(vs, states)
         if kind is None:
-            names = self.S._symbols
-            rels: dict[str, list] = {name: [] for name in names}
-            for i, j in itertools.combinations(range(len(vs)), 2):
-                rels[names[data[i][j]]].extend([(vs[i], vs[j]), (vs[j], vs[i])])
-            return CompletionResult(
-                "completed", completed=Structure(self.language, vs, rels)
-            )
+            return CompletionResult("completed", completed=self._completed(vs, data))
         i, j, shortest, walk = data
+        state = dict(zip(itertools.combinations(range(len(vs)), 2), states))
+        recorded = values[state[i, j] - 1]
+        edges = [values[state[min(a, b), max(a, b)] - 1] for a, b in zip(walk, walk[1:])]
         walk = tuple(vs[w] for w in walk)
-        recorded = values[ranks[vs[i], vs[j]]]
         shortest = values[shortest]
-        edges = [values[ranks[metric_mod._pair(a, b)]] for a, b in zip(walk, walk[1:])]
-        present = [
-            (f"d:{format_rational(q)}", (walk[h], walk[h + 1]))
-            for h, q in enumerate(edges)
-        ]
+        present = [(f"d:{format_rational(q)}", pair) for q, pair in zip(edges, zip(walk, walk[1:]))]
         present.append((f"d:{format_rational(recorded)}", (vs[i], vs[j])))
         return _fail(
             "non-metric-cycle", walk, present=present,
@@ -774,16 +776,20 @@ class MetricPlugin(ClassPlugin):
             return "non-metric-cycle", violation
         return None, closed
 
+    def _completed(self, vs: Sequence[str], data) -> Structure:
+        return self._distances(vs, [data[i][j] + 1 for i, j in itertools.combinations(range(len(vs)), 2)])
+
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
-        # pair states: 0 hole, i >= 1 the i-th smallest distance
-        verts = _pattern_vertices(k)
-        vals = self.S.sorted()
-        dist = {
-            pair: vals[s - 1]
-            for pair, s in zip(itertools.combinations(verts, 2), states)
-            if s != 0
-        }
-        return metric_mod.sgraph_to_structure(SGraph(verts, dist), self.S)
+        return self._distances(_pattern_vertices(k), states)
+
+    def _distances(self, verts: Sequence[str], states: Sequence[int]) -> Structure:
+        """The distance structure on ``verts``: state 0 a hole, s the s-th distance."""
+        names = self.S._symbols
+        rels: dict[str, list] = {name: [] for name in names}
+        for (u, v), s in zip(itertools.combinations(verts, 2), states):
+            if s:
+                rels[names[s - 1]] += [(u, v), (v, u)]
+        return Structure(self.language, verts, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -830,37 +836,46 @@ class ForbiddenPlugin(ClassPlugin):
                 return False
         return self._forbidden_witness(A) is None
 
-    def try_strong_completion(self, A: Structure) -> CompletionResult:
+    def _read(self, A: Structure) -> tuple:
+        _check_language(A, self)
         leq, edges = A.tuples("leq"), A.tuples("E")
         vs = A.vertices
-
         for v in vs:
             if (v, v) in edges:
-                return _fail("edge-loop", (v,), present=[("E", (v, v))])
+                return None, _fail("edge-loop", (v,), present=[("E", (v, v))])
             if (v, v) not in leq:
-                return _fail("missing-reflexive", (v,), absent=[("leq", (v, v))])
+                return None, _fail("missing-reflexive", (v,), absent=[("leq", (v, v))])
         # in the ordered-graph language a pair shares a tuple iff E or leq holds on it
+        states = []
         for u, v in itertools.combinations(vs, 2):
             fwd, bwd = (u, v) in leq, (v, u) in leq
             if fwd and bwd:
-                return _fail(
+                return None, _fail(
                     "order-antisymmetry", (u, v),
                     present=[("leq", (u, v)), ("leq", (v, u))],
                 )
             there, back = (u, v) in edges, (v, u) in edges
             if (there or back) and not (fwd or bwd):
-                return _fail(
+                return None, _fail(
                     "unordered-pair", (u, v),
                     absent=[("leq", (u, v)), ("leq", (v, u))],
                 )
             if there != back:
                 a, b = (u, v) if there else (v, u)
-                return _fail(
+                return None, _fail(
                     "one-way-edge", (a, b), present=[("E", (a, b))], absent=[("E", (b, a))]
                 )
-        kind, data = self._decide(vs, _oriented_vector(vs, leq, edges))
+            states.append((3 if there else 1) if fwd else (4 if there else 2) if bwd else 0)
+        return states, None
+
+    def try_strong_completion(self, A: Structure) -> CompletionResult:
+        states, fault = self._read(A)
+        if fault is not None:
+            return fault
+        vs = A.vertices
+        kind, data = self._decide(vs, states)
         if kind is None:
-            return CompletionResult("completed", completed=_ordered_completion(vs, *data))
+            return CompletionResult("completed", completed=self._completed(vs, data))
         if kind == "order-cycle":
             return _fail(kind, tuple(vs[i] for i in data))
         F, m = data
@@ -883,7 +898,7 @@ class ForbiddenPlugin(ClassPlugin):
         for an embedded forbidden member, which fails with the member and
         the embedding as data.  Otherwise the data are ``(adj, topo)``: the
         completion's symmetric edge bitmasks over vertex indices and its
-        linear order; ``_ordered_completion`` builds the structure.
+        linear order; ``_completed`` builds the structure.
         """
         k = len(verts)
         order, edge = _oriented_masks(k, states)
@@ -895,10 +910,19 @@ class ForbiddenPlugin(ClassPlugin):
             for b in _bits(edge[a]):
                 adj[b] |= 1 << a
         if self._clique_size is not None and _mask_clique(adj, self._clique_size):
-            witness = self._forbidden_witness(_ordered_completion(verts, adj, topo))
+            witness = self._forbidden_witness(self._completed(verts, (adj, topo)))
             if witness is not None:
                 return "forbidden-member", witness
         return None, (adj, topo)
+
+    def _completed(self, verts: Sequence[str], data) -> Structure:
+        """The ordered graph of edge bitmasks ``adj`` and linear order ``topo``."""
+        adj, topo = data
+        edges = [(verts[a], verts[b]) for a in range(len(verts)) for b in _bits(adj[a])]
+        return Structure(
+            ORDERED_GRAPH, verts,
+            {"E": edges, "leq": linear_order_tuples([verts[i] for i in topo])},
+        )
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
         # pair states: 0 hole, 1/2 order one way, 3/4 order plus an edge
@@ -911,25 +935,10 @@ class ForbiddenPlugin(ClassPlugin):
         )
 
 
-def _ordered_completion(
-    verts: Sequence[str], adj: Sequence[int], topo: Sequence[int]
-) -> Structure:
-    """The ordered graph on ``verts`` with symmetric edge bitmasks ``adj``
-    and the linear order ``topo``, both over vertex indices."""
-    edges = [(verts[a], verts[b]) for a in range(len(verts)) for b in _bits(adj[a])]
-    return Structure(
-        ORDERED_GRAPH, verts,
-        {"E": edges, "leq": linear_order_tuples([verts[i] for i in topo])},
-    )
-
-
 def kfree_plugin(k: int) -> ForbiddenPlugin:
     """Ordered graphs with no embedded ordered K_k."""
     verts = [f"v{i}" for i in range(k)]
-    edges = []
-    for u, v in itertools.combinations(verts, 2):
-        edges.append((u, v))
-        edges.append((v, u))
+    edges = [(u, v) for u in verts for v in verts if u != v]
     # every linear order of K_k gives the same ordered graph up to isomorphism
     member = Structure(
         ORDERED_GRAPH, verts, {"E": edges, "leq": linear_order_tuples(verts)}
@@ -964,10 +973,14 @@ def get_plugin(selector: str) -> ClassPlugin:
     raise PreconditionError(f"unknown class selector {selector!r}")
 
 
-def complete_with(A: Structure, plugin: ClassPlugin) -> CompletionResult:
-    """Strong completion of A in the plugin's class."""
+def _check_language(A: Structure, plugin: ClassPlugin) -> None:
     if A.language != plugin.language:
         raise PreconditionError("the structure must live in the plugin's language")
+
+
+def complete_with(A: Structure, plugin: ClassPlugin) -> CompletionResult:
+    """Strong completion of A in the plugin's class."""
+    _check_language(A, plugin)
     return plugin.try_strong_completion(A)
 
 
@@ -975,45 +988,85 @@ def complete_with(A: Structure, plugin: ClassPlugin) -> CompletionResult:
 # quotients: completions that identify vertices
 
 
-def _partitions(items: Sequence) -> Iterator[list[list]]:
-    """All set partitions, most blocks first (the identity comes first)."""
-    items = list(items)
+def quotient_structure(A: Structure, blocks: Sequence[Sequence[str]]) -> tuple[Structure, Morphism]:
+    """Image structure of the block-collapsing map (representatives: min
+    token); the image of the partition into singletons is A itself."""
+    rep = {v: min(b) for b in blocks for v in b}
+    Q = A
+    if len(blocks) < len(A.vertices):
+        rels = {name: [tuple(rep[v] for v in t) for t in ts] for name, ts in A.relations.items()}
+        Q = Structure(A.language, sorted(set(rep.values())), rels)
+    return Q, Morphism.make(A, Q, rep, "homomorphism-embedding")
 
-    def rec(i: int, blocks: list[list[str]]) -> Iterator[list[list[str]]]:
-        if i == len(items):
-            yield [list(b) for b in blocks]
+
+def _quotients(vec: Sequence[int], k: int, flip: Sequence[int]) -> Iterator[tuple]:
+    """The set partitions of the vertex indices 0..k-1 that collapse the
+    pattern with pair vector ``vec`` by a homomorphism-embedding (see
+    ``ClassPlugin``), as ``(labels, quotient vector)``, most blocks first:
+    the identity first, reading ``vec`` as itself.
+
+    Restricted growth strings (Knuth, TAOCP 4A, 7.2.1.5) grow lazily, per
+    block count from k down, ``labels[i]`` the block of vertex i, each
+    vertex trying a new block before the earlier ones.  A vertex joins a
+    block only over holes, and the first non-hole pair between two blocks
+    (read from the lower to the higher) fixes the state that every later
+    one must show.  Nothing is pruned on the all-holes vector.
+    """
+    labels = [0] * k
+    cross = [[0] * k for _ in range(k)]
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # non-hole pairs j < i
+    for (j, i), s in zip(itertools.combinations(range(k), 2), vec):
+        if s:
+            earlier[i].append((j, s))
+
+    def grow(i: int, opened: int, m: int):
+        if i == k:
+            yield tuple(labels), [cross[c][b] for c, b in itertools.combinations(range(m), 2)]
             return
-        v = items[i]
-        blocks.append([v])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-        for b in blocks:
-            b.append(v)
-            yield from rec(i + 1, blocks)
-            b.pop()
+        # a new block, then the earlier ones while the vertices after i can
+        # still open the blocks missing
+        order = [opened] if opened < m else []
+        if k - i > m - opened:
+            order += range(opened)
+        for b in order:
+            fixed = []
+            for j, s in earlier[i]:
+                c = labels[j]
+                if c == b:
+                    break
+                lo, hi, t = (c, b, s) if c < b else (b, c, flip[s])
+                if not cross[lo][hi]:
+                    cross[lo][hi] = t
+                    fixed.append((lo, hi))
+                elif cross[lo][hi] != t:
+                    break
+            else:
+                labels[i] = b
+                yield from grow(i + 1, max(opened, b + 1), m)
+            for lo, hi in fixed:
+                cross[lo][hi] = 0
 
     try:
-        parts = sorted(rec(0, []), key=lambda bs: -len(bs))
+        for m in range(k, 0, -1) if k else (0,):
+            yield from grow(0, 0, m)
     finally:
-        del rec  # unlink the recursive closure (see _canonical_pair_vectors)
-    yield from parts
+        del grow  # unlink the recursive closure (see _canonical_pair_vectors)
 
 
-def quotient_structure(A: Structure, blocks: Sequence[Sequence[str]]) -> tuple[Structure, Morphism]:
-    """Image structure of the block-collapsing map (representatives: min token)."""
-    rep = {}
-    for b in blocks:
-        r = min(b)
-        for v in b:
-            rep[v] = r
-    verts = sorted(set(rep.values()))
-    rels = {
-        name: [tuple(rep[v] for v in t) for t in ts]
-        for name, ts in A.relations.items()
-    }
-    Q = Structure(A.language, verts, rels)
-    q = Morphism.make(A, Q, rep, "homomorphism-embedding")
-    return Q, q
+def _completing_quotient(plugin: ClassPlugin, verts: Sequence[str], vec: Sequence[int]) -> Optional[tuple]:
+    """The blocks of the first partition after the identity whose quotient,
+    over each block's least token, the kernel completes, with the kernel's
+    data, or None."""
+    for labels, qvec in itertools.islice(_quotients(vec, len(verts), plugin.pair_flip), 1, None):
+        blocks: list[list[str]] = []
+        for v, b in zip(verts, labels):
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(v)
+        kind, data = plugin._decide([block[0] for block in blocks], qvec)
+        if kind is None:
+            return blocks, data
+    return None
 
 
 def try_completion(A: Structure, plugin: ClassPlugin) -> Optional[tuple[Morphism, Structure]]:
@@ -1022,17 +1075,34 @@ def try_completion(A: Structure, plugin: ClassPlugin) -> Optional[tuple[Morphism
     Returns (quotient map, completed structure) for the first partition (in
     most-blocks-first order) whose collapse is a homomorphism-embedding and
     whose image strongly completes; None when no completion exists.
+
+    A is read once and fails with its screen (see ``ClassPlugin``).  The
+    identity is decided first; then, on more than three vertices, each part
+    of three with its quotients, as a completion restricts to every part
+    (and a pair lies in a part of three); then the other partitions, one
+    ``_decide`` each.  Only the answer is built, by ``quotient_structure``
+    and ``plugin._completed``, as ``try_strong_completion`` would build it.
     """
-    if A.language != plugin.language:
-        raise PreconditionError("the structure must live in the plugin's language")
-    for blocks in _partitions(A.vertices):
-        Q, q = quotient_structure(A, blocks)
-        if not verify_morphism(q):
-            continue
-        result = plugin.try_strong_completion(Q)
-        if result.ok:
-            return q, result.completed
-    return None
+    states, fault = plugin._read(A)
+    if fault is not None:
+        return None
+    verts = A.vertices
+    blocks, (kind, data) = [[v] for v in verts], plugin._decide(verts, states)
+    if kind is not None:
+        k = len(verts)
+        index = {pair: p for p, pair in enumerate(itertools.combinations(range(k), 2))}
+        for part in itertools.combinations(range(k), 3) if k > 3 else ():
+            tokens = [verts[i] for i in part]
+            sub = [states[index[pair]] for pair in itertools.combinations(part, 2)]
+            if plugin._decide(tokens, sub)[0] is not None:
+                if _completing_quotient(plugin, tokens, sub) is None:
+                    return None
+        found = _completing_quotient(plugin, verts, states)
+        if found is None:
+            return None
+        blocks, data = found
+    Q, q = quotient_structure(A, blocks)
+    return q, plugin._completed(Q.vertices, data)
 
 
 @dataclass(frozen=True)
@@ -1047,91 +1117,29 @@ class EquivalenceReport:
         return not self.violations
 
 
-def _index_quotients(k: int, flip: Sequence[int]) -> list[tuple]:
-    """How each set partition of the vertex indices 0..k-1 reads a pair
-    vector, most blocks first (the identity comes first).
-
-    A partition is ``(inner, cross, verts)``: ``inner`` lists the pair
-    positions inside a block, ``cross`` has, per pair of blocks in
-    ``itertools.combinations`` order (blocks ordered by least index), the
-    ``(p, table)`` reads of the pairs between them, oriented from the lower
-    block to the higher, and ``verts`` are the quotient's pattern vertices.
-    """
-    index = {pair: q for q, pair in enumerate(itertools.combinations(range(k), 2))}
-    same = tuple(range(len(flip)))
-    flip = tuple(flip)
-    out = []
-    for blocks in _partitions(range(k)):
-        inner = tuple(index[pair] for b in blocks for pair in itertools.combinations(b, 2))
-        cross = tuple(
-            tuple(
-                (index[(i, j)], same) if i < j else (index[(j, i)], flip)
-                for i in lower for j in higher
-            )
-            for lower, higher in itertools.combinations(blocks, 2)
-        )
-        out.append((inner, cross, _pattern_vertices(len(blocks))))
-    return out
-
-
-def _quotient_completes(
-    plugin: ClassPlugin, vec: Sequence[int], quotients: Sequence[tuple]
-) -> bool:
-    """Does some partition in ``quotients`` (see ``_index_quotients``)
-    collapse the pattern with pair vector ``vec`` onto one that strongly
-    completes?
-
-    The collapse is a homomorphism-embedding iff every pair inside a block
-    is a hole and the non-hole pairs between two blocks all show one state;
-    the quotient pair takes that state, or a hole.  This needs what
-    ``ClassPlugin`` assumes of the pattern: its pair vector describes it
-    and its vertices are all alike.
-    """
-    for inner, cross, verts in quotients:
-        if any(vec[p] for p in inner):
-            continue
-        qvec = []
-        for reads in cross:
-            states = {table[vec[p]] for p, table in reads}
-            states.discard(0)
-            if len(states) > 1:
-                break
-            qvec.append(states.pop() if states else 0)
-        else:
-            if plugin._decide(verts, qvec)[0] is None:
-                return True
-    return False
-
-
 def completion_iff_strong(plugin: ClassPlugin, size_cap: int) -> EquivalenceReport:
     """Exhaustively compare completion and strong completion over the
     plugin's pattern class up to size_cap vertices.
 
-    The patterns are walked as canonical pair vectors, size by size, and
-    both sides are decided on the vector.  The strong side is the kernel's
-    verdict ``plugin._decide``.  A strong completion is a completion
-    through the identity partition, the first of ``_index_quotients``,
-    whose quotient vector is the vector itself, so a kernel success is not
-    searched again.  A completion restricts to one on
-    every induced part, so a kernel failure with a part that does not
-    complete does not complete either (``_hereditary_walk``); only the
-    other kernel failures are searched through their quotients.  A
-    pattern's structure is built only for a violation.
+    Both sides are decided on the canonical pair vectors, size by size.
+    The strong side is the kernel's verdict; a completion through the
+    identity, the first of ``_quotients``, is a strong one, so a kernel
+    success is not searched again.  A completion restricts to every
+    induced part, so a kernel failure with a failing part fails too
+    (``_hereditary_walk``); only the other kernel failures are searched
+    through their quotients.  A pattern is built only for a violation.
     """
-    quotients = [_index_quotients(k, plugin.pair_flip) for k in range(size_cap + 1)]
     checked = 0
     violations = []
 
     def fails(verts: list[str], vec: tuple[int, ...], part_fails: bool) -> bool:
         nonlocal checked
         checked += 1
-        k = len(verts)
         if plugin._decide(verts, vec)[0] is None:
             return False
-        # the identity partition is the kernel's own verdict
-        if part_fails or not _quotient_completes(plugin, vec, quotients[k][1:]):
+        if part_fails or _completing_quotient(plugin, verts, vec) is None:
             return True
-        violations.append(plugin._pattern(k, vec))
+        violations.append(plugin._pattern(len(verts), vec))
         return False
 
     _hereditary_walk(plugin, size_cap, fails)
@@ -1175,12 +1183,10 @@ def _pullback_patterns(C0: Structure, k: int) -> Iterator[Structure]:
         base: dict[str, list] = {name: [] for name in C0.language.names()}
         for v in verts:
             for name, ts in C0.relations.items():
+                # a unary tuple or a loop, arities being 1 or 2
                 arity = C0.language.arity(name)
-                w = f[v]
-                if arity == 1 and (w,) in ts:
-                    base[name].append((v,))
-                if arity == 2 and (w, w) in ts:
-                    base[name].append((v, v))
+                if (f[v],) * arity in ts:
+                    base[name].append((v,) * arity)
         pair_tuples = []
         for (i, j) in open_pairs:
             u, v = verts[i], verts[j]
@@ -1233,17 +1239,11 @@ def probe_local_finiteness(
                 break
             if plugin.try_strong_completion(P).ok:
                 continue
-            small_ok = True
-            for r in range(1, min(n, k) + 1):
-                for S in itertools.combinations(P.vertices, r):
-                    if not plugin.try_strong_completion(
-                        induced_substructure(P, S)
-                    ).ok:
-                        small_ok = False
-                        break
-                if not small_ok:
-                    break
-            if small_ok:
+            if all(
+                plugin.try_strong_completion(induced_substructure(P, S)).ok
+                for r in range(1, min(n, k) + 1)
+                for S in itertools.combinations(P.vertices, r)
+            ):
                 key = canonical_key(P)
                 if key not in seen:
                     seen.add(key)

@@ -22,15 +22,21 @@ completed structure.
 read the order through ``structures.linear_order``: every axiom of both
 relations checked on tokens.
 
+``try_completion`` is the completion search as it was before it decided
+quotients on the pair vector: every set partition of the vertices, sorted
+most blocks first (``partitions``), is collapsed into a structure, the
+collapse is checked with ``verify_morphism`` and the image strongly
+completed, until one completes.
+
 ``completion_iff_strong`` is the equivalence check as it was before it read
 the strong side from the plugin's kernel: every pattern is built, then
-strongly completed and searched for a completion through quotients.
+strongly completed and searched for a completion with ``try_completion``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ramseyforge import metric as metric_mod
 from ramseyforge.build import ORDERED_GRAPH, POSET, linear_order_tuples
@@ -42,11 +48,11 @@ from ramseyforge.completion import (
     ObstacleCertificate,
     PosetPlugin,
     quasi_cycle_scan,
-    try_completion,
+    quotient_structure,
 )
 from ramseyforge.errors import StructureError
 from ramseyforge.rsf import format_rational
-from ramseyforge.structures import Structure
+from ramseyforge.structures import Morphism, Structure, verify_morphism
 
 from conftest import gaifman_adjacency
 import pattern_oracle
@@ -326,6 +332,40 @@ def try_strong_completion(plugin, A: Structure) -> CompletionResult:
     if isinstance(plugin, ForbiddenPlugin):
         return forbidden_completion(plugin, A)
     raise TypeError(f"no reference completion for {type(plugin).__name__}")
+
+
+def partitions(items: Sequence) -> Iterator[list[list]]:
+    """All set partitions, most blocks first (the identity comes first)."""
+    items = list(items)
+
+    def rec(i: int, blocks: list[list[str]]) -> Iterator[list[list[str]]]:
+        if i == len(items):
+            yield [list(b) for b in blocks]
+            return
+        v = items[i]
+        blocks.append([v])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+        for b in blocks:
+            b.append(v)
+            yield from rec(i + 1, blocks)
+            b.pop()
+
+    yield from sorted(rec(0, []), key=lambda bs: -len(bs))
+
+
+def try_completion(A: Structure, plugin) -> Optional[tuple[Morphism, Structure]]:
+    """The reference completion search: the first partition, most blocks
+    first, whose collapse verifies as a homomorphism-embedding and whose
+    image strongly completes."""
+    for blocks in partitions(A.vertices):
+        Q, q = quotient_structure(A, blocks)
+        if not verify_morphism(q):
+            continue
+        result = plugin.try_strong_completion(Q)
+        if result.ok:
+            return q, result.completed
+    return None
 
 
 def completion_iff_strong(plugin, size_cap: int) -> EquivalenceReport:

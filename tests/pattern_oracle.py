@@ -15,6 +15,10 @@ size and metric completion ran on distance ranks:
 - ``oracle_blocks`` searches all 2^|S| subsets for the inclusion-maximal
   jump-free ones that satisfy the 4-values condition, where ``blocks``
   now cuts sorted S after each jump number.
+- ``metric_membership`` reads the structure into an ``SGraph`` of
+  ``Fraction`` distances and checks every triangle with ``Fraction`` sums,
+  where ``MetricPlugin.membership`` checks each triple on ranks through
+  the truncated-addition table.
 
 They are slow and obviously faithful to the definitions, so the tests
 compare the fast paths against them, output for output and in order.
@@ -26,7 +30,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from ramseyforge import metric
-from ramseyforge.errors import PreconditionError
+from ramseyforge.errors import PreconditionError, StructureError
 from ramseyforge.metric import (
     DistanceSet,
     MetricCompletionResult,
@@ -194,3 +198,13 @@ def fraction_completion(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
         i, j = idx[u], idx[v]
         out[(u, v)] = d[i][j] if d[i][j] is not None else top
     return MetricCompletionResult("completed", SGraph(verts, out), None)
+
+
+def metric_membership(A: Structure, S: DistanceSet) -> bool:
+    """Is A a metric space over S: a well-formed total S-graph whose
+    triangles all satisfy the triangle inequality?"""
+    try:
+        G = metric.structure_to_sgraph(A, S)
+    except StructureError:
+        return False
+    return G.is_metric(S)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -170,7 +171,17 @@ class TestLanguageGuard:
     """A structure outside the plugin's language is a precondition error,
     not an answer: the metric plugin used to refuse K3 as a malformed
     distance graph, and the posets plugin to complete a structure with one
-    more symbol into one that drops it."""
+    more symbol into one that drops it.  The guard sits in the plugin's
+    read step, so ``try_strong_completion`` called directly refuses too
+    (the posets and forbidden plugins raised ``StructureError`` on an
+    unknown symbol, the metric plugin answered ``no-completion``)."""
+
+    @pytest.mark.parametrize("selector", ["posets", "metric:1,2", "forbidden:K3"])
+    def test_direct_strong_completion_refuses(self, selector):
+        plugin = kfree_plugin(3) if selector == "forbidden:K3" else get_plugin(selector)
+        K3 = graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        with pytest.raises(PreconditionError):
+            plugin.try_strong_completion(K3)
 
     def _refused(self, A, plugin):
         with pytest.raises(PreconditionError):
@@ -276,6 +287,20 @@ class TestQuotientCompletion:
         q, completed = try_completion(lin, plugin)
         assert len(q.image_vertices()) == 2
 
+    def test_ten_vertices_without_walking_partitions(self):
+        # Bell(10) = 115,975 partitions: the transitive chain completes
+        # through the identity, and the pair that leq orders one way and
+        # prec the other fails the screen, holes everywhere else, so
+        # neither walks them
+        plugin = PosetPlugin()
+        vs = [f"v{i}" for i in range(10)]
+        chain = poset(vs, list(itertools.combinations(vs, 2)), order=vs)
+        q, completed = try_completion(chain, plugin)
+        assert q.target == chain and completed == plugin.try_strong_completion(chain).completed
+        loops = [(v, v) for v in vs]
+        conflict = Structure(POSET, vs, {"leq": loops + [("v0", "v1")], "prec": loops + [("v1", "v0")]})
+        assert try_completion(conflict, plugin) is None
+
 
 class _SingleLoopPlugin(ClassPlugin):
     """Deliberately non-hereditary toy class: just one looped vertex."""
@@ -308,8 +333,21 @@ class _SingleLoopPlugin(ClassPlugin):
     # vertices, which strongly completes only when k <= 1.
     pair_flip = (0,)
 
+    def _read(self, A):
+        # only looped vertices with holes between them read as a vector
+        edges = A.tuples("E")
+        if any((v, v) not in edges for v in A.vertices) or any(u != v for u, v in edges):
+            return None, CompletionResult(
+                "no-completion", certificate=ObstacleCertificate("not-a-pattern", A.vertices)
+            )
+        return [0] * (len(A.vertices) * (len(A.vertices) - 1) // 2), None
+
     def _decide(self, verts, states):
         return ("too-big", None) if len(verts) > 1 else (None, None)
+
+    def _completed(self, verts, data):
+        verts = verts or ["o"]
+        return Structure(self.language, verts, {"E": [(v, v) for v in verts]})
 
     def _pattern(self, k, states):
         verts = [f"v{i}" for i in range(k)]

@@ -13,14 +13,24 @@ sorted order.  On every canonical pattern
 with at most four vertices, the kernel's verdict must be the oracle's, and
 the completion-iff-strong report, which decides both sides on pair
 vectors, must be the one the oracle's loop gives by strongly completing
-every pattern and searching its quotients with ``try_completion``.  No
-built-in class has a violation, so the weak side is also checked alone: on
-every canonical pattern with at most four vertices that the kernel fails,
-the quotient verdict on the vector must be ``try_completion``'s, and the
-toy class of one looped vertex, which has violations, must give the
-oracle's report.  The first quotient, the identity partition, must read
-every canonical pattern on at most five vertices as itself, so that the
-report may take a kernel success for a completion without asking again.
+every pattern and searching its quotients with the oracle's
+``try_completion``.  No built-in class has a violation, so the weak side is
+also checked alone: on every canonical pattern with at most four vertices
+that the kernel fails, the quotient verdict on the vector must be the
+oracle ``try_completion``'s, and the toy class of one looped vertex, which
+has violations, must give the oracle's report.  The first quotient, the
+identity partition, must read every canonical pattern on at most five
+vertices as itself, so that the report may take a kernel success for a
+completion without asking again.
+
+``try_completion`` decides every quotient on the pair vector and builds
+only its answer; the oracle's builds, verifies and strongly completes one
+structure per partition.  On random structures with two to seven
+vertices, faulty ones included, both must give None or the same quotient
+map, quotient and completed structure.  No built-in class needs a
+quotient, so the classes are also cut down to members on at most a few
+vertices (``_Bounded``), where a structure completes only by identifying
+vertices and the quotient states must agree across each pair of blocks.
 """
 
 import itertools
@@ -30,11 +40,14 @@ from hypothesis import given, settings, strategies as st
 
 from ramseyforge.build import ORDERED_GRAPH, POSET
 from ramseyforge.completion import (
+    ClassPlugin,
+    CompletionResult,
     ForbiddenPlugin,
+    ObstacleCertificate,
     _canonical_pair_vectors,
-    _index_quotients,
+    _completing_quotient,
     _pattern_vertices,
-    _quotient_completes,
+    _quotients,
     completion_iff_strong,
     get_plugin,
     kfree_plugin,
@@ -43,6 +56,7 @@ from ramseyforge.completion import (
 from ramseyforge.structures import Structure
 
 import completion_oracle as oracle
+import pattern_oracle
 from test_completion import _SingleLoopPlugin
 
 
@@ -117,12 +131,14 @@ def toggled(rels, changes):
 
 
 @st.composite
-def oriented_structures(draw, language, second, states=st.integers(0, 4), min_size=0, faulty=False):
+def oriented_structures(
+    draw, language, second, states=st.integers(0, 4), min_size=0, faulty=False, max_size=6
+):
     """Pair states drawn from ``states`` over the tokens as inserted (0 a
     hole, 1/2 the order one way, 3/4 the order plus the second relation
     oriented like it; the ordered graph's edge is stored both ways), then a
     few toggled tuples."""
-    verts = draw(vertex_tokens(min_size))
+    verts = draw(vertex_tokens(min_size, max_size))
     rels = {"leq": {(v, v) for v in verts}, second: set()}
     if second == "prec":
         rels["prec"] |= {(v, v) for v in verts}
@@ -141,14 +157,18 @@ def oriented_structures(draw, language, second, states=st.integers(0, 4), min_si
 
 
 @st.composite
-def distance_structures(draw, plugin, min_size=0, faulty=False):
-    """A random distance graph over the tokens as inserted, then a few
+def distance_structures(draw, plugin, min_size=0, faulty=False, max_size=6, holes=1):
+    """A random distance graph over the tokens as inserted, each pair a
+    hole with weight ``holes`` against 1 for each distance, then a few
     toggled tuples: loops, one-way tuples, two distances on a pair."""
-    verts = draw(vertex_tokens(min_size))
+    verts = draw(vertex_tokens(min_size, max_size))
     names = plugin.S._symbols
     rels = {name: set() for name in names}
+    ranks = st.integers(-1, len(names) - 1)
+    if holes > 1:
+        ranks = st.sampled_from([-1] * holes + list(range(len(names))))
     for u, v in itertools.combinations(verts, 2):
-        r = draw(st.integers(-1, len(names) - 1))
+        r = draw(ranks)
         if r >= 0:
             rels[names[r]] |= {(u, v), (v, u)}
     rels = toggled(rels, draw(tweaks(names, verts, faulty)))
@@ -323,30 +343,17 @@ def test_quotient_verdicts_match_try_completion(name):
     tried = weak = 0
     for k in range(5):
         verts = _pattern_vertices(k)
-        quotients = _index_quotients(k, flip)
         for vec in _canonical_pair_vectors(k, len(flip), flip):
             if plugin._decide(verts, vec)[0] is None:
                 continue
-            verdict = _quotient_completes(plugin, vec, quotients)
-            assert verdict == (try_completion(plugin._pattern(k, vec), plugin) is not None), (k, vec)
+            verdict = _completing_quotient(plugin, verts, vec) is not None
+            assert verdict == (oracle.try_completion(plugin._pattern(k, vec), plugin) is not None), (k, vec)
             tried += 1
             weak += verdict
     # every distance graph over {1, 2} completes; only the toy's kernel
     # failures complete through a quotient
     assert (tried == 0) == (name == "metric:1,2")
     assert (weak > 0) == (name == "toy-loop")
-
-
-class _KernelRecorder:
-    """Stands in for a plugin in ``_quotient_completes``: records each
-    quotient pattern the kernel is asked about and completes it."""
-
-    def __init__(self):
-        self.asked = []
-
-    def _decide(self, verts, vec):
-        self.asked.append((verts, tuple(vec)))
-        return (None,)
 
 
 # one built-in plugin per distinct pair_flip
@@ -359,11 +366,8 @@ def test_identity_quotient_reads_every_vector_as_itself(name):
     # through the identity partition without asking the kernel again
     flip = PLUGINS[name].pair_flip
     for k in range(6):
-        identity = _index_quotients(k, flip)[0]
         for vec in _canonical_pair_vectors(k, len(flip), flip):
-            recorder = _KernelRecorder()
-            assert _quotient_completes(recorder, vec, [identity])
-            assert recorder.asked == [(_pattern_vertices(k), vec)], (k, vec)
+            assert next(_quotients(vec, k, flip)) == (tuple(range(k)), list(vec)), (k, vec)
 
 
 @pytest.mark.parametrize(
@@ -376,3 +380,114 @@ def test_iff_report_matches_oracle(name, size_cap):
     fast = completion_iff_strong(plugin, size_cap)
     slow = oracle.completion_iff_strong(plugin, size_cap)
     assert (fast.checked, fast.violations) == (slow.checked, slow.violations)
+
+
+class _Bounded(ClassPlugin):
+    """The members of a built-in class on at most ``size`` vertices.  A
+    structure on more vertices completes only through a quotient, so its
+    blocks must hold only holes and show one state between them.
+    Completability stays hereditary."""
+
+    def __init__(self, inner, size):
+        self.inner, self.size = inner, size
+        self.name = f"{inner.name}<={size}"
+        self.language, self.pair_flip = inner.language, inner.pair_flip
+
+    def membership(self, A):
+        return len(A.vertices) <= self.size and self.inner.membership(A)
+
+    def _read(self, A):
+        return self.inner._read(A)
+
+    def _decide(self, verts, states):
+        if len(verts) > self.size:
+            return "too-big", None
+        return self.inner._decide(verts, states)
+
+    def _completed(self, verts, data):
+        return self.inner._completed(verts, data)
+
+    def try_strong_completion(self, A):
+        result = self.inner.try_strong_completion(A)
+        if result.ok and len(A.vertices) > self.size:
+            return CompletionResult("no-completion", certificate=ObstacleCertificate("too-big", A.vertices))
+        return result
+
+    def _pattern(self, k, states):
+        return self.inner._pattern(k, states)
+
+
+BOUNDED = {
+    plugin.name: plugin for plugin in (
+        _Bounded(PLUGINS["posets"], 3),
+        _Bounded(PLUGINS["metric:1,2,3,4"], 3),
+        _Bounded(PLUGINS["metric:1,3"], 2),
+        _Bounded(PLUGINS["forbidden:K3"], 2),
+    )
+}
+QUOTIENT_PLUGINS = {**WEAK_PLUGINS, **BOUNDED}
+# holes three times as likely as each other state, so that large blocks
+# of vertices can be identified
+HOLE_HEAVY = st.sampled_from((0, 0, 0, 1, 2, 3, 4))
+
+
+def assert_same_completion(plugin, A):
+    fast, slow = try_completion(A, plugin), oracle.try_completion(A, plugin)
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        (q, C), (q_slow, C_slow) = fast, slow
+        assert (q.map, q.target, C) == (q_slow.map, q_slow.target, C_slow)
+    return fast
+
+
+@st.composite
+def loop_structures(draw, plugin, max_size=7):
+    """Structures for the toy class: most vertices looped, and now and
+    then an edge."""
+    verts = draw(vertex_tokens(2, max_size))
+    pair = st.tuples(st.sampled_from(verts), st.sampled_from(verts))
+    edges = {(v, v) for v in verts} ^ set(draw(st.lists(pair, max_size=2)))
+    return Structure(plugin.language, verts, {"E": edges})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(QUOTIENT_PLUGINS)))
+def test_try_completion_matches_oracle(data, name):
+    plugin = QUOTIENT_PLUGINS[name]
+    faulty = data.draw(st.booleans())
+    if name == "toy-loop":
+        A = data.draw(loop_structures(plugin))
+    elif plugin.language == POSET:
+        A = data.draw(oriented_structures(POSET, "prec", HOLE_HEAVY, 2, faulty, max_size=7))
+    elif plugin.language == ORDERED_GRAPH:
+        A = data.draw(oriented_structures(ORDERED_GRAPH, "E", HOLE_HEAVY, 2, faulty, max_size=7))
+    else:
+        S = getattr(plugin, "inner", plugin)
+        A = data.draw(distance_structures(S, 2, faulty, max_size=7, holes=3))
+    assert_same_completion(plugin, A)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_bounded_classes_complete_through_quotients(name):
+    # on every canonical pattern with at most four vertices, and some
+    # complete only by identifying vertices
+    plugin = BOUNDED[name]
+    flip = plugin.pair_flip
+    merged = 0
+    for k in range(5):
+        for vec in _canonical_pair_vectors(k, len(flip), flip):
+            found = assert_same_completion(plugin, plugin._pattern(k, vec))
+            merged += found is not None and len(found[1].vertices) < k
+    assert merged > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(METRIC))
+def test_metric_membership_matches_oracle(data, name):
+    # completed spaces are members; raw and faulty graphs mostly are not
+    plugin = PLUGINS[name]
+    A = data.draw(distance_structures(plugin, faulty=data.draw(st.booleans())))
+    if data.draw(st.booleans()):
+        result = plugin.try_strong_completion(A)
+        A = result.completed if result.ok else A
+    assert plugin.membership(A) == pattern_oracle.metric_membership(A, plugin.S)

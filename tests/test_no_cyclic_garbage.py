@@ -14,7 +14,7 @@ it.
 import gc
 
 from ramseyforge.build import complete_graph, cycle_graph, graph
-from ramseyforge.completion import _partitions, get_plugin, kfree_plugin
+from ramseyforge.completion import _quotients, get_plugin, kfree_plugin, try_completion
 from ramseyforge.pieces import PieceFamily, canonical_lift
 from ramseyforge.structures import (
     Structure,
@@ -27,6 +27,7 @@ from ramseyforge.structures import (
 )
 
 from conftest import odd_vertices
+from test_completion import _SingleLoopPlugin
 
 
 def library_functions_in_cycles(work) -> list[str]:
@@ -77,6 +78,11 @@ def test_completion_leaves_no_cycles():
     def work():
         get_plugin("posets").obstacles_up_to(3)
         kfree_plugin(3).obstacles_up_to(3)
-        list(_partitions("abcd"))
+        # every partition of four vertices, a search abandoned after the
+        # identity, and one that stops at the toy's one-block quotient
+        list(_quotients([0] * 6, 4, (0,)))
+        next(_quotients([0] * 6, 4, (0,)))
+        toy = _SingleLoopPlugin()
+        try_completion(Structure(toy.language, "uvw", {"E": [(v, v) for v in "uvw"]}), toy)
 
     assert library_functions_in_cycles(work) == []
