@@ -106,8 +106,11 @@ def is_completion(C: Structure, C_prime: Structure, strong: bool) -> bool:
     homomorphism-embedding C -> C_prime, decided by search."""
     if not is_irreducible(C_prime):
         return False
-    found = search_morphisms(C, C_prime, "homomorphism-embedding", require_injective=strong)
-    return next(found, None) is not None
+    for _ in search_morphisms(
+        C, C_prime, "homomorphism-embedding", require_injective=strong
+    ):
+        return True
+    return False
 
 
 def holes(A: Structure) -> list[tuple[str, str]]:
@@ -938,7 +941,10 @@ class ForbiddenPlugin(ClassPlugin):
 def kfree_plugin(k: int) -> ForbiddenPlugin:
     """Ordered graphs with no embedded ordered K_k."""
     verts = [f"v{i}" for i in range(k)]
-    edges = [(u, v) for u in verts for v in verts if u != v]
+    edges = []
+    for u, v in itertools.combinations(verts, 2):
+        edges.append((u, v))
+        edges.append((v, u))
     # every linear order of K_k gives the same ordered graph up to isomorphism
     member = Structure(
         ORDERED_GRAPH, verts, {"E": edges, "leq": linear_order_tuples(verts)}
@@ -1183,10 +1189,12 @@ def _pullback_patterns(C0: Structure, k: int) -> Iterator[Structure]:
         base: dict[str, list] = {name: [] for name in C0.language.names()}
         for v in verts:
             for name, ts in C0.relations.items():
-                # a unary tuple or a loop, arities being 1 or 2
                 arity = C0.language.arity(name)
-                if (f[v],) * arity in ts:
-                    base[name].append((v,) * arity)
+                w = f[v]
+                if arity == 1 and (w,) in ts:
+                    base[name].append((v,))
+                if arity == 2 and (w, w) in ts:
+                    base[name].append((v, v))
         pair_tuples = []
         for (i, j) in open_pairs:
             u, v = verts[i], verts[j]
@@ -1239,11 +1247,17 @@ def probe_local_finiteness(
                 break
             if plugin.try_strong_completion(P).ok:
                 continue
-            if all(
-                plugin.try_strong_completion(induced_substructure(P, S)).ok
-                for r in range(1, min(n, k) + 1)
-                for S in itertools.combinations(P.vertices, r)
-            ):
+            small_ok = True
+            for r in range(1, min(n, k) + 1):
+                for S in itertools.combinations(P.vertices, r):
+                    if not plugin.try_strong_completion(
+                        induced_substructure(P, S)
+                    ).ok:
+                        small_ok = False
+                        break
+                if not small_ok:
+                    break
+            if small_ok:
                 key = canonical_key(P)
                 if key not in seen:
                     seen.add(key)

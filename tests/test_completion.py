@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 from collections import Counter
 
 import pytest
@@ -287,19 +286,25 @@ class TestQuotientCompletion:
         q, completed = try_completion(lin, plugin)
         assert len(q.image_vertices()) == 2
 
-    def test_ten_vertices_without_walking_partitions(self):
-        # Bell(10) = 115,975 partitions: the transitive chain completes
-        # through the identity, and the pair that leq orders one way and
-        # prec the other fails the screen, holes everywhere else, so
-        # neither walks them
-        plugin = PosetPlugin()
-        vs = [f"v{i}" for i in range(10)]
-        chain = poset(vs, list(itertools.combinations(vs, 2)), order=vs)
-        q, completed = try_completion(chain, plugin)
-        assert q.target == chain and completed == plugin.try_strong_completion(chain).completed
-        loops = [(v, v) for v in vs]
-        conflict = Structure(POSET, vs, {"leq": loops + [("v0", "v1")], "prec": loops + [("v1", "v0")]})
-        assert try_completion(conflict, plugin) is None
+    def test_failing_part_of_three_ends_the_search(self, monkeypatch):
+        # the 1-1-3 triangle has no completion, and isolated vertices join
+        # any block, so every quotient keeps it: the part of three decides
+        # the answer before any partition of the whole is tried
+        plugin = get_plugin("metric:1,3")
+        vs = [f"v{i}" for i in range(8)]
+        rels = {"d:1": [("v0", "v1"), ("v1", "v0"), ("v1", "v2"), ("v2", "v1")],
+                "d:3": [("v0", "v2"), ("v2", "v0")]}
+        sizes = Counter()
+        decide = plugin._decide
+
+        def counted(verts, states):
+            sizes[len(verts)] += 1
+            return decide(verts, states)
+
+        monkeypatch.setattr(plugin, "_decide", counted)
+        assert try_completion(Structure(plugin.language, vs, rels), plugin) is None
+        # the identity and the parts of three with their quotients only
+        assert sizes[8] == 1 and all(n <= 3 for n in sizes if n != 8)
 
 
 class _SingleLoopPlugin(ClassPlugin):
