@@ -1062,16 +1062,23 @@ def _quotients(vec: Sequence[int], k: int, flip: Sequence[int]) -> Iterator[tupl
 def _completing_quotient(plugin: ClassPlugin, verts: Sequence[str], vec: Sequence[int]) -> Optional[tuple]:
     """The blocks of the first partition after the identity whose quotient,
     over each block's least token, the kernel completes, with the kernel's
-    data, or None."""
+    data, or None.
+
+    Many partitions share a quotient vector, and the kernel's verdict reads
+    only the vector, so a vector that failed once is not decided again (its
+    length, m(m - 1)/2, fixes the block count m)."""
+    failed = set()
     for labels, qvec in itertools.islice(_quotients(vec, len(verts), plugin.pair_flip), 1, None):
-        blocks: list[list[str]] = []
+        seen = tuple(qvec)
+        if seen in failed:
+            continue
+        blocks: list[list[str]] = [[] for _ in range(max(labels) + 1)]
         for v, b in zip(verts, labels):
-            if b == len(blocks):
-                blocks.append([])
             blocks[b].append(v)
         kind, data = plugin._decide([block[0] for block in blocks], qvec)
         if kind is None:
             return blocks, data
+        failed.add(seen)
     return None
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, count, repeat
-from operator import add, ge, itemgetter, mul, sub
+from itertools import accumulate, chain, count, repeat
+from operator import add, ge, itemgetter, mul, or_, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -76,14 +76,18 @@ class Structure:
     and must match the symbol's arity.
     """
 
-    # The six caches after ``_hash`` are filled lazily, per instance; see
-    # ``search_morphisms``, ``copies_of`` and ``closures.u_closure_set``.
-    # ``_plans`` holds one ``_Plan`` per tuple of pinned vertices.
-    # ``_nbhd``, ``_walks`` and ``_comps`` hold bitmasks over the sorted
-    # vertices, bit j for ``vertices[j]``: the Gaifman neighbourhoods,
-    # which every Gaifman reader uses, and the tuple incidences, filed for
-    # embedding targets (see ``_vertex_masks``), walk ends per length, and
-    # the connected components with their parity (see ``_components``).
+    # Every slot after ``_relations`` is a cache filled lazily, per
+    # instance.  ``_key`` and ``_hash`` are built on the first comparison
+    # or hash (``_keyed``); for the other six see ``search_morphisms``,
+    # ``copies_of`` and ``closures.u_closure_set``.  ``_plans`` holds one
+    # ``_Plan`` per tuple of pinned vertices.  ``_nbhd``, ``_walks`` and
+    # ``_comps`` hold bitmasks over the sorted vertices, bit j for
+    # ``vertices[j]``: the Gaifman neighbourhoods, which every Gaifman
+    # reader uses, the successor and predecessor rows of each binary
+    # symbol and the marks of unary symbols and loops, which a search ANDs
+    # in, and the wider tuples filed for embedding targets (see
+    # ``_vertex_masks``); walk ends per length; and the connected
+    # components with their parity (see ``_components``).
     __slots__ = (
         "language", "vertices", "_relations", "_key", "_hash",
         "_plans", "_profile", "_nbhd", "_walks", "_comps", "_closures",
@@ -96,34 +100,21 @@ class Structure:
         relations: Optional[Mapping[str, Iterable[Sequence[str]]]] = None,
     ):
         verts = list(vertices)
-        if len(set(verts)) != len(verts):
+        vset = set(verts)
+        if len(vset) != len(verts):
             raise StructureError("vertex identifiers must be distinct")
         object.__setattr__(self, "language", language)
         object.__setattr__(self, "vertices", tuple(sorted(verts)))
-        vset = set(verts)
         rels: dict[str, frozenset] = {name: frozenset() for name in language.names()}
         for name, tuples in (relations or {}).items():
             arity = language.arity(name)
-            out = set()
-            for t in tuples:
-                t = tuple(t)
-                if len(t) != arity:
-                    raise StructureError(
-                        f"tuple {t!r} has length {len(t)}, expected {arity} for {name!r}"
-                    )
-                for v in t:
-                    if v not in vset:
-                        raise StructureError(f"tuple {t!r} uses undeclared vertex {v!r}")
-                out.add(t)
-            rels[name] = frozenset(out)
+            ts = list(map(tuple, tuples))
+            if not (set(map(len, ts)) <= {arity} and vset.issuperset(chain.from_iterable(ts))):
+                _refuse_tuples(name, arity, ts, vset)
+            rels[name] = frozenset(ts)
         object.__setattr__(self, "_relations", rels)
-        key = (
-            language,
-            self.vertices,
-            tuple((name, tuple(sorted(rels[name]))) for name in sorted(rels)),
-        )
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_plans", None)
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_nbhd", None)
@@ -155,10 +146,27 @@ class Structure:
     def tuple_count(self) -> int:
         return sum(len(ts) for ts in self._relations.values())
 
+    def _keyed(self) -> tuple:
+        """The key that equality compares, with its hash, built on first
+        use: the language, the vertices and the sorted tuples per symbol."""
+        key = self._key
+        if key is None:
+            rels = self._relations
+            key = (
+                self.language,
+                self.vertices,
+                tuple((name, tuple(sorted(rels[name]))) for name in sorted(rels)),
+            )
+            object.__setattr__(self, "_key", key)
+            object.__setattr__(self, "_hash", hash(key))
+        return key
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Structure) and self._key == other._key
+        return self is other or isinstance(other, Structure) and self._keyed() == other._keyed()
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._keyed()
         return self._hash
 
     def __repr__(self) -> str:
@@ -187,6 +195,17 @@ class Structure:
             for name, ts in self._relations.items()
         }
         return Structure(self.language, [m(v) for v in self.vertices], rels)
+
+
+def _refuse_tuples(name: str, arity: int, ts: list, vset: set) -> None:
+    """Raise for the first tuple of ``ts``, in input order, of the wrong
+    length or on a vertex outside ``vset``."""
+    for t in ts:
+        if len(t) != arity:
+            raise StructureError(f"tuple {t!r} has length {len(t)}, expected {arity} for {name!r}")
+        for v in t:
+            if v not in vset:
+                raise StructureError(f"tuple {t!r} uses undeclared vertex {v!r}")
 
 
 @dataclass(frozen=True)
@@ -347,11 +366,17 @@ def _is_hom_embedding(source: Structure, target: Structure, d: Mapping[str, str]
     for j, u in enumerate(verts):
         if any(d[verts[x]] == d[u] for x in _bits(opened[j] >> j << j)):
             return False
-    unary, checks = _span_obligations(source, ())
-    rels = target._relations
-    for v, names in zip(_source_plan(source, ()).order, unary):
+    marks, pairs, checks = _span_obligations(source, ())
+    order, symbols, rels = _source_plan(source, ()).order, source.language.symbols, target._relations
+    arity = dict(symbols)
+    for v, names, refused in zip(order, marks, pairs):
+        w = d[v]
         for name in names:
-            if (d[v],) in rels[name]:
+            if (w,) * arity[name] in rels[name]:
+                return False
+        for e, r in refused:
+            u = d[order[e]]
+            if ((w, u) if r & 1 else (u, w)) in rels[symbols[(r >> 1) - 1][0]]:
                 return False
     return not any(get(d) in rels[name] for cs in checks for name, get in cs)
 
@@ -376,30 +401,67 @@ def verify_morphism(f: Morphism) -> bool:
 # enumeration
 
 
+# Row indices into the ``rows`` of ``_vertex_masks``: the open and closed
+# Gaifman neighbourhoods, then per symbol, at its place p in the language,
+# ``2 + 2p`` for successors and ``3 + 2p`` for predecessors (None unless the
+# symbol is binary), then, in a compiled search, the walk ends from length
+# 2 up.
+_OPEN, _CLOSED = 0, 1
+
+
 class _Plan:
     """The search plan of a source for one tuple of pinned vertices, with
     every table a search reads off the source, per depth.
 
     ``order`` is the search order: the pinned vertices, then the others in
-    sorted order.  At depth i, ``checks[i]`` holds ``(name, getter)`` for
-    every tuple of arity at least 2 whose last vertex in that order is
-    ``order[i]``, the getter reading the tuple's image off the partial map;
-    ``unary[i]`` names the unary symbols holding ``(order[i],)``;
-    ``occurrences[i]`` counts the occurrences of ``order[i]`` in all those
-    tuples; ``earlier[i]`` lists the depths of the Gaifman neighbours of
-    ``order[i]`` before it.  The depth-form ``obligations``, ``walks`` and
-    ``bounds`` start as None, each filled on first use by
-    ``_span_obligations``, ``_walk_pairs`` or ``_orbit_bounds``.  No plan
-    refers to its source, so the source's ``_plans`` makes no cycle.
+    sorted order.  Each tuple of the source is filed at the depth of its
+    last vertex in that order; at depth i, with ``v = order[i]``:
+
+    - ``held[i]`` names the unary symbols U with ``(v,)`` in U and the
+      binary symbols R with the loop ``(v, v)`` in R: screens on the
+      target's marks;
+    - ``pairs[i]`` lists ``(e, r)`` for every binary tuple joining v to
+      ``order[e]``, e < i: v's image must lie in the row r (see ``_OPEN``)
+      at ``order[e]``'s image, its successors when the tuple runs from
+      ``order[e]`` to v and its predecessors when it runs back;
+    - ``checks[i]`` holds ``(name, getter)`` for every tuple of arity at
+      least 3, the getter reading the tuple's image off the partial map,
+      and ``occurrences[i]`` counts v's occurrences in those tuples;
+    - ``earlier[i]`` lists the depths of the Gaifman neighbours of v
+      before it.
+
+    The depth-form ``obligations``, ``walks`` and ``bounds`` start as
+    None, each filled on first use by ``_span_obligations``,
+    ``_walk_pairs`` or ``_orbit_bounds``; ``steps`` maps each search shape
+    to its step table (``_search_steps``).  No plan refers to its source
+    or to a target, so the source's ``_plans`` makes no cycle and a table
+    serves every target.
     """
 
-    __slots__ = ("order", "checks", "unary", "occurrences", "earlier",
-                 "obligations", "walks", "bounds")
+    __slots__ = ("order", "held", "pairs", "checks", "occurrences", "earlier",
+                 "obligations", "walks", "bounds", "steps")
 
-    def __init__(self, order, checks, unary, occurrences, earlier):
-        self.order, self.checks, self.unary = order, checks, unary
+    def __init__(self, order, held, pairs, checks, occurrences, earlier):
+        self.order, self.held, self.pairs, self.checks = order, held, pairs, checks
         self.occurrences, self.earlier = occurrences, earlier
         self.obligations = self.walks = self.bounds = None
+        self.steps = {}
+
+
+def _file_tuple(depth: dict, p: int, name: str, t: tuple, marks: list, pairs: list, wide: list) -> int:
+    """File the tuple t of the symbol at place p and named ``name`` at the
+    depth i of its last vertex: a unary tuple or a loop under ``marks[i]``,
+    any other binary tuple as an ``(e, r)`` row under ``pairs[i]``, and a
+    wider tuple as ``(name, getter)`` under ``wide[i]``.  Returns i."""
+    i = max(map(depth.__getitem__, t))
+    if len(t) > 2:
+        wide[i].append((name, itemgetter(*t)))
+    elif t[0] == t[-1]:
+        marks[i].append(name)
+    else:
+        e = depth[t[0]]
+        pairs[i].append((e, 2 + 2 * p) if e < i else (depth[t[1]], 3 + 2 * p))
+    return i
 
 
 def _source_plan(A: Structure, pinned: tuple[str, ...]) -> _Plan:
@@ -413,25 +475,27 @@ def _source_plan(A: Structure, pinned: tuple[str, ...]) -> _Plan:
         rest = set(A.vertices).difference(pinned)
         order = pinned + tuple(v for v in A.vertices if v in rest)
         depth = {v: i for i, v in enumerate(order)}
+        held: list[list] = [[] for _ in order]
+        pairs: list[list] = [[] for _ in order]
         checks: list[list] = [[] for _ in order]
-        unary: list[list] = [[] for _ in order]
         occurrences = [0] * len(order)
-        for name, ts in A._relations.items():
-            for t in sorted(ts):
-                i = max(map(depth.__getitem__, t))
-                occurrences[i] += t.count(order[i])
-                if len(t) == 1:
-                    unary[i].append(name)
-                else:
-                    checks[i].append((name, itemgetter(*t)))
+        for p, (name, _) in enumerate(A.language.symbols):
+            for t in sorted(A._relations[name]):
+                i = _file_tuple(depth, p, name, t, held, pairs, checks)
+                if len(t) > 2:
+                    occurrences[i] += t.count(order[i])
         index, opened = _vertex_masks(A)[:2]
         earlier = tuple(
             tuple(j for j, u in enumerate(order[:i]) if opened[index[v]] >> index[u] & 1)
             for i, v in enumerate(order)
         )
-        plan = plans[pinned] = _Plan(order, tuple(map(tuple, checks)), tuple(map(tuple, unary)),
+        plan = plans[pinned] = _Plan(order, *map(_frozen, (held, pairs, checks)),
                                      tuple(occurrences), earlier)
     return plan
+
+
+def _frozen(per_depth: list) -> tuple:
+    return tuple(map(tuple, per_depth))
 
 
 def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
@@ -447,17 +511,22 @@ def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
     neighbours can be obligations, so only those vertex sets are tested,
     each once.
 
-    Returns ``(unary, checks)``.  ``unary[i]`` names the unary symbols R
-    with ``(order[i],)`` an obligation; ``checks[i]`` holds ``(name,
-    getter)`` for every longer obligation whose last vertex in the plan's
-    order is ``order[i]``.
+    Returns ``(marks, pairs, checks)``, each obligation filed like a tuple
+    of the plan (``_file_tuple``): ``marks[i]`` names the unary symbols R
+    with ``(order[i],)`` an obligation and the binary ones with the loop
+    ``(order[i], order[i])`` one; ``pairs[i]`` lists ``(e, r)`` for the
+    other binary obligations on ``order[i]`` and an earlier
+    ``order[e]``, a search refusing the row r at ``order[e]``'s image;
+    ``checks[i]`` holds ``(name, getter)`` for every wider obligation whose
+    last vertex in the plan's order is ``order[i]``.
     """
     plan = _source_plan(A, pinned)
     if plan.obligations is None:
         verts, opened = A.vertices, _vertex_masks(A)[1]
         depth = {v: i for i, v in enumerate(plan.order)}
         top = max((arity for _, arity in A.language.symbols), default=0)
-        unary: list[list] = [[] for _ in verts]
+        marks: list[list] = [[] for _ in verts]
+        pairs: list[list] = [[] for _ in verts]
         checks: list[list] = [[] for _ in verts]
 
         # the cliques of the Gaifman graph on at most ``top`` vertices that
@@ -473,22 +542,18 @@ def _span_obligations(A: Structure, pinned: tuple[str, ...]) -> tuple:
             for j, v in enumerate(verts):
                 for S in cliques((v,), opened[j] >> j << j):
                     found = [
-                        (name, s)
-                        for name, arity in A.language.symbols
+                        (p, name, s)
+                        for p, (name, arity) in enumerate(A.language.symbols)
                         if arity >= len(S)
                         for s in itertools.product(S, repeat=arity)
                         if len(set(s)) == len(S) and s not in A._relations[name]
                     ]
                     if found and _spans_irreducible(A, frozenset(S)):
-                        i = max(map(depth.__getitem__, S))
-                        for name, s in found:
-                            if len(s) == 1:
-                                unary[i].append(name)
-                            else:
-                                checks[i].append((name, itemgetter(*s)))
+                        for p, name, s in found:
+                            _file_tuple(depth, p, name, s, marks, pairs, checks)
         finally:
             del cliques  # unlink the recursive closure (see canonical_key)
-        plan.obligations = (tuple(map(tuple, unary)), tuple(map(tuple, checks)))
+        plan.obligations = (_frozen(marks), _frozen(pairs), _frozen(checks))
     return plan.obligations
 
 
@@ -604,48 +669,78 @@ def _vertex_masks(B: Structure, filed: bool = False) -> tuple:
 
     Bit j of a mask stands for ``B.vertices[j]``; the vertices are sorted,
     so ascending bit order is sorted vertex order.  Returns ``(index,
-    open, closed, alone, by_top)``: ``index`` maps each vertex to its bit;
-    ``open[j]`` and ``closed[j]`` are the Gaifman neighbourhood of vertex
-    j without and with j itself.  The other two file the occurrences of j
-    in the tuples of B, of any symbol, for the reflection count:
-    ``alone[j]`` counts those in tuples on j alone; every other tuple is
-    filed under its top member besides j, a neighbour's bit x, with
-    ``by_top[j][x] = [occurrences in tuples on j and x alone, masks of
-    the wider tuples, once per occurrence]``.  A tuple lies inside a
-    vertex set holding j only if its top member does, so the count over
-    a set visits only its members' entries.  Only an embedding search
-    reads these two, so they are None unless ``filed`` asks; then masks
-    built without them are built again, with them.
+    open, closed, alone, by_top, rows, marks)``: ``index`` maps each vertex
+    to its bit; ``open[j]`` and ``closed[j]`` are the Gaifman
+    neighbourhood of vertex j without and with j itself.
+
+    ``rows`` and ``marks`` hold the tuples of arity at most 2, which a
+    search checks as masks.  ``rows`` starts with ``open`` and ``closed``;
+    then, per symbol in language order, its successor rows (bit x of
+    ``succ[j]`` when ``(j, x)`` is a tuple) and predecessor rows (bit x of
+    ``pred[j]`` when ``(x, j)`` is), or two None for a symbol that is not
+    binary (see ``_OPEN``).  ``marks`` maps each unary symbol to the mask
+    of its members and each binary one to the mask of its loops.
+
+    ``alone`` and ``by_top`` file the occurrences of j in the tuples of
+    arity at least 3, for the reflection count: ``alone[j]`` counts those
+    in tuples on j alone; every other such tuple is filed under its top
+    member besides j, a neighbour's bit x, with ``by_top[j][x] =
+    [occurrences in tuples on j and x alone, masks of the other tuples,
+    once per occurrence]``.  A tuple lies inside a vertex set holding j
+    only if its top member does, so the count over a set visits only its
+    members' entries.  Only an embedding search reads these two, so they
+    are None unless ``filed`` asks; then masks built without them are
+    built again, with them.
     """
     cache = B._nbhd
     if cache is None or filed and cache[3] is None:
         index = {w: j for j, w in enumerate(B.vertices)}
-        closed = [1 << j for j in range(len(index))]
-        alone, by_top = ([0] * len(closed), [{} for _ in closed]) if filed else (None, None)
-        for ts in B._relations.values():
-            for t in ts:
-                js = list(map(index.__getitem__, t))
-                m = 0
-                for j in js:
-                    m |= 1 << j
-                for j in js:
-                    closed[j] |= m
-                    if not filed:
-                        continue
-                    others = m ^ 1 << j
-                    if not others:
-                        alone[j] += 1
-                        continue
-                    top = 1 << others.bit_length() - 1
-                    entry = by_top[j].get(top)
-                    if entry is None:
-                        entry = by_top[j][top] = [0, []]
-                    if others == top:
-                        entry[0] += 1
-                    else:
-                        entry[1].append(m)
+        n = len(index)
+        closed = [1 << j for j in range(n)]
+        alone, by_top = ([0] * n, [{} for _ in closed]) if filed else (None, None)
+        rows, marks = [None, None], {}
+        for name, arity in B.language.symbols:
+            ts = B._relations[name]
+            if arity == 1:
+                marks[name] = sum([1 << index[w] for w, in ts])
+                rows += (None, None)
+            elif arity == 2:
+                succ, pred, loops = [0] * n, [0] * n, 0
+                for a, b in ts:
+                    a, b = index[a], index[b]
+                    succ[a] |= 1 << b
+                    pred[b] |= 1 << a
+                    if a == b:
+                        loops |= 1 << a
+                closed = list(map(or_, map(or_, closed, succ), pred))
+                marks[name] = loops
+                rows += (succ, pred)
+            else:
+                rows += (None, None)
+                for t in ts:
+                    js = list(map(index.__getitem__, t))
+                    m = 0
+                    for j in js:
+                        m |= 1 << j
+                    for j in js:
+                        closed[j] |= m
+                        if not filed:
+                            continue
+                        others = m ^ 1 << j
+                        if not others:
+                            alone[j] += 1
+                            continue
+                        top = 1 << others.bit_length() - 1
+                        entry = by_top[j].get(top)
+                        if entry is None:
+                            entry = by_top[j][top] = [0, []]
+                        if others == top:
+                            entry[0] += 1
+                        else:
+                            entry[1].append(m)
         opened = [m ^ 1 << j for j, m in enumerate(closed)]
-        cache = (index, opened, closed, alone, by_top)
+        rows[_OPEN], rows[_CLOSED] = opened, closed
+        cache = (index, opened, closed, alone, by_top, tuple(rows), marks)
         object.__setattr__(B, "_nbhd", cache)
     return cache
 
@@ -748,34 +843,48 @@ def search_morphisms(
       vertices (cached on A), each source tuple is assigned to the depth of
       its last vertex in the search order.  At depth i only those tuples
       are checked against B; together they cover every tuple exactly once.
+    - **Tuples of arity at most 2 as mask rows.**  B keeps, per binary
+      symbol, each vertex's successors and predecessors as a bitmask over
+      its sorted vertices, and the members of each unary symbol and the
+      loops of each binary one as one mask (Ullmann's bit-matrix
+      refinement, J. ACM 1976).  A binary tuple joining ``v = order[i]``
+      to an earlier u admits only the row at ``d[u]``, a loop or unary
+      tuple at v only the marked vertices, so each is one AND on entering
+      depth i, and the candidates, taken lowest bit first (sorted order),
+      all satisfy them.  Only wider tuples are checked per candidate.
     - **Neighbour-drawn candidates.**  The plan also lists, per depth, the
-      Gaifman neighbours u of ``v = order[i]`` placed earlier.  u and v
-      share a source tuple, so their images share a target tuple or
-      coincide: v's image lies in ``adj_B(d[u]) | {d[u]}``, and in
-      ``adj_B(d[u])`` alone when the map must separate u and v (injective
-      kinds and homomorphism-embeddings).  Each neighbourhood is a bitmask
-      over B's sorted vertices, so the candidates are the AND of those of
-      all earlier neighbours (all of B's vertices when there is none),
-      taken lowest bit first, which is sorted order.
-    - **Incremental reflection** (embeddings).  When v is mapped to w, the
-      occurrences of w in target tuples inside the image are counted.  The
-      depth's source tuples map injectively onto some of those tuples, with
-      w occurring where v did, so every one of them pulls back to a source
-      tuple exactly when the count equals v's occurrences in the depth's
-      source tuples.  A partial map that fails cannot extend to an
-      embedding.  The count visits only the tuples that ``_vertex_masks``
-      files under w's neighbours in the image, filed for embedding
-      targets only.  Monomorphisms and
+      Gaifman neighbours u of v placed earlier.  u and v share a source
+      tuple, so their images share a target tuple or coincide: v's image
+      lies in ``adj_B(d[u]) | {d[u]}``, and in ``adj_B(d[u])`` alone when
+      the map must separate u and v (injective kinds and
+      homomorphism-embeddings).  A neighbour joined by a binary tuple needs
+      no such AND, its row lies inside, unless a homomorphism-embedding
+      that need not be injective must still keep ``d[u]`` out.
+    - **Reflection by rows up to arity 2, by count above** (embeddings).
+      Every binary non-tuple between v and an earlier u is one AND with
+      the complement of the row at ``d[u]`` (in a language with no wider
+      symbol, one AND with the complement of ``d[u]``'s neighbourhood when
+      u and v are not Gaifman neighbours), and a unary symbol or a loop
+      that v lacks one AND with the complement of its mark.  For the wider
+      symbols, when v is mapped to w, the occurrences of w in target
+      tuples inside the image are counted.  The depth's wider source
+      tuples map injectively onto some of those tuples, with w occurring
+      where v did, so every one of them pulls back to a source tuple
+      exactly when the count equals v's occurrences in them.  A partial
+      map that fails cannot extend to an embedding.  The count visits only
+      the wider tuples that ``_vertex_masks`` files under w's neighbours in
+      the image, filed for embedding targets only.  Monomorphisms and
       embeddings also skip targets whose (symbol, position) occurrence
       counts fall below v's.
     - **Span reflection as plan checks** (homomorphism-embeddings).  The
       source's span obligations (tuples outside a relation of A whose
       vertices lie in an irreducible substructure; see
       ``_span_obligations``) are filed, like the plan's tuples, at the
-      depth of their last vertex, and a candidate is rejected as soon as it
-      sends one into the relation of B.  A map that separates Gaifman
-      neighbours and sends no obligation into B is a
-      homomorphism-embedding, so complete maps need no further check.
+      depth of their last vertex: the binary ones as complemented rows, the
+      unary ones and loops as complemented marks, and a candidate is
+      rejected as soon as it sends a wider one into the relation of B.  A
+      map that separates Gaifman neighbours and sends no obligation into B
+      is a homomorphism-embedding, so complete maps need no further check.
     - **Walk-length and parity screens** (homomorphism-embeddings).  Such
       a map separates Gaifman neighbours, so it sends a shortest path of L
       steps onto a walk of exactly L steps and an odd closed walk onto an
@@ -788,14 +897,15 @@ def search_morphisms(
       after every path.  Plain homomorphisms may merge neighbours and are
       never screened (see ``compile_search``).
 
-    The plans (with their obligations, walk screens and orbit bounds), the
-    profiles, and the neighbourhood, incidence and walk-end masks are
-    filled lazily on the structures themselves, so their set-up is paid
-    once per structure.  The search itself is ``compile_search`` followed
-    by one run, whose assignment vectors are wrapped here, each into one
-    ``Morphism``; the kernel builds none.  That one kernel also serves the
-    copy searches (with orbit bounds), which read the vectors directly,
-    and projections: which images of the pinned vertices extend to a
+    The plans (with their obligations, walk screens, orbit bounds and one
+    step table per search shape), the profiles, and the neighbourhood,
+    row, mark, incidence and walk-end masks are filled lazily on the
+    structures themselves, so their set-up is paid once per structure.
+    The search itself is ``compile_search`` followed by one run, whose
+    assignment vectors are wrapped here, each into one ``Morphism``; the
+    kernel builds none.  That one kernel also serves the copy searches
+    (with orbit bounds), which read the vectors directly, and
+    projections: which images of the pinned vertices extend to a
     morphism, in one run, for canonical lifts and orbit bounds.
     """
     if A.language != B.language:
@@ -815,13 +925,79 @@ def search_morphisms(
         yield _morphism(A, B, tuple(zip(verts, vec)), kind)
 
 
+def _search_steps(A: Structure, pinned: tuple[str, ...], kind: str, injective: bool,
+                  project: bool, bounded: bool) -> tuple:
+    """The step table of a search of A of one shape, cached on the plan
+    for ``pinned``: everything that ``compile_search`` reads off A, and
+    nothing of a target, so one table serves every target.
+
+    Returns ``(steps, screens, walk_top, reflect)``.  ``steps[i]`` is the
+    tuple that a run unpacks on entering depth i: the source vertex
+    ``order[i]``; ``(e, r)`` pairs whose rows (see ``_OPEN``) at the image
+    of depth e the candidates must lie in, and ``(e, r)`` pairs whose rows
+    they must avoid; the depths whose images they must exceed (the orbit
+    bounds, when ``bounded``); whether they must avoid the earlier images;
+    the wider checks and obligations, ``(name, getter)``; the occurrences
+    for the reflection count; whether a candidate needs any of those
+    three; and whether i is the last depth.  ``screens[i]`` is ``(held,
+    avoided, parity)``: the marks a candidate must carry and those it must
+    not, and whether it must lie in a non-bipartite component.
+    ``walk_top`` is the longest walk screened, whose ends are the rows
+    after the language's; ``reflect`` whether the reflection count runs.
+    """
+    plan = _source_plan(A, pinned)
+    shape = (kind, injective, project, bounded)
+    table = plan.steps.get(shape)
+    if table is None:
+        order, symbols = plan.order, A.language.symbols
+        n, k = len(order), len(pinned)
+        wide = any(arity > 2 for _, arity in symbols)
+        pairwise = kind == "homomorphism-embedding"
+        reflect = kind == "embedding"
+        screened = pairwise or (project and injective)
+        none = ((),) * n
+        marks, refused, avoid = _span_obligations(A, pinned) if pairwise else (none,) * 3
+        walks = _walk_pairs(A, pinned) if screened else none
+        bounds = _orbit_bounds(A) if bounded else none
+        odd_a, index_a = (_odd_mask(A), _vertex_masks(A)[0]) if screened else (0, None)
+        binary = [r for p, (_, arity) in enumerate(symbols) if arity == 2 for r in (2 + 2 * p, 3 + 2 * p)]
+        nbhd = _OPEN if injective or pairwise else _CLOSED
+        steps, screens = [], []
+        for i, v in enumerate(order):
+            plain, near = plan.pairs[i], plan.earlier[i]
+            tied = {e for e, _ in plain}
+            # a neighbour's row lies inside its neighbourhood and leaves
+            # out its image only where the map must be injective
+            pos = tuple((e, nbhd) for e in near if e not in tied or pairwise and not injective)
+            pos += plain + tuple((e, 2 * len(symbols) + L) for e, L in walks[i])
+            neg, avoided = refused[i], marks[i]
+            if reflect:
+                # with no symbol wider than 2, a non-neighbour's image must
+                # avoid every row at the other image: its neighbourhood
+                neg = tuple(
+                    pair
+                    for e in range(i)
+                    for pair in ([(e, _OPEN)] if not wide and e not in near else
+                                 [(e, r) for r in binary if (e, r) not in plain])
+                )
+                avoided = tuple(name for name, arity in symbols
+                                if arity <= 2 and name not in plan.held[i])
+            screens.append((plan.held[i], avoided, bool(odd_a and not near and odd_a >> index_a[v] & 1)))
+            checks, occ = plan.checks[i], plan.occurrences[i] if reflect else 0
+            steps.append((v, pos, neg, bounds[i], injective or (project and i < k), checks,
+                          avoid[i], occ, bool(checks or avoid[i] or reflect and wide), i + 1 == n))
+        walk_top = max((L for pairs in walks for _, L in pairs), default=0)
+        table = plan.steps[shape] = (tuple(steps), tuple(screens), walk_top, reflect and wide)
+    return table
+
+
 def compile_search(
     A: Structure,
     B: Structure,
     kind: str,
     pinned: tuple[str, ...] = (),
     require_injective: bool = False,
-    bounds: Optional[tuple] = None,
+    bounded: bool = False,
     project: bool = False,
 ) -> Callable[[tuple[str, ...]], Iterator]:
     """The compile step of ``search_morphisms``, for repeated pinned runs.
@@ -833,26 +1009,31 @@ def compile_search(
     yields, in the same order, and ``()`` once for an empty A, so a caller
     asks ``is not None`` of a first vector, never its truth.  No
     ``Morphism`` is built here.  Runs are independent of each other.
-    Everything but the pinned values is set up here, once: B's relations
-    bound to the plan's checks and obligations, B's vertex masks and walk
-    ends, and the per-depth candidate screens.  The arguments are not
-    validated; ``search_morphisms`` is the checked entry point.
+    Everything A contributes is the step table ``_search_steps`` cached on
+    A's plan for this shape of search; compiling pairs it with B's cached
+    masks (``_vertex_masks``) and walk ends and binds nothing per depth.
+    The per-depth screens, on B's marks, profiles and components, are
+    built on a run's first entry to a depth and kept for later runs.  The
+    arguments are not validated; ``search_morphisms`` is the checked entry
+    point.
 
     A run is one flat loop over bitmasks of B's vertices (bit j for
-    ``B.vertices[j]``, see ``_vertex_masks``), with no generator or call
-    per search node.  On entering depth i it builds the candidate mask
-    once, as one AND chain: the neighbourhoods of the earlier neighbours'
-    images, the walk ends, the depth's screen, the images of the earlier
-    depths cleared when the map must be injective there, and the bits
-    above the largest bounded image.  The depth's remaining candidates
-    wait on a stack while the run goes deeper, and are taken lowest bit
-    first, which is B's sorted vertex order.  The relation checks, the
-    span obligations and the reflection count then test each candidate
-    in turn.
+    ``B.vertices[j]``), with no generator or call per search node.  On
+    entering depth i it builds the candidate mask once, as one AND chain:
+    the rows at the earlier images (their neighbourhoods, the successors
+    or predecessors that the depth's binary tuples require, the walk
+    ends), the complemented rows that binary non-tuples or obligations
+    forbid, the depth's screen, the images of the earlier depths cleared
+    when the map must be injective there, and the bits above the largest
+    bounded image.  The depth's remaining candidates wait on a stack while
+    the run goes deeper, and are taken lowest bit first, which is B's
+    sorted vertex order.  Only the checks and span obligations of arity
+    at least 3 and the reflection count then test each candidate in turn.
 
-    The copy search passes ``bounds``, per depth the earlier depths whose
-    images a candidate must exceed (``_orbit_bounds``); the output is then
-    the subsequence of maps that satisfy them.
+    With ``bounded`` (a copy search: ``kind`` an unpinned embedding), a
+    candidate must exceed the images of the earlier depths that
+    ``_orbit_bounds`` names; the output is then the subsequence of maps
+    that satisfy them.
 
     With ``project`` (and ``pinned`` non-empty), ``run(values)`` answers
     a projection instead: it yields every tuple of pairwise distinct
@@ -879,71 +1060,37 @@ def compile_search(
     injective = require_injective or kind in ("monomorphism", "embedding")
     if injective and len(A.vertices) > len(B.vertices):
         return lambda values: iter(())
-    pairwise = kind == "homomorphism-embedding"
-    reflect = kind == "embedding"
-    profiles = kind in ("monomorphism", "embedding")
-
-    plan = _source_plan(A, pinned)
-    order = plan.order
-    n, k = len(order), len(pinned)
+    steps, specs, walk_top, reflect = _search_steps(A, pinned, kind, injective, project, bounded)
+    n, k = len(steps), len(pinned)
     verts, verts_a = B.vertices, A.vertices
     rels = B._relations
-    index, opened, closed, alone, by_top = _vertex_masks(B, reflect)
-    nbhd = opened if injective or pairwise else closed
+    index, opened, _, alone, by_top, rows, marks = _vertex_masks(B, reflect)
+    if walk_top:
+        rows += tuple(_walk_ends(B, L) for L in range(2, walk_top + 1))
     full = (1 << len(verts)) - 1
-    checks = [[(rels[name], get) for name, get in cs] for cs in plan.checks]
-    if pairwise:
-        avoid_unary, avoid_checks = _span_obligations(A, pinned)
-        avoid = [[(rels[name], get) for name, get in cs] for cs in avoid_checks]
-    else:
-        avoid_unary, avoid = ((),) * n, [()] * n
-    bounded = [()] * n if bounds is None else bounds
-    parity = [False] * n
-    odd_b = full
-    if pairwise or (project and injective):
-        walks = [[(e, _walk_ends(B, L)) for e, L in pairs] for pairs in _walk_pairs(A, pinned)]
-        odd_b = _odd_mask(B)
-        if odd_b != full:
-            odd_a, index_a = _odd_mask(A), _vertex_masks(A)[0]
-            parity = [not nbrs and odd_a >> index_a[v] & 1 for v, nbrs in zip(order, plan.earlier)]
-    else:
-        walks = [()] * n
-    prof_b = _profiles(B) if profiles else None
-    prof_a = _profiles(A) if profiles else None
+    profiles = kind in ("monomorphism", "embedding")
     # Per depth, the targets that order[i] may take: those carrying its
-    # unary symbols, none of its unary obligations, (monomorphisms and
-    # embeddings) (symbol, position) counts covering its own, and (parity
-    # depths) in a non-bipartite component of B.  Each screen is built on
-    # first use and kept for later runs; None marks one not built yet.
-    screens: list[Optional[int]] = [
-        None if profiles or held or avoided or odd else full
-        for held, avoided, odd in zip(plan.unary, avoid_unary, parity)
-    ]
+    # marks and none of those it must avoid, (monomorphisms and
+    # embeddings) with (symbol, position) counts covering its own, and
+    # (parity depths) in a non-bipartite component of B.  Each screen is
+    # built on first use and kept for later runs; None marks one not
+    # built yet.
+    screens: list[Optional[int]] = [None] * n
 
     def screen(i: int) -> int:
+        held, avoided, parity = specs[i]
         ok = full
         if profiles:
-            pa = prof_a[order[i]]
+            pa, prof_b = _profiles(A)[steps[i][0]], _profiles(B)
             ok = sum(1 << j for j, w in enumerate(verts) if all(map(ge, prof_b[w], pa)))
-        for name in plan.unary[i]:
-            ok &= sum({1 << index[w] for w, in rels[name]})
-        for name in avoid_unary[i]:
-            ok &= ~sum({1 << index[w] for w, in rels[name]})
-        if parity[i]:
-            ok &= odd_b
+        for name in held:
+            ok &= marks[name]
+        for name in avoided:
+            ok &= ~marks[name]
+        if parity:
+            ok &= _odd_mask(B)
         screens[i] = ok
         return ok
-
-    # One tuple per depth, unpacked by ``run``: the source vertex, the
-    # depths of its earlier neighbours, its walk screens and bounds,
-    # whether its image must differ from the earlier ones, its checks and
-    # obligations, its occurrences, and whether it is the last depth.
-    steps = list(zip(
-        order, plan.earlier, walks, bounded,
-        [injective or (project and i < k) for i in range(n)],
-        checks, avoid, plan.occurrences,
-        [i + 1 == n for i in range(n)],
-    ))
 
     def run(values: tuple[str, ...]) -> Iterator:
         if n == 0:
@@ -956,13 +1103,13 @@ def compile_search(
         rest = [0] * n  # per depth, the candidates not tried yet while deeper ones run
         i, fresh = 0, True
         while True:
-            v, nbrs, ends, above, distinct, checks_i, avoid_i, occ, last = steps[i]
+            v, pos, neg, above, distinct, checks, avoid, occ, tested, last = steps[i]
             if fresh:
                 m = 1 << index[values[i]] if i < fixed else full
-                for e in nbrs:
-                    m &= nbhd[at[e]]
-                for e, reach in ends:
-                    m &= reach[at[e]]
+                for e, r in pos:
+                    m &= rows[r][at[e]]
+                for e, r in neg:
+                    m &= ~rows[r][at[e]]
                 ok = screens[i]
                 m &= screen(i) if ok is None else ok
                 if distinct:
@@ -974,42 +1121,39 @@ def compile_search(
                 m ^= low
                 j = low.bit_length() - 1
                 d[v] = verts[j]
-                for rel, get in checks_i:
-                    if get(d) not in rel:
-                        break
-                else:
-                    for rel, get in avoid_i:
-                        if get(d) in rel:
-                            break
-                    else:
-                        if reflect:
-                            # the candidate's occurrences in target tuples inside the image
-                            u, count, filed = used[i] | low, alone[j], by_top[j]
-                            tops = u & opened[j]
-                            while tops:
-                                x = tops & -tops
-                                tops ^= x
-                                pairs, wider = filed.get(x, _UNFILED)
-                                count += pairs
-                                for t in wider:
-                                    count += u | t == u
-                            if count != occ:
-                                continue
-                        if not last:
-                            rest[i], at[i], used[i + 1] = m, j, used[i] | low
-                            i, fresh = i + 1, True
-                            break
-                        if not project:
-                            yield tuple(map(d.__getitem__, verts_a))
+                if tested:
+                    if any(get(d) not in rels[name] for name, get in checks) or any(
+                        get(d) in rels[name] for name, get in avoid
+                    ):
+                        continue
+                    if reflect:
+                        # the candidate's occurrences in wider target tuples inside the image
+                        u, count, filed = used[i] | low, alone[j], by_top[j]
+                        tops = u & opened[j]
+                        while tops:
+                            x = tops & -tops
+                            tops ^= x
+                            pairs, wider = filed.get(x, _UNFILED)
+                            count += pairs
+                            for t in wider:
+                                count += u | t == u
+                        if count != occ:
                             continue
-                        yield tuple(map(d.__getitem__, pinned))
-                        if i >= k:
-                            # a witness below the pinned tuple: on to the next one
-                            i = k - 1
-                            if i < 0:
-                                return
-                            m, fresh = rest[i], False
-                            break
+                if not last:
+                    rest[i], at[i], used[i + 1] = m, j, used[i] | low
+                    i, fresh = i + 1, True
+                    break
+                if not project:
+                    yield tuple(map(d.__getitem__, verts_a))
+                    continue
+                yield tuple(map(d.__getitem__, pinned))
+                if i >= k:
+                    # a witness below the pinned tuple: on to the next one
+                    i = k - 1
+                    if i < 0:
+                        return
+                    m, fresh = rest[i], False
+                    break
             else:
                 i -= 1
                 if i < 0:
@@ -1030,7 +1174,7 @@ def _copy_search(A: Structure, B: Structure) -> Iterator[tuple[str, ...]]:
     those vectors."""
     if A.language != B.language:
         raise LanguageMismatchError("morphism search requires a shared language")
-    return compile_search(A, B, "embedding", bounds=_orbit_bounds(A))(())
+    return compile_search(A, B, "embedding", bounded=True)(())
 
 
 def copy_images(A: Structure, B: Structure) -> list[frozenset]:

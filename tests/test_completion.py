@@ -306,6 +306,29 @@ class TestQuotientCompletion:
         # the identity and the parts of three with their quotients only
         assert sizes[8] == 1 and all(n <= 3 for n in sizes if n != 8)
 
+    def test_repeated_quotient_vectors_are_decided_once(self, monkeypatch):
+        # leq is a 4-cycle v0 <= v1 <= v2 <= v3 <= v0 and five vertices
+        # are isolated: thousands of partitions collapse it, onto six
+        # quotient vectors only, and the kernel decides each once
+        plugin = get_plugin("posets")
+        vs = [f"v{i}" for i in range(9)]
+        cycle = [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0")]
+        loops = [(v, v) for v in vs]
+        A = Structure(plugin.language, vs, {"leq": cycle + loops, "prec": loops})
+        sizes = Counter()
+        decide = plugin._decide
+
+        def counted(verts, states):
+            sizes[len(verts)] += 1
+            return decide(verts, states)
+
+        monkeypatch.setattr(plugin, "_decide", counted)
+        assert try_completion(A, plugin) is None
+        # the identity, then one call per distinct failing vector
+        assert sum(c for n, c in sizes.items() if n > 3) <= 7
+        # the 84 parts of three, which complete without a quotient
+        assert sizes[3] == 84
+
 
 class _SingleLoopPlugin(ClassPlugin):
     """Deliberately non-hereditary toy class: just one looped vertex."""

@@ -73,6 +73,35 @@ class TestStructure:
         A = Structure(GRAPH, ["b", "a"], {})
         assert A.vertices == ("a", "b")
 
+    def test_equal_structures_built_apart_compare_and_hash_equal(self):
+        # the key and hash are built on first use: compared before hashed,
+        # hashed before compared, and from tuples given in another order,
+        # as lists and from a generator
+        edges = [("a", "b"), ("b", "c"), ("b", "a")]
+        A = Structure(GRAPH, ["a", "b", "c"], {"E": edges})
+        B = Structure(GRAPH, ["c", "b", "a"], {"E": (list(e) for e in reversed(edges))})
+        C = Structure(GRAPH, ["a", "b", "c"], {"E": edges[:2]})
+        assert A == B and A != C and B != C
+        D = Structure(GRAPH, ["a", "b", "c"], {"E": set(edges)})
+        assert hash(D) == hash(A) == hash(B)
+        assert D == A and len({A, B, C, D}) == 2
+        assert A != "not a structure"
+
+    def test_a_structure_equals_itself(self):
+        A = Structure(GRAPH, ["a", "b"], {"E": [("a", "b")]})
+        assert A == A
+        assert A in {A} and A in [A]
+
+    def test_first_bad_tuple_after_good_ones_is_named(self):
+        lang = language(("R", 2), ("U", 1))
+        good = [("a", "b"), ("b", "a")]
+        with pytest.raises(StructureError, match=r"tuple \('a',\) has length 1, expected 2 for 'R'"):
+            Structure(lang, ["a", "b"], {"R": good + [("a",), ("a", "z")]})
+        with pytest.raises(StructureError, match=r"tuple \('a', 'z'\) uses undeclared vertex 'z'"):
+            Structure(lang, ["a", "b"], {"R": good + [("a", "z"), ("a",)]})
+        with pytest.raises(StructureError, match=r"tuple \('y',\) uses undeclared vertex 'y'"):
+            Structure(lang, ["a", "b"], {"U": [("a",), ("y",), ("x",)]})
+
 
 class TestVerifyMorphism:
     def test_identity_embedding(self, p3):
