@@ -24,7 +24,6 @@ from .structures import (
     _bits,
     _vertex_masks,
     canonical_key,
-    induced_substructure,
     is_irreducible,
     linear_order,
     search_morphisms,
@@ -985,8 +984,8 @@ def _check_language(A: Structure, plugin: ClassPlugin) -> None:
 
 
 def complete_with(A: Structure, plugin: ClassPlugin) -> CompletionResult:
-    """Strong completion of A in the plugin's class."""
-    _check_language(A, plugin)
+    """Strong completion of A in the plugin's class (the plugin's ``_read``
+    refuses a structure outside its language)."""
     return plugin.try_strong_completion(A)
 
 
@@ -1177,51 +1176,27 @@ class ProbeReport:
         return not self.counterexamples
 
 
-def _pullback_patterns(C0: Structure, k: int) -> Iterator[Structure]:
-    """Structures on k vertices with a homomorphism-embedding to C0.
+def _pullback_vectors(c0vec: Sequence[int], m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Pair vectors on k vertices of the patterns with a homomorphism-embedding
+    into C0, whose pair vector over its m sorted vertices is ``c0vec``.
 
-    Binary languages only.  A candidate is a vertex map f into C0 (taken
-    non-decreasing, which is harmless up to isomorphism) together with a set
-    of non-glued pairs that copy the exact induced pair of C0; the resulting
-    map is a homomorphism-embedding by construction.
+    A candidate is a vertex map into C0, taken non-decreasing (harmless up to
+    isomorphism), with a set of the pairs it does not glue that copy C0's
+    pair: (i, j) takes C0's state at (image[i], image[j]), and a glued pair
+    or one left out is a hole.  Maps come in ``combinations_with_replacement``
+    order and, per map, the copied sets in bitmask order, bit p the p-th
+    unglued pair.
     """
-    if any(arity > 2 for _, arity in C0.language.symbols):
-        raise PreconditionError("pullback probing supports binary languages only")
-    verts = _pattern_vertices(k)
+    index = {pair: p for p, pair in enumerate(itertools.combinations(range(m), 2))}
     pairs = list(itertools.combinations(range(k), 2))
-    c0verts = sorted(C0.vertices)
-    for image in itertools.combinations_with_replacement(c0verts, k):
-        f = dict(zip(verts, image))
-        open_pairs = [(i, j) for (i, j) in pairs if image[i] != image[j]]
-        base: dict[str, list] = {name: [] for name in C0.language.names()}
-        for v in verts:
-            for name, ts in C0.relations.items():
-                arity = C0.language.arity(name)
-                w = f[v]
-                if arity == 1 and (w,) in ts:
-                    base[name].append((v,))
-                if arity == 2 and (w, w) in ts:
-                    base[name].append((v, v))
-        pair_tuples = []
-        for (i, j) in open_pairs:
-            u, v = verts[i], verts[j]
-            wu, wv = image[i], image[j]
-            extra = []
-            for name, ts in C0.relations.items():
-                if C0.language.arity(name) != 2:
-                    continue
-                if (wu, wv) in ts:
-                    extra.append((name, (u, v)))
-                if (wv, wu) in ts:
-                    extra.append((name, (v, u)))
-            pair_tuples.append(extra)
-        for mask in range(1 << len(open_pairs)):
-            rels = {name: list(ts) for name, ts in base.items()}
-            for p, extra in enumerate(pair_tuples):
-                if mask >> p & 1:
-                    for name, t in extra:
-                        rels[name].append(t)
-            yield Structure(C0.language, verts, rels)
+    for image in itertools.combinations_with_replacement(range(m), k):
+        # the last factor of a product turns fastest, so the pairs go in reversed
+        options = [
+            (0, c0vec[index[image[i], image[j]]]) if image[i] != image[j] else (0,)
+            for i, j in reversed(pairs)
+        ]
+        for vec in itertools.product(*options):
+            yield vec[::-1]
 
 
 def probe_local_finiteness(
@@ -1234,41 +1209,56 @@ def probe_local_finiteness(
     """Search for structures violating the local finiteness bound n at C0.
 
     A counterexample has a homomorphism-embedding to C0, every substructure
-    with at most n vertices strongly completes, yet itself does not.
-    Candidates are pullback patterns along vertex maps into C0; the sweep
-    stops (flagged inconclusive) when the budget runs out.
+    with 1..n vertices strongly completes, yet itself does not.  Candidates
+    are the pullback patterns along vertex maps into C0 on n + 1 to
+    ``size_cap`` vertices (``_pullback_vectors``), counted in ``examined``;
+    the sweep stops, flagged inconclusive, at the candidate past the budget.
+
+    C0 is read once, by ``plugin._read``, and must pass the plugin's screen
+    (else ``PreconditionError``, naming the fault's kind).  Each candidate
+    is decided on its pair vector by ``plugin._decide``.  Strong completion
+    is hereditary (as ``obstacles_up_to`` assumes), and a candidate has more
+    than n vertices, so a failing part on fewer than n vertices lies in a
+    failing part on exactly n: only those are decided, each one's vector an
+    index selection of the candidate's, and each verdict is kept for the
+    call.  Only a failing candidate whose parts all complete is built, and
+    kept unless isomorphic to one kept before.
     """
-    if C0.language != plugin.language:
-        raise PreconditionError("C0 must live in the plugin's language")
+    if n < 0:
+        raise PreconditionError(f"the local finiteness bound must be at least 0, not {n}")
+    c0vec, fault = plugin._read(C0)
+    if fault is not None:
+        raise PreconditionError(f"C0 fails the plugin's screen: {fault.certificate.kind}")
+    part_verts = _pattern_vertices(n)
+    part_completes: dict[tuple[int, ...], bool] = {}
     examined = 0
     counterexamples = []
     seen = set()
-    inconclusive = False
     for k in range(n + 1, size_cap + 1):
-        if inconclusive:
-            break
-        for P in _pullback_patterns(C0, k):
+        verts = _pattern_vertices(k)
+        index = {pair: p for p, pair in enumerate(itertools.combinations(range(k), 2))}
+        # the bound counts parts of one vertex or more, so n = 0 leaves none
+        parts = [
+            [index[pair] for pair in itertools.combinations(part, 2)]
+            for part in (itertools.combinations(range(k), n) if n else ())
+        ]
+        for vec in _pullback_vectors(c0vec, len(C0.vertices), k):
             examined += 1
             if examined > budget:
-                inconclusive = True
-                break
-            if plugin.try_strong_completion(P).ok:
+                return ProbeReport(plugin.name, n, size_cap, examined, tuple(counterexamples), True)
+            if plugin._decide(verts, vec)[0] is None:
                 continue
-            small_ok = True
-            for r in range(1, min(n, k) + 1):
-                for S in itertools.combinations(P.vertices, r):
-                    if not plugin.try_strong_completion(
-                        induced_substructure(P, S)
-                    ).ok:
-                        small_ok = False
-                        break
-                if not small_ok:
+            for part in parts:
+                sub = tuple([vec[p] for p in part])
+                ok = part_completes.get(sub)
+                if ok is None:
+                    ok = part_completes[sub] = plugin._decide(part_verts, sub)[0] is None
+                if not ok:
                     break
-            if small_ok:
+            else:
+                P = plugin._pattern(k, vec)
                 key = canonical_key(P)
                 if key not in seen:
                     seen.add(key)
                     counterexamples.append(P)
-    return ProbeReport(
-        plugin.name, n, size_cap, examined, tuple(counterexamples), inconclusive
-    )
+    return ProbeReport(plugin.name, n, size_cap, examined, tuple(counterexamples), False)

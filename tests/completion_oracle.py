@@ -31,6 +31,12 @@ completed, until one completes.
 ``completion_iff_strong`` is the equivalence check as it was before it read
 the strong side from the plugin's kernel: every pattern is built, then
 strongly completed and searched for a completion with ``try_completion``.
+
+``probe_local_finiteness`` is the local-finiteness probe as it was before
+it read C0 once and decided the pullbacks on pair vectors: every pullback
+pattern is built as a structure (``_pullback_patterns``) and strongly
+completed, and for a failing one, so is every induced substructure on
+1..n vertices.
 """
 
 from __future__ import annotations
@@ -47,12 +53,19 @@ from ramseyforge.completion import (
     MetricPlugin,
     ObstacleCertificate,
     PosetPlugin,
+    ProbeReport,
     quasi_cycle_scan,
     quotient_structure,
 )
-from ramseyforge.errors import StructureError
+from ramseyforge.errors import PreconditionError, StructureError
 from ramseyforge.rsf import format_rational
-from ramseyforge.structures import Morphism, Structure, verify_morphism
+from ramseyforge.structures import (
+    Morphism,
+    Structure,
+    canonical_key,
+    induced_substructure,
+    verify_morphism,
+)
 
 from conftest import gaifman_adjacency
 import pattern_oracle
@@ -381,3 +394,96 @@ def completion_iff_strong(plugin, size_cap: int) -> EquivalenceReport:
         if weak and not strong:
             violations.append(P)
     return EquivalenceReport(plugin.name, size_cap, checked, tuple(violations))
+
+
+def _pullback_patterns(C0: Structure, k: int) -> Iterator[Structure]:
+    """Structures on k vertices with a homomorphism-embedding to C0.
+
+    Binary languages only.  A candidate is a vertex map f into C0 (taken
+    non-decreasing, which is harmless up to isomorphism) together with a set
+    of non-glued pairs that copy the exact induced pair of C0; the resulting
+    map is a homomorphism-embedding by construction.
+    """
+    if any(arity > 2 for _, arity in C0.language.symbols):
+        raise PreconditionError("pullback probing supports binary languages only")
+    verts = [f"v{i}" for i in range(k)]
+    pairs = list(itertools.combinations(range(k), 2))
+    c0verts = sorted(C0.vertices)
+    for image in itertools.combinations_with_replacement(c0verts, k):
+        f = dict(zip(verts, image))
+        open_pairs = [(i, j) for (i, j) in pairs if image[i] != image[j]]
+        base: dict[str, list] = {name: [] for name in C0.language.names()}
+        for v in verts:
+            for name, ts in C0.relations.items():
+                arity = C0.language.arity(name)
+                w = f[v]
+                if arity == 1 and (w,) in ts:
+                    base[name].append((v,))
+                if arity == 2 and (w, w) in ts:
+                    base[name].append((v, v))
+        pair_tuples = []
+        for (i, j) in open_pairs:
+            u, v = verts[i], verts[j]
+            wu, wv = image[i], image[j]
+            extra = []
+            for name, ts in C0.relations.items():
+                if C0.language.arity(name) != 2:
+                    continue
+                if (wu, wv) in ts:
+                    extra.append((name, (u, v)))
+                if (wv, wu) in ts:
+                    extra.append((name, (v, u)))
+            pair_tuples.append(extra)
+        for mask in range(1 << len(open_pairs)):
+            rels = {name: list(ts) for name, ts in base.items()}
+            for p, extra in enumerate(pair_tuples):
+                if mask >> p & 1:
+                    for name, t in extra:
+                        rels[name].append(t)
+            yield Structure(C0.language, verts, rels)
+
+
+def probe_local_finiteness(
+    plugin,
+    C0: Structure,
+    n: int,
+    size_cap: int = 7,
+    budget: int = 200_000,
+) -> ProbeReport:
+    """The reference local-finiteness probe: every pullback pattern is
+    built and strongly completed, and a failing one is a counterexample
+    when every induced substructure on 1..n vertices strongly completes."""
+    if C0.language != plugin.language:
+        raise PreconditionError("C0 must live in the plugin's language")
+    examined = 0
+    counterexamples = []
+    seen = set()
+    inconclusive = False
+    for k in range(n + 1, size_cap + 1):
+        if inconclusive:
+            break
+        for P in _pullback_patterns(C0, k):
+            examined += 1
+            if examined > budget:
+                inconclusive = True
+                break
+            if plugin.try_strong_completion(P).ok:
+                continue
+            small_ok = True
+            for r in range(1, min(n, k) + 1):
+                for S in itertools.combinations(P.vertices, r):
+                    if not plugin.try_strong_completion(
+                        induced_substructure(P, S)
+                    ).ok:
+                        small_ok = False
+                        break
+                if not small_ok:
+                    break
+            if small_ok:
+                key = canonical_key(P)
+                if key not in seen:
+                    seen.add(key)
+                    counterexamples.append(P)
+    return ProbeReport(
+        plugin.name, n, size_cap, examined, tuple(counterexamples), inconclusive
+    )

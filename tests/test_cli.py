@@ -412,6 +412,25 @@ class TestCompleteProbeCli:
         )
         assert code == 1 and payload["counterexamples"]
 
+    @pytest.mark.parametrize(
+        "rels, n",
+        [
+            ({"d:1": [("a", "b"), ("b", "a")]}, "-1"),
+            # a one-way tuple fails the screen
+            ({"d:1": [("a", "b")]}, "1"),
+        ],
+    )
+    def test_probe_refuses_bad_input(self, capsys, tmp_path, rels, n):
+        from ramseyforge.completion import get_plugin
+
+        path = tmp_path / "C0.rsf"
+        rsf.dump(Structure(get_plugin("metric:1,3").language, ["a", "b"], rels), path)
+        code, payload = run_json(
+            capsys,
+            ["complete", "probe", "--class", "metric:1,3", "-n", n, "--cap", "2", str(path)],
+        )
+        assert code == 3 and payload is None
+
     def test_iff_holds(self, files, capsys):
         code, payload = run_json(
             capsys, ["complete", "iff", "--class", "posets", "--cap", "3"]

@@ -187,6 +187,8 @@ class TestLanguageGuard:
             complete_with(A, plugin)
         with pytest.raises(PreconditionError):
             try_completion(A, plugin)
+        with pytest.raises(PreconditionError):
+            probe_local_finiteness(plugin, A, n=1, size_cap=2)
 
     def test_metric_refuses_a_graph(self):
         K3 = graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
@@ -509,6 +511,40 @@ class TestProbe:
         )
         report = probe_local_finiteness(plugin, C0, n=1, size_cap=5, budget=5)
         assert report.inconclusive
+
+    def test_13_triangle_at_cap_6(self):
+        # the CLI's default cap: 22,822 pullbacks on five and six vertices
+        plugin = MetricPlugin(distance_set(1, 3))
+        T = sgraph_to_structure(
+            SGraph(["x", "y", "z"], {("x", "y"): 1, ("x", "z"): 1, ("y", "z"): 3}),
+            plugin.S,
+        )
+        report = probe_local_finiteness(plugin, T, n=4, size_cap=6)
+        sizes = [len(c.vertices) for c in report.counterexamples]
+        assert (report.examined, report.inconclusive) == (22_822, False)
+        assert sizes == [5] + [6] * 10
+
+    @pytest.mark.parametrize(
+        "selector, rels, kind",
+        [
+            # a one-way tuple: the probe used to report the one-way pair itself
+            ("metric:1,3", {"d:1": [("a", "b")]}, "malformed-distance-graph"),
+            ("posets", {"leq": [("a", "a"), ("b", "b")], "prec": [("a", "a")]}, "missing-reflexive"),
+            ("forbidden:K3", {"leq": [("a", "a"), ("b", "b"), ("a", "b")], "E": [("a", "b")]}, "one-way-edge"),
+        ],
+    )
+    def test_malformed_c0_is_refused(self, selector, rels, kind):
+        plugin = kfree_plugin(3) if selector == "forbidden:K3" else get_plugin(selector)
+        C0 = Structure(plugin.language, ["a", "b"], rels)
+        with pytest.raises(PreconditionError, match=kind):
+            probe_local_finiteness(plugin, C0, n=1, size_cap=2)
+
+    def test_negative_bound_is_refused(self):
+        plugin = MetricPlugin(distance_set(1, 3))
+        C0 = sgraph_to_structure(SGraph(["a", "b"], {("a", "b"): 1}), plugin.S)
+        with pytest.raises(PreconditionError):
+            probe_local_finiteness(plugin, C0, n=-1, size_cap=2)
+        assert probe_local_finiteness(plugin, C0, n=0, size_cap=0).examined == 0
 
 
 class TestObstaclesTopLevel:

@@ -31,6 +31,15 @@ map, quotient and completed structure.  No built-in class needs a
 quotient, so the classes are also cut down to members on at most a few
 vertices (``_Bounded``), where a structure completes only by identifying
 vertices and the quotient states must agree across each pair of blocks.
+
+``probe_local_finiteness`` decides each pullback into C0 on its pair
+vector, and for a failing one only its parts on exactly n vertices; the
+oracle's builds and strongly completes every pullback and, for a failing
+one, every induced substructure on 1..n vertices.  On random C0s of two
+to four vertices, with bounds n from 0 to 3, caps up to n + 2 and budgets
+that often cut a size part way, both must report the same ``examined``,
+``inconclusive`` and counterexamples, in order and token for token.  A C0
+that fails the plugin's screen is refused.
 """
 
 import itertools
@@ -51,8 +60,11 @@ from ramseyforge.completion import (
     completion_iff_strong,
     get_plugin,
     kfree_plugin,
+    probe_local_finiteness,
     try_completion,
 )
+from ramseyforge.errors import PreconditionError
+from ramseyforge.rsf import dumps
 from ramseyforge.structures import Structure
 
 import completion_oracle as oracle
@@ -491,3 +503,48 @@ def test_metric_membership_matches_oracle(data, name):
         result = plugin.try_strong_completion(A)
         A = result.completed if result.ok else A
     assert plugin.membership(A) == pattern_oracle.metric_membership(A, plugin.S)
+
+
+PROBE_PLUGINS = {
+    name: PLUGINS[name] for name in ("posets", "metric:1,2,3,4", "metric:1,3", "forbidden:K3")
+}
+# and one where every pullback on four or more vertices fails, so that
+# counterexamples are many and repeat up to isomorphism
+PROBE_PLUGINS[BOUNDED["posets<=3"].name] = BOUNDED["posets<=3"]
+PROBE_OBSTACLES = {
+    name: [O for O in plugin.obstacles_up_to(4) if len(O.vertices) > 1]
+    for name, plugin in PROBE_PLUGINS.items()
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PROBE_PLUGINS)))
+def test_probe_matches_oracle(data, name):
+    plugin = PROBE_PLUGINS[name]
+    if data.draw(st.booleans()):
+        # an obstacle on more than n vertices and at most the cap, so that
+        # counterexamples show up
+        O = data.draw(st.sampled_from(PROBE_OBSTACLES[name]))
+        tokens = data.draw(st.permutations(TOKENS))
+        C0 = O.rename(dict(zip(O.vertices, tokens)))
+        n = data.draw(st.integers(len(O.vertices) - 2, min(3, len(O.vertices) - 1)))
+        size_cap = n + 2
+    else:
+        if plugin.language == POSET:
+            C0 = data.draw(oriented_structures(POSET, "prec", min_size=2, max_size=4))
+        elif plugin.language == ORDERED_GRAPH:
+            C0 = data.draw(oriented_structures(ORDERED_GRAPH, "E", min_size=2, max_size=4))
+        else:
+            C0 = data.draw(distance_structures(plugin, min_size=2, max_size=4))
+        n = data.draw(st.integers(0, 3))
+        size_cap = n + data.draw(st.sampled_from((2, 1, 0)))
+    budget = data.draw(st.sampled_from((2_000, 400, 100, 20, 0)))
+    fault = plugin._read(C0)[1]
+    if fault is not None:
+        with pytest.raises(PreconditionError, match=fault.certificate.kind):
+            probe_local_finiteness(plugin, C0, n, size_cap, budget)
+        return
+    fast = probe_local_finiteness(plugin, C0, n, size_cap, budget)
+    slow = oracle.probe_local_finiteness(plugin, C0, n, size_cap, budget)
+    assert (fast.examined, fast.inconclusive) == (slow.examined, slow.inconclusive)
+    assert [dumps(P) for P in fast.counterexamples] == [dumps(P) for P in slow.counterexamples]

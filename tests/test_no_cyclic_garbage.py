@@ -14,7 +14,13 @@ it.
 import gc
 
 from ramseyforge.build import complete_graph, cycle_graph, graph
-from ramseyforge.completion import _quotients, get_plugin, kfree_plugin, try_completion
+from ramseyforge.completion import (
+    _quotients,
+    get_plugin,
+    kfree_plugin,
+    probe_local_finiteness,
+    try_completion,
+)
 from ramseyforge.pieces import PieceFamily, canonical_lift
 from ramseyforge.structures import (
     Structure,
@@ -84,5 +90,10 @@ def test_completion_leaves_no_cycles():
         next(_quotients([0] * 6, 4, (0,)))
         toy = _SingleLoopPlugin()
         try_completion(Structure(toy.language, "uvw", {"E": [(v, v) for v in "uvw"]}), toy)
+        # a full probe sweep with counterexamples, and one cut by its budget
+        metric = get_plugin("metric:1,3")
+        T = metric._pattern(3, (1, 1, 2))
+        probe_local_finiteness(metric, T, n=2, size_cap=4)
+        probe_local_finiteness(metric, T, n=2, size_cap=4, budget=50)
 
     assert library_functions_in_cycles(work) == []
