@@ -10,9 +10,9 @@ and irreducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._record import frozen
 from .errors import CapError, PreconditionError, StructureError
 from .structures import (
     Structure,
@@ -23,7 +23,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosureEntry:
     symbol: str
     root: Structure
@@ -46,7 +46,7 @@ class ClosureEntry:
         return tuple(str(i) for i in range(1, self.root_size + 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosureDescription:
     entries: tuple[ClosureEntry, ...]
 
@@ -108,7 +108,7 @@ def _closure_groups(A: Structure, entry: ClosureEntry) -> dict[tuple, set[tuple]
     return groups
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosureViolation:
     entry: ClosureEntry
     prefix: tuple[str, ...]
@@ -268,7 +268,7 @@ def u_size(A: Structure, U: ClosureDescription) -> int:
     raise StructureError("unreachable: full vertex set generates itself")
 
 
-@dataclass(frozen=True)
+@frozen
 class PreservationReport:
     preserved: bool
     violation: Optional[ClosureViolation]

@@ -10,9 +10,9 @@ probing and the completion-iff-strong-completion equivalence check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from ._record import frozen
 from . import metric as metric_mod
 from .build import POSET, ORDERED_GRAPH, linear_order_tuples
 from .errors import PreconditionError, StructureError
@@ -34,7 +34,7 @@ from .structures import (
 # results and certificates
 
 
-@dataclass(frozen=True)
+@frozen
 class ObstacleCertificate:
     """A re-checkable reason a structure admits no strong completion.
 
@@ -73,7 +73,7 @@ class ObstacleCertificate:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class CompletionResult:
     status: str  # "completed" | "no-completion"
     completed: Optional[Structure] = None
@@ -490,7 +490,7 @@ def _mask_cycle(succ: Sequence[int]) -> Optional[list[int]]:
 # partial orders with linear extension
 
 
-@dataclass(frozen=True)
+@frozen
 class QuasiCycle:
     """Vertices u1..un with consecutive pairs in both relations and the
     closing pair in the order only."""
@@ -1117,7 +1117,7 @@ def try_completion(A: Structure, plugin: ClassPlugin) -> Optional[tuple[Morphism
     return q, plugin._completed(Q.vertices, data)
 
 
-@dataclass(frozen=True)
+@frozen
 class EquivalenceReport:
     plugin: str
     size_cap: int
@@ -1162,7 +1162,7 @@ def completion_iff_strong(plugin: ClassPlugin, size_cap: int) -> EquivalenceRepo
 # local finiteness probing
 
 
-@dataclass(frozen=True)
+@frozen
 class ProbeReport:
     plugin: str
     n: int

@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from ._record import frozen
 from .errors import PreconditionError, StructureError
 from .structures import GAIFMAN_LANGUAGE, Language, Structure, connected_components
 
@@ -33,7 +33,7 @@ def _coerce(x) -> Fraction:
     raise StructureError(f"distances must be exact rationals, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@frozen
 class DistanceSet:
     """A finite set of positive exact rationals.
 
@@ -72,8 +72,9 @@ class DistanceSet:
     def min(self) -> Fraction:
         return self._values[0]
 
-    # cached_property writes the instance __dict__ directly, so it works on
-    # the frozen dataclass; the cached fields take no part in eq or hash.
+    # cached_property writes the instance __dict__ directly, past the
+    # record's frozen __setattr__; the cached tables are not fields, so they
+    # take no part in eq, hash or repr.
 
     @functools.cached_property
     def _values(self) -> tuple[Fraction, ...]:
@@ -362,7 +363,7 @@ def structure_ranks(A: Structure, S: DistanceSet) -> dict[tuple[str, str], int]:
 # completion
 
 
-@dataclass(frozen=True)
+@frozen
 class NonMetricCertificate:
     """A violated pair with the short walk beating its recorded distance."""
 
@@ -376,7 +377,7 @@ class NonMetricCertificate:
         return tuple(edges) + (self.recorded,)
 
 
-@dataclass(frozen=True)
+@frozen
 class MetricCompletionResult:
     status: str  # "completed" | "no-completion"
     space: Optional[SGraph]
@@ -515,7 +516,7 @@ def fold_violates(S: DistanceSet, distances: Sequence[Fraction]) -> bool:
     return distances[-1] > s_length(S, distances[:-1])
 
 
-@dataclass(frozen=True)
+@frozen
 class UnimportantReduction:
     segments: tuple[tuple[int, int], ...]  # index ranges of dropped path edges
     reduced: tuple[Fraction, ...]  # reduced cycle, long edge last
@@ -565,7 +566,7 @@ def unimportant_paths(distances: Sequence, S: DistanceSet) -> UnimportantReducti
     return UnimportantReduction(tuple(segments), reduced)
 
 
-@dataclass(frozen=True)
+@frozen
 class CycleCertificate:
     """A non-metric cycle: vertices (when drawn from a graph) and the cyclic
     distance list with the violated edge last."""
@@ -636,7 +637,7 @@ def block_equivalence(A: SGraph, S: DistanceSet, j) -> tuple[frozenset[str], ...
     return tuple(connected_components(Structure(GAIFMAN_LANGUAGE, A.vertices, {"E": edges})))
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvexLift:
     """A convexly ordered metric space with explicit class-closure vertices.
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from ._record import frozen
 from .errors import PreconditionError, StructureError
 from .structures import (
     Language,
@@ -29,7 +29,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class RootedStructure:
     """A structure with an ordered tuple of distinct root vertices."""
 
@@ -58,7 +58,7 @@ class RootedStructure:
         return frozenset(self.body.vertices) - frozenset(self.root)
 
 
-@dataclass(frozen=True)
+@frozen
 class Piece:
     """A piece of ``origin``: the side of a minimal separating cut together
     with the cut, rooted at the cut in a fixed order."""
@@ -75,7 +75,7 @@ class Piece:
         return len(self.root)
 
 
-@dataclass(frozen=True)
+@frozen
 class Cut:
     cut: frozenset
     sides: tuple[frozenset, frozenset]
@@ -302,7 +302,7 @@ class PieceFamily:
         ]
 
 
-@dataclass(frozen=True)
+@frozen
 class PieceClass:
     index: int
     width: int
@@ -328,7 +328,7 @@ def piece_equivalence_classes(family) -> tuple[PieceClass, ...]:
 # membership
 
 
-@dataclass(frozen=True)
+@frozen
 class MembershipReport:
     member: bool
     forbidden: Optional[Structure] = None
@@ -370,7 +370,7 @@ def forb_membership(A: Structure, members: Iterable[Structure], mode: str = "hom
 # lifts
 
 
-@dataclass(frozen=True)
+@frozen
 class LiftedStructure:
     """An F-lift: a base structure plus class-indexed tuple relations."""
 
@@ -459,7 +459,7 @@ def canonical_lift(A: Structure, family) -> LiftedStructure:
     return LiftedStructure.make(A, ext, family)
 
 
-@dataclass(frozen=True)
+@frozen
 class MaximalLiftResult:
     lift: LiftedStructure
     witness: Structure
@@ -535,7 +535,7 @@ def _attach(W: Structure, piece: Piece, at: tuple[str, ...], counter: int) -> Op
     return Structure(W.language, verts, rels)
 
 
-@dataclass(frozen=True)
+@frozen
 class WitnessAmalgamResult:
     ok: bool
     structure: Optional[Structure]

@@ -11,9 +11,9 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from ._record import frozen
 from .build import linear_order_tuples
 from .closures import (
     ClosureDescription,
@@ -45,7 +45,7 @@ from .structures import (
 # partite systems
 
 
-@dataclass(frozen=True)
+@frozen
 class PartiteSystem:
     """A structure partitioned over a base with a homomorphism-embedding
     projection; tuples meet each part in at most one vertex."""
@@ -206,7 +206,7 @@ def colouring_search(
 # Hales-Jewett
 
 
-@dataclass(frozen=True)
+@frozen
 class CombinatorialLine:
     """Moving coordinates plus a fixed assignment on the rest."""
 
@@ -241,7 +241,7 @@ def lines_for(t: int, N: int) -> list[tuple[CombinatorialLine, tuple[tuple[int, 
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class HalesJewettResult:
     value: Optional[int]
     lower_bound: int
@@ -289,13 +289,13 @@ def hales_jewett_N(t: int, k: int) -> HalesJewettResult:
 # the product partite lemma
 
 
-@dataclass(frozen=True)
+@frozen
 class LineEmbedding:
     line: CombinatorialLine
     morphism: Morphism
 
 
-@dataclass(frozen=True)
+@frozen
 class PartiteLemmaResult:
     system: PartiteSystem
     lines: tuple[LineEmbedding, ...]
@@ -536,7 +536,7 @@ def identification_step(
 # the partite construction
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstructionResult:
     structure: Structure
     projection: Morphism
@@ -695,7 +695,7 @@ def _out_degree_defect(A: Structure) -> Optional[tuple[str, str]]:
     return None
 
 
-@dataclass(frozen=True)
+@frozen
 class UnaryRamseyResult:
     structure: Structure
     copies: tuple[Morphism, ...]
@@ -793,7 +793,7 @@ def unary_ramsey(A: Structure, B: Structure, N: Optional[int] = None) -> UnaryRa
 # the arrow verifier
 
 
-@dataclass(frozen=True)
+@frozen
 class ArrowReport:
     holds: str  # "proved" | "refuted" | "inconclusive"
     colouring: Optional[tuple[int, ...]]
@@ -973,7 +973,7 @@ def admissible_reorder(
 # distance lifts of graphs with large odd girth
 
 
-@dataclass(frozen=True)
+@frozen
 class DistanceLift:
     """Truncated-distance relations of a graph avoiding short odd cycles."""
 

@@ -55,9 +55,10 @@ def obj_to_structure(obj) -> tuple[Structure, Optional[tuple[str, ...]]]:
     for entry in obj["language"]:
         if not isinstance(entry, dict) or set(entry) != {"name", "arity"}:
             _fail("language entries must be {name, arity}")
-        if not isinstance(entry["name"], str) or not isinstance(entry["arity"], int):
+        arity = entry["arity"]
+        if not isinstance(entry["name"], str) or isinstance(arity, bool) or not isinstance(arity, int):
             _fail("language entry types")
-        symbols.append((entry["name"], entry["arity"]))
+        symbols.append((entry["name"], arity))
     order_symbol = obj.get("order_symbol")
     if order_symbol is not None and not isinstance(order_symbol, str):
         _fail("order_symbol must be a string")
@@ -184,6 +185,8 @@ def loads_closure_description(text: str):
     for item in obj:
         if not isinstance(item, dict) or set(item) != {"relation", "root"}:
             raise FormatError('closure entries must be {"relation", "root"}')
+        if not isinstance(item["relation"], str):
+            raise FormatError(f"closure relation must be a string, got {item['relation']!r}")
         root, pinned = obj_to_structure(item["root"])
         if pinned is not None:
             raise FormatError("closure roots carry no explicit root tuple")

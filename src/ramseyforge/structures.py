@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, count, repeat
 from operator import add, ge, itemgetter, mul, or_, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from ._record import frozen
 from .errors import CapError, LanguageMismatchError, MorphismError, StructureError
 
 MORPHISM_KINDS = (
@@ -27,7 +27,7 @@ MORPHISM_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Language:
     """A relational signature: named symbols with positive arities.
 
@@ -45,7 +45,7 @@ class Language:
         if len(set(names)) != len(names):
             raise StructureError("duplicate symbol names in language")
         for name, arity in self.symbols:
-            if not isinstance(arity, int) or arity < 1:
+            if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
                 raise StructureError(f"symbol {name!r} has invalid arity {arity!r}")
         if self.order_symbol is not None:
             if self.arity(self.order_symbol) != 2:
@@ -208,7 +208,7 @@ def _refuse_tuples(name: str, arity: int, ts: list, vset: set) -> None:
                 raise StructureError(f"tuple {t!r} uses undeclared vertex {v!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class Morphism:
     """A map between structures together with its claimed kind.
 
@@ -217,9 +217,9 @@ class Morphism:
     kind; the searches build theirs through ``_morphism``, which does not.
     """
 
-    # Declared by hand, not with ``slots=True``: that rebuilds the class,
-    # and the frozen ``__setattr__`` would then fail with a ``TypeError``
-    # on a new attribute name instead of ``FrozenInstanceError``.
+    # Slots keep morphisms small: the searches yield many of them.  The
+    # record's fields are the annotations below, so slot names must match;
+    # ``_morphism`` fills the slots through their descriptors.
     __slots__ = ("source", "target", "map", "kind")
 
     source: Structure
@@ -1295,7 +1295,7 @@ def linear_order(A: Structure) -> Optional[list[str]]:
 # amalgamation
 
 
-@dataclass(frozen=True)
+@frozen
 class Amalgam:
     structure: Structure
     left: Morphism

@@ -262,6 +262,27 @@ class TestClosureCli:
         )
         assert code == 0 and payload["u_size"] == 1
 
+    @pytest.mark.parametrize("relation", [["U"], 7])
+    def test_relation_that_is_not_a_string_is_a_format_error(self, closure_files, relation, capsys):
+        with open(closure_files["U"], encoding="utf-8") as fh:
+            arr = json.load(fh)
+        arr[0]["relation"] = relation
+        with open(closure_files["U"], "w", encoding="utf-8") as fh:
+            json.dump(arr, fh)
+        code = run(["closure", "check", "--closures", closure_files["U"], closure_files["pe"]])
+        assert code == 3
+        assert "closure relation must be a string" in capsys.readouterr().err
+
+    def test_boolean_arity_is_a_format_error(self, closure_files, capsys):
+        with open(closure_files["pe"], encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["language"] = [dict(entry, arity=True) if entry["arity"] == 1 else entry for entry in obj["language"]]
+        with open(closure_files["pe"], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code = run(["closure", "check", "--closures", closure_files["U"], closure_files["pe"]])
+        assert code == 3
+        assert "language entry types" in capsys.readouterr().err
+
 
 class TestAmalgCli:
     def test_free_amalgam(self, files, capsys, tmp_path):

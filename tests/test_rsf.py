@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,14 @@ def test_undeclared_relation_rejected():
         rsf.obj_to_structure(obj)
 
 
+@pytest.mark.parametrize("arity", [True, False, 1.0, "1"])
+def test_non_integer_arity_rejected(arity):
+    obj = rsf.structure_to_obj(Structure(language(("U", 1)), ["a"], {"U": [("a",)]}))
+    obj["language"][0]["arity"] = arity
+    with pytest.raises(FormatError):
+        rsf.obj_to_structure(obj)
+
+
 def test_duplicate_root_rejected():
     obj = rsf.structure_to_obj(complete_graph(2), root=("k0", "k0"))
     with pytest.raises(FormatError):
@@ -91,6 +100,15 @@ def test_closure_description_round_trip():
     text = rsf.dumps_closure_description(U)
     U2 = rsf.loads_closure_description(text)
     assert U2 == U
+
+
+@pytest.mark.parametrize("relation", [["E"], 7, None])
+def test_closure_relation_must_be_a_string(relation):
+    root = Structure(language(("U", 2), ("S", 1)), ["1"], {})
+    arr = json.loads(rsf.dumps_closure_description(closure_description(("U", root))))
+    arr[0]["relation"] = relation
+    with pytest.raises(FormatError, match="closure relation must be a string"):
+        rsf.loads_closure_description(json.dumps(arr))
 
 
 @settings(max_examples=60, deadline=None)

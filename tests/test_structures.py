@@ -49,6 +49,12 @@ class TestLanguage:
         with pytest.raises(StructureError):
             Language((("leq", 3),), order_symbol="leq")
 
+    @pytest.mark.parametrize("arity", [True, False, 0, -1, 1.0, "2"])
+    def test_invalid_arity_rejected(self, arity):
+        # bool is an int subclass: True would pass for arity 1
+        with pytest.raises(StructureError):
+            Language((("U", arity),))
+
     def test_arity_lookup(self):
         lang = language(("R", 3), ("S", 1))
         assert lang.arity("R") == 3
