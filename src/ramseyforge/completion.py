@@ -701,11 +701,7 @@ class MetricPlugin(ClassPlugin):
     """Metric spaces over a fixed finite distance set with 4-values."""
 
     def __init__(self, S: DistanceSet):
-        ok, witness = metric_mod.four_values(S)
-        if not ok:
-            raise PreconditionError(
-                f"metric plugin needs the 4-values condition; fails at {witness}"
-            )
+        metric_mod._require_four_values(S)
         self.S = S
         self.language = metric_mod.metric_language(S)
         self.pair_flip = tuple(range(len(S) + 1))
@@ -714,19 +710,11 @@ class MetricPlugin(ClassPlugin):
         self.name = "metric:" + ",".join(format_rational(q) for q in S.sorted())
 
     def membership(self, A: Structure) -> bool:
-        # total, and a <= b + c for a in S reads rank(a) <= rank(b (+) c)
         try:
             ranks = metric_mod.structure_ranks(A, self.S)
         except StructureError:
             return False
-        vs, oplus = A.vertices, self.S._oplus_rank
-        if len(ranks) != len(vs) * (len(vs) - 1) // 2:
-            return False
-        for u, v, w in itertools.combinations(vs, 3):
-            a, b, c = ranks[u, v], ranks[u, w], ranks[v, w]
-            if a > oplus[b][c] or b > oplus[a][c] or c > oplus[a][b]:
-                return False
-        return True
+        return metric_mod.metric_ranks(A.vertices, ranks, self.S)
 
     def _read(self, A: Structure) -> tuple:
         _check_language(A, self)
@@ -742,56 +730,41 @@ class MetricPlugin(ClassPlugin):
         states, fault = self._read(A)
         if fault is not None:
             return fault
-        vs, values = A.vertices, self.S._values
+        vs = A.vertices
         kind, data = self._decide(vs, states)
         if kind is None:
             return CompletionResult("completed", completed=self._completed(vs, data))
-        i, j, shortest, walk = data
-        state = dict(zip(itertools.combinations(range(len(vs)), 2), states))
-        recorded = values[state[i, j] - 1]
-        edges = [values[state[min(a, b), max(a, b)] - 1] for a, b in zip(walk, walk[1:])]
+        # the walk's edges, then the recorded pair, by rank
+        i, j, recorded, shortest, walk, edges = data
+        names, values = self.S._symbols, self.S._values
         walk = tuple(vs[w] for w in walk)
-        shortest = values[shortest]
-        present = [(f"d:{format_rational(q)}", pair) for q, pair in zip(edges, zip(walk, walk[1:]))]
-        present.append((f"d:{format_rational(recorded)}", (vs[i], vs[j])))
+        cycle = edges + (recorded,)
+        pairs = list(zip(walk, walk[1:])) + [(vs[i], vs[j])]
         return _fail(
-            "non-metric-cycle", walk, present=present,
-            note=f"recorded {recorded} exceeds walk length {shortest}",
+            "non-metric-cycle", walk, present=[(names[r], p) for r, p in zip(cycle, pairs)],
+            note=f"recorded {values[recorded]} exceeds walk length {values[shortest]}",
             extra=(
-                ("distances", ",".join(format_rational(q) for q in edges + [recorded])),
-                ("shortest", format_rational(shortest)),
+                ("distances", ",".join(format_rational(values[r]) for r in cycle)),
+                ("shortest", format_rational(values[shortest])),
             ),
         )
 
     def _decide(self, verts: Sequence[str], states: Sequence[int]) -> tuple:
         """The metric completion kernel on a pair-state vector (see
-        ``ClassPlugin._decide``): ``metric.complete_ranks`` on the rank
-        matrix the vector gives.  The data are the completed rank matrix, or
-        ``(i, j, shortest, walk)`` for the violated pair i < j."""
-        k = len(verts)
-        d: list[list[Optional[int]]] = [[None] * k for _ in range(k)]
-        for (i, j), s in zip(itertools.combinations(range(k), 2), states):
-            if s:
-                d[i][j] = d[j][i] = s - 1
-        closed, violation = metric_mod.complete_ranks(d, self.S._oplus_rank)
+        ``ClassPlugin._decide``): ``metric.complete_ranks``.  The data are
+        the completed rank matrix, or ``(i, j, recorded, shortest, walk,
+        edges)`` for the violated pair i < j."""
+        closed, violation = metric_mod.complete_ranks(len(verts), states, self.S._oplus_rank)
         if violation is not None:
             return "non-metric-cycle", violation
         return None, closed
 
     def _completed(self, vs: Sequence[str], data) -> Structure:
-        return self._distances(vs, [data[i][j] + 1 for i, j in itertools.combinations(range(len(vs)), 2)])
+        states = [data[i][j] + 1 for i, j in itertools.combinations(range(len(vs)), 2)]
+        return metric_mod.rank_structure(self.S, vs, states)
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
-        return self._distances(_pattern_vertices(k), states)
-
-    def _distances(self, verts: Sequence[str], states: Sequence[int]) -> Structure:
-        """The distance structure on ``verts``: state 0 a hole, s the s-th distance."""
-        names = self.S._symbols
-        rels: dict[str, list] = {name: [] for name in names}
-        for (u, v), s in zip(itertools.combinations(verts, 2), states):
-            if s:
-                rels[names[s - 1]] += [(u, v), (v, u)]
-        return Structure(self.language, verts, rels)
+        return metric_mod.rank_structure(self.S, _pattern_vertices(k), states)
 
 
 # ---------------------------------------------------------------------------

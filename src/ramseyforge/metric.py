@@ -1,9 +1,11 @@
 """Exact-arithmetic algorithms for metric spaces with a finite distance set.
 
-All distances are exact rationals.  The truncated addition
-a (+) b = max{x in S : x <= a + b} is the workhorse: it is associative
-exactly when S satisfies the 4-values exchange condition, and then minimal
-fold-lengths of walks compute the pointwise-least metric completion.
+The truncated addition a (+) b = max{x in S : x <= a + b} is the
+workhorse: it is associative exactly when S satisfies the 4-values
+exchange condition, and then minimal fold-lengths of walks compute the
+pointwise-least metric completion.  Computation runs on ranks into sorted
+S, through the table ``DistanceSet._oplus_rank``; distances are exact
+rationals (``Fraction``) only at input, read by ``_ranks``, and output.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from ._record import frozen
 from .errors import PreconditionError, StructureError
 from .structures import GAIFMAN_LANGUAGE, Language, Structure, connected_components
-
-Rational = Fraction
 
 
 def _coerce(x) -> Fraction:
@@ -161,17 +161,27 @@ def distance_set(*values) -> DistanceSet:
     return DistanceSet(values)
 
 
-def oplus(S: DistanceSet, a, b) -> Fraction:
-    """Truncated addition: the largest element of S not above a + b."""
+def _ranks(S: DistanceSet, distances: Iterable) -> list[int]:
+    """The rank of each distance in sorted S; strings and ints are read as
+    rationals, and a distance outside S is a ``PreconditionError``."""
+    qs = [_coerce(q) for q in distances]
     rank = S._rank
     try:
-        return S._values[S._oplus_rank[rank[_coerce(a)]][rank[_coerce(b)]]]
+        return [rank[q] for q in qs]
     except KeyError:
-        raise PreconditionError("oplus arguments must lie in the distance set")
+        raise PreconditionError("distances must lie in the distance set") from None
 
 
-def _triangle(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    return a <= b + c and b <= a + c and c <= a + b
+def _fold(S: DistanceSet, ranks: Sequence[int]) -> list[int]:
+    """The left folds of truncated addition over ``ranks``, prefix by prefix."""
+    table = S._oplus_rank
+    return list(itertools.accumulate(ranks, lambda a, b: table[a][b]))
+
+
+def oplus(S: DistanceSet, a, b) -> Fraction:
+    """Truncated addition: the largest element of S not above a + b."""
+    r, s = _ranks(S, (a, b))
+    return S._values[S._oplus_rank[r][s]]
 
 
 def four_values(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
@@ -187,10 +197,10 @@ def _require_four_values(S: DistanceSet) -> None:
 
 def is_associative(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
     """Associativity of truncated addition; witness triple on failure."""
-    vals = S.sorted()
-    for a, b, c in itertools.product(vals, repeat=3):
-        if oplus(S, oplus(S, a, b), c) != oplus(S, a, oplus(S, b, c)):
-            return False, (a, b, c)
+    table = S._oplus_rank
+    for a, b, c in itertools.product(range(len(table)), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return False, tuple(S._values[r] for r in (a, b, c))
     return True, None
 
 
@@ -220,15 +230,10 @@ def block_of(S: DistanceSet, j: Fraction) -> DistanceSet:
 
 def s_length(S: DistanceSet, walk: Sequence) -> Fraction:
     """Left fold of truncated addition over the walk's distances."""
-    ds = [_coerce(d) for d in walk]
-    if not ds:
+    ranks = _ranks(S, walk)
+    if not ranks:
         raise PreconditionError("walks must have at least one edge")
-    acc = ds[0]
-    if acc not in S.distances:
-        raise PreconditionError("walk distances must lie in the distance set")
-    for d in ds[1:]:
-        acc = oplus(S, acc, d)
-    return acc
+    return S._values[_fold(S, ranks)[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +303,27 @@ class SGraph:
         )
 
     def is_metric(self, S: DistanceSet) -> bool:
-        """Total triangle-inequality check (requires a total graph)."""
-        if not self.is_total():
+        """Is the graph a metric space over S: total, with distances in S
+        and every triangle inequality holding (see ``metric_ranks``)."""
+        rank = S._rank.get
+        ranks = {p: rank(q) for p, q in self.dist.items()}
+        return None not in ranks.values() and metric_ranks(self.vertices, ranks, S)
+
+
+def metric_ranks(vertices: Sequence[str], ranks: Mapping, S: DistanceSet) -> bool:
+    """The triangle check on ranks: does ``ranks``, the rank of each pair
+    u < v of the sorted ``vertices`` that has a distance, give a metric
+    space over S?  Every pair needs a distance, and a <= b + c for a in S
+    reads rank(a) <= rank(b (+) c)."""
+    n = len(vertices)
+    if len(ranks) != n * (n - 1) // 2:
+        return False
+    table = S._oplus_rank
+    for u, v, w in itertools.combinations(vertices, 3):
+        a, b, c = ranks[u, v], ranks[u, w], ranks[v, w]
+        if a > table[b][c] or b > table[a][c] or c > table[a][b]:
             return False
-        if not self.values() <= S.distances:
-            return False
-        for u, v, w in itertools.combinations(self.vertices, 3):
-            a, b, c = self.get(u, v), self.get(u, w), self.get(v, w)
-            if not _triangle(a, b, c):
-                return False
-        return True
+    return True
 
 
 def metric_language(S: DistanceSet) -> Language:
@@ -315,16 +331,28 @@ def metric_language(S: DistanceSet) -> Language:
     return S._language
 
 
-def sgraph_to_structure(G: SGraph, S: DistanceSet) -> Structure:
-    names, rank = S._symbols, S._rank
+def _states(G: SGraph, S: DistanceSet) -> list[int]:
+    """G's pair vector over its sorted vertices (see ``rank_structure``)."""
+    rank, dist = S._rank, G.dist
+    return [rank.get(dist.get(p), -1) + 1 for p in G.pairs()]
+
+
+def rank_structure(S: DistanceSet, verts: Sequence[str], states: Sequence[int]) -> Structure:
+    """The distance structure on ``verts`` from a pair vector over them: 0 a
+    hole, r + 1 the distance of rank r."""
+    names = S._symbols
     rels: dict[str, list] = {name: [] for name in names}
-    for (u, v), q in G.dist.items():
-        r = rank.get(q)
-        if r is None:
+    for (u, v), s in zip(itertools.combinations(verts, 2), states):
+        if s:
+            rels[names[s - 1]] += [(u, v), (v, u)]
+    return Structure(S._language, verts, rels)
+
+
+def sgraph_to_structure(G: SGraph, S: DistanceSet) -> Structure:
+    for q in G.dist.values():
+        if q not in S.distances:
             raise StructureError(f"distance {q} not in the distance set")
-        rels[names[r]].append((u, v))
-        rels[names[r]].append((v, u))
-    return Structure(metric_language(S), G.vertices, rels)
+    return rank_structure(S, G.vertices, _states(G, S))
 
 
 def structure_to_sgraph(A: Structure, S: DistanceSet) -> SGraph:
@@ -337,9 +365,14 @@ def structure_to_sgraph(A: Structure, S: DistanceSet) -> SGraph:
 def structure_ranks(A: Structure, S: DistanceSet) -> dict[tuple[str, str], int]:
     """Per pair u < v of a distance-language structure that has a
     distance, its rank in ``S.sorted()``.  Raises when the structure is not
-    a well-formed S-graph (loops, one-way tuples, or two distances on a
-    pair), naming the first fault, symbols in distance order and tuples
-    sorted."""
+    a well-formed S-graph, naming the first fault: first the least declared
+    symbol that is not a binary distance symbol of S, before any tuple is
+    read; then loops, one-way tuples, or two distances on a pair, symbols
+    in distance order and tuples sorted."""
+    foreign = set(A.language.symbols) - set(S._language.symbols)
+    if foreign:
+        name, arity = min(foreign)
+        raise StructureError(f"symbol {name!r} of arity {arity} is not a distance symbol of the set")
     ranks: dict[tuple[str, str], int] = {}
     for r, name in enumerate(S._symbols):
         ts = A.tuples(name)
@@ -393,28 +426,22 @@ def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
 
     Succeeds iff G can be completed to a metric space with distances in S;
     the output is then the pointwise-least completion.  Pairs joined by no
-    walk are set to max(S).  G's distances become a rank matrix over its
+    walk are set to max(S).  G's distances become a pair vector over its
     sorted vertices, which ``complete_ranks`` completes.
     """
     _require_four_values(S)
     if not G.values() <= S.distances:
         raise PreconditionError("graph uses distances outside the set")
-    vals, rank = S._values, S._rank
-    verts = G.vertices
-    idx = {v: i for i, v in enumerate(verts)}
+    vals, verts = S._values, G.vertices
     n = len(verts)
-    d: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    for (u, v), q in G.dist.items():
-        i, j = idx[u], idx[v]
-        d[i][j] = d[j][i] = rank[q]
-    closed, violation = complete_ranks(d, S._oplus_rank)
+    closed, violation = complete_ranks(n, _states(G, S), S._oplus_rank)
     if violation is not None:
-        i, j, shortest, walk = violation
+        i, j, recorded, shortest, walk, _ = violation
         return MetricCompletionResult(
             "no-completion",
             None,
             NonMetricCertificate(
-                (verts[i], verts[j]), vals[d[i][j]], vals[shortest],
+                (verts[i], verts[j]), vals[recorded], vals[shortest],
                 tuple(verts[w] for w in walk),
             ),
         )
@@ -426,28 +453,33 @@ def complete_metric_graph(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
 
 
 def complete_ranks(
-    d: Sequence[Sequence[Optional[int]]], table: Sequence[Sequence[int]]
-) -> tuple[Optional[list[list[int]]], Optional[tuple[int, int, int, tuple[int, ...]]]]:
-    """Metric completion on a matrix of distance ranks: the kernel.
+    n: int, states: Sequence[int], table: Sequence[Sequence[int]]
+) -> tuple[Optional[list[list[int]]], Optional[tuple]]:
+    """Metric completion on a pair vector of distance ranks: the kernel.
 
-    ``d`` is a symmetric n x n matrix of ranks into the sorted distance set,
-    None on the diagonal and on pairs without a distance; ``table`` is the
-    truncated addition on ranks.  Floyd-Warshall on ranks: truncated
+    ``states`` holds one entry per pair i < j of 0..n-1, in
+    ``itertools.combinations`` order: 0 for a pair without a distance,
+    r + 1 for the distance of rank r in the sorted distance set; ``table``
+    is the truncated addition on ranks.  Floyd-Warshall on ranks: truncated
     addition maps S x S into S and ranks keep the order, so every
     comparison, the walk and the certificate are as they would be on the
     distances themselves.
 
-    Returns ``(closed, None)`` with ``closed`` the pointwise-least
-    completion (pairs joined by no walk at the top rank, None on the
-    diagonal), or ``(None, (i, j, shortest, walk))`` for the first pair
-    i < j, in index order, whose rank exceeds the fold of a walk: the
-    walk's rank and its vertices from i to j, loops cut.
+    Returns ``(closed, None)`` with ``closed`` the n x n rank matrix of the
+    pointwise-least completion (pairs joined by no walk at the top rank,
+    None on the diagonal), or ``(None, (i, j, recorded, shortest, walk,
+    edges))`` for the first pair i < j, in index order, whose recorded rank
+    exceeds the fold of a walk: the walk's rank, its vertices from i to j
+    with loops cut, and the recorded ranks of its edges.
     """
-    n = len(d)
+    d: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    nxt: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    for (i, j), s in zip(pairs, states):
+        if s:
+            d[i][j] = d[j][i] = s - 1
+            nxt[i][j], nxt[j][i] = j, i
     dist = [list(row) for row in d]
-    nxt: list[list[Optional[int]]] = [
-        [j if d[i][j] is not None else None for j in range(n)] for i in range(n)
-    ]
     for k in range(n):
         dk = dist[k]
         for i in range(n):
@@ -469,18 +501,15 @@ def complete_ranks(
                     nxt[i][j] = nxt[i][k]
                     nxt[j][i] = nxt[j][k]
     # the recorded distances must be the minima
-    for i in range(n):
-        di = d[i]
-        for j in range(i + 1, n):
-            if di[j] is not None and dist[i][j] < di[j]:
-                walk = _cut_loops(_reconstruct(nxt, i, j))
-                return None, (i, j, dist[i][j], tuple(walk))
+    for (i, j), s in zip(pairs, states):
+        if s and dist[i][j] < s - 1:
+            walk = tuple(_cut_loops(_reconstruct(nxt, i, j)))
+            edges = tuple(d[a][b] for a, b in zip(walk, walk[1:]))
+            return None, (i, j, s - 1, dist[i][j], walk, edges)
     top = len(table) - 1
-    for i in range(n):
-        di = dist[i]
-        for j in range(n):
-            if di[j] is None and j != i:
-                di[j] = top
+    for i, j in pairs:
+        if dist[i][j] is None:
+            dist[i][j] = dist[j][i] = top
     return dist, None
 
 
@@ -509,11 +538,12 @@ def _cut_loops(walk: Sequence) -> list:
 # non-metric cycles and unimportant paths
 
 
-def fold_violates(S: DistanceSet, distances: Sequence[Fraction]) -> bool:
+def fold_violates(S: DistanceSet, distances: Sequence) -> bool:
     """Does the last distance exceed the fold of the others (non-metric cycle)?"""
     if len(distances) < 3:
         raise PreconditionError("cycles have at least three edges")
-    return distances[-1] > s_length(S, distances[:-1])
+    *path, long_edge = _ranks(S, distances)
+    return long_edge > _fold(S, path)[-1]
 
 
 @frozen
@@ -530,40 +560,28 @@ def unimportant_paths(distances: Sequence, S: DistanceSet) -> UnimportantReducti
     edge).  The reduced cycle is still non-metric and has at most 2|S|
     vertices.
     """
-    ds = [_coerce(d) for d in distances]
-    if len(ds) < 3:
+    if len(distances) < 3:
         raise PreconditionError("cycles have at least three edges")
-    top = max(ds)
-    i = ds.index(top)
+    ds = _ranks(S, distances)
+    long_edge = max(ds)
+    i = ds.index(long_edge)
     ds = ds[i + 1 :] + ds[:i]  # path in cyclic order
-    long_edge = top
-    if not long_edge > s_length(S, ds):
+    folds = _fold(S, ds)
+    values = S._values
+    if not long_edge > folds[-1]:
         # already metric: nothing to reduce
-        return UnimportantReduction((), tuple(ds) + (long_edge,))
-    folds = []
-    acc = None
-    for d in ds:
-        acc = d if acc is None else oplus(S, acc, d)
-        folds.append(acc)
+        return UnimportantReduction((), tuple(values[r] for r in ds + [long_edge]))
     # edge k (k>=1) stalls when folds[k] == folds[k-1]
     keep = {0} | {k for k in range(1, len(ds)) if folds[k] != folds[k - 1]}
-    if len(keep) < 2:
-        # keep one stalled edge so the reduction stays a cycle (a triangle)
-        keep.add(next(k for k in range(1, len(ds)) if k not in keep))
-    segments = []
-    start = None
-    for k in range(1, len(ds)):
-        if k not in keep and start is None:
-            start = k
-        if k in keep and start is not None:
-            segments.append((start, k - 1))
-            start = None
-    if start is not None:
-        segments.append((start, len(ds) - 1))
-    reduced = tuple(ds[k] for k in sorted(keep)) + (long_edge,)
-    if fold_violates(S, reduced) is False:
+    if keep == {0}:
+        keep.add(1)  # one stalled edge kept, so the reduction is a triangle
+    runs = itertools.groupby(range(1, len(ds)), lambda k: k not in keep)
+    dropped = [list(run) for is_dropped, run in runs if is_dropped]
+    segments = [(run[0], run[-1]) for run in dropped]
+    kept = [ds[k] for k in sorted(keep)]
+    if not long_edge > _fold(S, kept)[-1]:
         raise StructureError("reduction lost the violation")
-    return UnimportantReduction(tuple(segments), reduced)
+    return UnimportantReduction(tuple(segments), tuple(values[r] for r in kept + [long_edge]))
 
 
 @frozen

@@ -231,6 +231,9 @@ class Morphism:
         if self.kind not in MORPHISM_KINDS:
             raise MorphismError(f"unknown morphism kind {self.kind!r}")
 
+    def __reduce__(self):  # slot state would be restored through __setattr__
+        return _morphism, (self.source, self.target, self.map, self.kind)
+
     @staticmethod
     def make(source: Structure, target: Structure, mapping: Mapping[str, str], kind: str) -> "Morphism":
         return Morphism(source, target, tuple(sorted(mapping.items())), kind)

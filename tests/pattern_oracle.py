@@ -15,10 +15,14 @@ size and metric completion ran on distance ranks:
 - ``oracle_blocks`` searches all 2^|S| subsets for the inclusion-maximal
   jump-free ones that satisfy the 4-values condition, where ``blocks``
   now cuts sorted S after each jump number.
-- ``metric_membership`` reads the structure into an ``SGraph`` of
-  ``Fraction`` distances and checks every triangle with ``Fraction`` sums,
-  where ``MetricPlugin.membership`` checks each triple on ranks through
-  the truncated-addition table.
+- ``metric_membership`` checks the language and reads the structure into
+  an ``SGraph`` of ``Fraction`` distances, and ``sgraph_is_metric`` checks
+  every triangle with ``Fraction`` sums, where ``MetricPlugin.membership``
+  and ``SGraph.is_metric`` check each triple on ranks through the
+  truncated-addition table (``metric.metric_ranks``);
+- ``s_length``, ``fold_violates``, ``unimportant_paths`` and
+  ``is_associative`` fold ``Fraction`` distances through the
+  ``Fraction``-keyed table, where ``metric`` folds ranks.
 
 They are slow and obviously faithful to the definitions, so the tests
 compare the fast paths against them, output for output and in order.
@@ -36,9 +40,10 @@ from ramseyforge.metric import (
     MetricCompletionResult,
     NonMetricCertificate,
     SGraph,
+    UnimportantReduction,
     _cut_loops,
-    _triangle,
 )
+from ramseyforge.rsf import format_rational
 from ramseyforge.structures import Structure, canonical_key, induced_substructure
 
 
@@ -101,6 +106,10 @@ def oplus_table(S: DistanceSet) -> dict:
             s = a + b
             table[(a, b)] = max(x for x in vals if x <= s)
     return table
+
+
+def _triangle(a, b, c) -> bool:
+    return a <= b + c and b <= a + c and c <= a + b
 
 
 def four_values(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
@@ -200,11 +209,73 @@ def fraction_completion(G: SGraph, S: DistanceSet) -> MetricCompletionResult:
     return MetricCompletionResult("completed", SGraph(verts, out), None)
 
 
+def sgraph_is_metric(G: SGraph, S: DistanceSet) -> bool:
+    """Total, every distance in S, and the triangle inequality on every
+    triple, in ``Fraction`` sums."""
+    if not G.is_total() or not G.values() <= S.distances:
+        return False
+    return all(
+        _triangle(G.get(u, v), G.get(u, w), G.get(v, w))
+        for u, v, w in itertools.combinations(G.vertices, 3)
+    )
+
+
 def metric_membership(A: Structure, S: DistanceSet) -> bool:
-    """Is A a metric space over S: a well-formed total S-graph whose
-    triangles all satisfy the triangle inequality?"""
+    """Is A a metric space over S: only binary ``d:<q>`` symbols for q in S,
+    a well-formed total S-graph, and its triangles all satisfy the triangle
+    inequality?"""
+    names = {f"d:{format_rational(q)}" for q in S.sorted()}
+    if any(arity != 2 or name not in names for name, arity in A.language.symbols):
+        return False
     try:
         G = metric.structure_to_sgraph(A, S)
     except StructureError:
         return False
-    return G.is_metric(S)
+    return sgraph_is_metric(G, S)
+
+
+def is_associative(S: DistanceSet) -> tuple[bool, Optional[tuple]]:
+    table = oplus_table(S)
+    for a, b, c in itertools.product(S.sorted(), repeat=3):
+        if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+            return False, (a, b, c)
+    return True, None
+
+
+def s_length(S: DistanceSet, walk: Sequence) -> object:
+    """The left fold of truncated addition over ``Fraction`` distances in S."""
+    table = oplus_table(S)
+    acc = walk[0]
+    for d in walk[1:]:
+        acc = table[(acc, d)]
+    return acc
+
+
+def fold_violates(S: DistanceSet, distances: Sequence) -> bool:
+    return distances[-1] > s_length(S, distances[:-1])
+
+
+def unimportant_paths(distances: Sequence, S: DistanceSet) -> UnimportantReduction:
+    """The reduction as ``metric.unimportant_paths`` computed it on
+    ``Fraction`` distances: the long edge rotated last, every stalling
+    edge of the path after the first dropped (one kept when all stall)."""
+    top = max(distances)
+    i = distances.index(top)
+    ds = list(distances[i + 1:]) + list(distances[:i])
+    if not top > s_length(S, ds):
+        return UnimportantReduction((), tuple(ds) + (top,))
+    table = oplus_table(S)
+    folds = [ds[0]]
+    for d in ds[1:]:
+        folds.append(table[(folds[-1], d)])
+    keep = [0] + [k for k in range(1, len(ds)) if folds[k] != folds[k - 1]]
+    if len(keep) < 2:
+        keep = [0, 1]
+    dropped = [k for k in range(1, len(ds)) if k not in keep]
+    segments = []
+    for k in dropped:
+        if segments and segments[-1][1] == k - 1:
+            segments[-1] = (segments[-1][0], k)
+        else:
+            segments.append((k, k))
+    return UnimportantReduction(tuple(segments), tuple(ds[k] for k in keep) + (top,))

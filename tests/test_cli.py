@@ -331,6 +331,37 @@ class TestMetricGraphCli:
         assert code == 0 and payload["non_metric_cycle"] is None
 
 
+    @pytest.mark.parametrize("symbols", [
+        (("d:1", 2), ("d:3", 2), ("E", 2)),
+        (("d:1", 3), ("d:3", 2)),
+    ], ids=["extra-symbol", "ternary-d1"])
+    @pytest.mark.parametrize("action", ["complete", "scan"])
+    def test_foreign_symbol_is_usage_error(self, files, capsys, tmp_path, symbols, action):
+        # ``metric complete`` used to drop E and answer "completed", and a
+        # ternary d:1 crashed with a traceback
+        from ramseyforge.structures import language
+
+        arity = dict(symbols)["d:1"]
+        rels = {"d:1": [("a", "b") + ("a",) * (arity - 2), ("b", "a") + ("b",) * (arity - 2)]}
+        if "E" in dict(symbols):
+            rels["E"] = [("a", "b")]
+        path = tmp_path / "foreign.rsf"
+        rsf.dump(Structure(language(*symbols), ["a", "b"], rels), path)
+        code = run(["metric", action, files["S13.json"], str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("error: symbol ") and "is not a distance symbol" in err
+
+    def test_reordered_language_is_read(self, files, capsys, tmp_path):
+        from ramseyforge.structures import language
+
+        path = tmp_path / "reordered.rsf"
+        rsf.dump(Structure(language(("d:3", 2), ("d:1", 2)), ["a", "b"],
+                           {"d:1": [("a", "b"), ("b", "a")]}), path)
+        code, payload = run_json(capsys, ["metric", "complete", files["S13.json"], str(path)])
+        assert code == 0 and payload["status"] == "completed"
+
+
 class TestLiftMaximalCli:
     def test_stable_lift(self, files, capsys, tmp_path):
         from ramseyforge.build import cycle_graph

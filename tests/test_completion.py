@@ -620,3 +620,28 @@ class TestObstaclesOnFiveVertices:
         assert kinds == {"order-cycle": 18, "forbidden-member": 1}
         self.check_minimal(plugin, found)
         assert self.digest(found) == digest
+
+
+class TestOneThreeCertificates:
+    """The non-metric-cycle certificates of the one-three cycles: n edges of
+    distance 1 on c00..cn and one of distance 3 from c00 to cn.  The walk
+    is the path of ones, each edge named with its recorded distance."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_certificate(self, n):
+        plugin = get_plugin("metric:1,3")
+        verts = [f"c{i:02d}" for i in range(n + 1)]
+        dist = {(verts[i], verts[i + 1]): 1 for i in range(n)}
+        dist[(verts[0], verts[n])] = 3
+        A = sgraph_to_structure(SGraph(verts, dist), plugin.S)
+        cert = plugin.try_strong_completion(A).certificate
+        assert cert.kind == "non-metric-cycle"
+        assert cert.vertices == tuple(verts)
+        assert cert.present == tuple(
+            ("d:1", (verts[i], verts[i + 1])) for i in range(n)
+        ) + (("d:3", ("c00", verts[n])),)
+        assert cert.absent == ()
+        assert cert.note == "recorded 3 exceeds walk length 1"
+        assert cert.extra == (("distances", "1," * n + "3"), ("shortest", "1"))
+        assert cert.holds(A)
+

@@ -52,6 +52,7 @@ from ramseyforge.completion import (
     ClassPlugin,
     CompletionResult,
     ForbiddenPlugin,
+    MetricPlugin,
     ObstacleCertificate,
     _canonical_pair_vectors,
     _completing_quotient,
@@ -64,8 +65,9 @@ from ramseyforge.completion import (
     try_completion,
 )
 from ramseyforge.errors import PreconditionError
+from ramseyforge.metric import SGraph, distance_set, sgraph_to_structure
 from ramseyforge.rsf import dumps
-from ramseyforge.structures import Structure
+from ramseyforge.structures import Language, Structure
 
 import completion_oracle as oracle
 import pattern_oracle
@@ -548,3 +550,34 @@ def test_probe_matches_oracle(data, name):
     slow = oracle.probe_local_finiteness(plugin, C0, n, size_cap, budget)
     assert (fast.examined, fast.inconclusive) == (slow.examined, slow.inconclusive)
     assert [dumps(P) for P in fast.counterexamples] == [dumps(P) for P in slow.counterexamples]
+
+
+@pytest.mark.parametrize("symbols, member", [
+    ((("d:1", 2), ("d:3", 2), ("E", 2)), False),
+    ((("d:1", 3), ("d:3", 2)), False),
+    ((("d:3", 2), ("d:1", 2)), True),
+])
+def test_metric_membership_of_foreign_languages_matches_oracle(symbols, member):
+    # the 1-1-1 triangle over {1, 3}, in another language
+    plugin = PLUGINS["metric:1,3"]
+    lang = Language(symbols)
+    ones = [(u, v) for u in "abc" for v in "abc" if u != v]
+    arity = dict(symbols)["d:1"]
+    rels = {"d:1": ones if arity == 2 else [t + (t[0],) for t in ones]}
+    A = Structure(lang, ["a", "b", "c"], rels)
+    assert plugin.membership(A) == pattern_oracle.metric_membership(A, plugin.S) == member
+
+
+def test_metric_certificate_names_recorded_walk_edges():
+    # over {1, 3, 7} the shortest walk from v1 to v2 starts on v1-v3, whose
+    # recorded 3 is above its closed distance 1 (by v1-v4-v3): the
+    # certificate names the recorded distances, as the oracle does
+    plugin = MetricPlugin(distance_set(1, 3, 7))
+    dist = {("v0", "v2"): 3, ("v0", "v3"): 3, ("v1", "v2"): 7, ("v1", "v3"): 3, ("v1", "v4"): 1,
+            ("v2", "v3"): 7, ("v2", "v4"): 3, ("v3", "v4"): 1}
+    A = sgraph_to_structure(SGraph([f"v{i}" for i in range(5)], dist), plugin.S)
+    cert = assert_same(plugin, A).certificate
+    assert cert.vertices == ("v1", "v3", "v0", "v2")
+    assert cert.present == (("d:3", ("v1", "v3")), ("d:3", ("v3", "v0")), ("d:3", ("v0", "v2")),
+                            ("d:7", ("v1", "v2")))
+    assert cert.holds(A)

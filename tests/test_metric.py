@@ -412,3 +412,39 @@ class TestJumpFreeGrowth:
                     if a == S.max:
                         continue
                     assert any(a < b <= a + S.min for b in vals)
+
+
+class TestStructureRanksLanguage:
+    """``structure_ranks`` refuses a declared symbol that is not a binary
+    distance symbol of S, naming the least, before it reads a tuple."""
+
+    def structure(self, symbols, rels):
+        from ramseyforge.structures import Structure, language
+
+        return Structure(language(*symbols), ["a", "b"], rels)
+
+    @pytest.mark.parametrize(
+        "symbols, rels, named",
+        [
+            ((("d:1", 2), ("d:3", 2), ("E", 2)), {"E": [("a", "b")]}, "'E' of arity 2"),
+            # two foreign symbols, the least named; the faulty d:1 tuple is
+            # never read
+            ((("d:1", 2), ("d:3", 2), ("Z", 1), ("F", 2)), {"d:1": [("a", "b")]}, "'F' of arity 2"),
+            ((("d:1", 3), ("d:3", 2)), {"d:1": [("a", "b", "a")]}, "'d:1' of arity 3"),
+            ((("d:1", 2), ("d:2", 2), ("d:3", 2)), {}, "'d:2' of arity 2"),
+        ],
+    )
+    def test_foreign_symbol_refused(self, symbols, rels, named):
+        from ramseyforge.errors import StructureError
+        from ramseyforge.metric import structure_ranks, structure_to_sgraph
+
+        A = self.structure(symbols, rels)
+        for read in (structure_ranks, structure_to_sgraph):
+            with pytest.raises(StructureError, match=f"^symbol {named} is not a distance symbol"):
+                read(A, S13)
+
+    def test_reordered_language_is_read(self):
+        from ramseyforge.metric import structure_ranks
+
+        A = self.structure((("d:3", 2), ("d:1", 2)), {"d:3": [("a", "b"), ("b", "a")]})
+        assert structure_ranks(A, S13) == {("a", "b"): 1}

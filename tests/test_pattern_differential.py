@@ -111,9 +111,15 @@ DISTANCE_SETS = [
 ]
 
 
+# random sets of up to five rationals that satisfy the 4-values condition
+RANDOM_FOUR_VALUES_SETS = st.sets(
+    st.builds(Fraction, st.integers(1, 24), st.integers(1, 4)), min_size=1, max_size=5
+).map(DistanceSet).filter(lambda S: four_values(S)[0])
+
+
 @st.composite
 def partial_sgraphs(draw):
-    S = draw(st.sampled_from(DISTANCE_SETS))
+    S = draw(st.one_of(st.sampled_from(DISTANCE_SETS), RANDOM_FOUR_VALUES_SETS))
     n = draw(st.integers(0, 7))
     verts = [f"x{i}" for i in range(n)]
     vals = S.sorted()
@@ -125,7 +131,7 @@ def partial_sgraphs(draw):
     return S, SGraph(verts, dist)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=partial_sgraphs())
 def test_rank_completion_matches_fraction_completion(case):
     S, G = case

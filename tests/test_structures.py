@@ -413,6 +413,26 @@ class TestMorphismObjects:
         assert searched.map == (("a", "k0"), ("b", "k2"), ("c", "k1"))
         assert witness.map == (("a", "k1"), ("b", "k2"), ("c", "k0"))
 
+    def test_copy_and_pickle(self):
+        import copy
+        import pickle
+
+        A = graph(["a", "b"], [("a", "b")])
+        B = graph(["k0", "k1", "k2"], [("k0", "k1"), ("k1", "k2")])
+        searched = next(search_morphisms(A, B, "embedding"))
+        public = Morphism(A, B, (("a", "k1"), ("b", "k2")), "homomorphism")
+        for m in (searched, public):
+            for again in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                assert type(again) is Morphism
+                assert again == m and hash(again) == hash(m) and repr(again) == repr(m)
+                assert again.map == m.map and again.kind == m.kind
+                assert not hasattr(again, "__dict__")
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    again.kind = "embedding"
+            # a shallow copy shares the structures, a deep one copies them
+            assert copy.copy(m).source is m.source
+            assert copy.deepcopy(m).target == m.target
+
     def test_public_constructor_still_validates_the_kind(self):
         A = Structure(GRAPH, [], {})
         with pytest.raises(MorphismError):
