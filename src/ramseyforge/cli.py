@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -56,16 +55,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
-
-
-def _default_cap(fallback: int) -> int:
-    value = os.environ.get("RAMSEYFORGE_CAP")
-    if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise FormatError(f"RAMSEYFORGE_CAP must be an integer, got {value!r}")
 
 
 def _load_structure(path: str):
@@ -142,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     c_holes.add_argument("structure")
     c_obs = complete_sub.add_parser("obstacles")
     c_obs.add_argument("--class", dest="klass", required=True)
-    c_obs.add_argument("--cap", type=int, default=None)
+    c_obs.add_argument("--cap", type=int, default=4)
     c_iff = complete_sub.add_parser("iff")
     c_iff.add_argument("--class", dest="klass", required=True)
-    c_iff.add_argument("--cap", type=int, default=None)
+    c_iff.add_argument("--cap", type=int, default=4)
     c_probe = complete_sub.add_parser("probe")
     c_probe.add_argument("--class", dest="klass", required=True)
     c_probe.add_argument("-n", type=int, required=True)
-    c_probe.add_argument("--cap", type=int, default=None)
+    c_probe.add_argument("--cap", type=int, default=6)
     c_probe.add_argument("target")
 
     metric = sub.add_parser("metric", help="distance set algorithms")
@@ -202,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_con.add_argument("base")
     r_con.add_argument("--closures", default=None)
     r_con.add_argument("--assert-arrow", action="store_true")
-    r_con.add_argument("--cap", type=int, default=None)
+    r_con.add_argument("--cap", type=int, default=50_000)
     r_una = ramsey_sub.add_parser("unary")
     r_una.add_argument("small")
     r_una.add_argument("middle")
@@ -328,30 +317,27 @@ def _cmd_complete(args) -> int:
             EXIT_NEGATIVE,
         )
     if args.action == "obstacles":
-        cap = args.cap if args.cap is not None else _default_cap(4)
-        found = plugin.obstacles_up_to(cap)
+        found = plugin.obstacles_up_to(args.cap)
         payload = {
-            "cap": cap,
+            "cap": args.cap,
             "count": len(found),
             "obstacles": [_structure_payload(o) for o in found],
         }
         return _emit(args, payload, EXIT_OK)
     if args.action == "iff":
-        cap = args.cap if args.cap is not None else _default_cap(4)
-        report = completion_iff_strong(plugin, cap)
+        report = completion_iff_strong(plugin, args.cap)
         payload = {
-            "cap": cap,
+            "cap": args.cap,
             "checked": report.checked,
             "holds": report.holds,
             "violations": [_structure_payload(v) for v in report.violations],
         }
         return _emit(args, payload, EXIT_OK if report.holds else EXIT_NEGATIVE)
     C0 = _load_structure(args.target)
-    cap = args.cap if args.cap is not None else _default_cap(6)
-    report = probe_local_finiteness(plugin, C0, args.n, size_cap=cap)
+    report = probe_local_finiteness(plugin, C0, args.n, size_cap=args.cap)
     payload = {
         "n": args.n,
-        "cap": cap,
+        "cap": args.cap,
         "examined": report.examined,
         "inconclusive": report.inconclusive,
         "counterexamples": [_structure_payload(c) for c in report.counterexamples],
@@ -463,10 +449,7 @@ def _cmd_lift(args) -> int:
             "classes": lift_sidecar(lifted),
         }
         return _emit(args, payload, EXIT_OK)
-    cap = args.cap if args.cap is not None else _default_cap(
-        max(len(M.vertices) for M in members)
-    )
-    result = maximal_lift(A, family, growth_cap=cap)
+    result = maximal_lift(A, family, growth_cap=args.cap)
     payload = {
         "status": result.status,
         "structure": _structure_payload(result.lift.as_structure()),
@@ -519,9 +502,8 @@ def _cmd_ramsey(args) -> int:
             )
         else:
             from .closures import EMPTY_CLOSURES as U
-        cap = args.cap if args.cap is not None else _default_cap(50_000)
         result = partite_construction(
-            A, B, C0, U=U, size_guard=cap, assert_arrow=args.assert_arrow
+            A, B, C0, U=U, size_guard=args.cap, assert_arrow=args.assert_arrow
         )
         payload = {
             "structure": _structure_payload(result.structure),

@@ -17,6 +17,7 @@ from . import metric as metric_mod
 from .build import POSET, ORDERED_GRAPH, linear_order_tuples
 from .errors import PreconditionError, StructureError
 from .metric import DistanceSet
+from .pieces import forb_membership
 from .structures import (
     Language,
     Morphism,
@@ -134,6 +135,10 @@ class ClassPlugin:
     pair shows when read the other way round.  A plugin supplies the flip
     table and ``_pattern(k, states)``, which builds the structure.
 
+    Its other hooks are ``membership``, ``_read``, ``_decide``,
+    ``_completed`` and ``_refute``; strong completion, the pattern loops,
+    quotients and probes are built on these here, once for every plugin.
+
     A structure is read once, by ``_read(A)``: it raises
     ``PreconditionError`` outside the plugin's language and returns
     ``(states, None)``, the pair vector over the sorted vertices, or
@@ -141,10 +146,10 @@ class ClassPlugin:
     pair ordered both ways, a one-way tuple, two distances on a pair).
     ``_decide(verts, states)`` decides strong completion, ``(None, data)``
     or ``(kind, data)`` in vertex indices 0..k-1; ``try_strong_completion``
-    turns its verdict into a certificate or, by ``_completed(verts,
-    data)``, a completed structure, while the pattern loops read verdicts
-    only, so the data need not be a structure (the ordered-graph kernel
-    returns edge bitmasks and a linear order).
+    turns its verdict into a completed structure, by ``_completed(verts,
+    data)``, or a certificate, by ``_refute(A, kind, data)``, while the
+    pattern loops read verdicts only, so the data need not be a structure
+    (the ordered-graph kernel returns edge bitmasks and a linear order).
 
     A vector that passes the screen, like every pattern, describes the
     structure fully, its vertices all alike (the same loops and unary
@@ -165,7 +170,15 @@ class ClassPlugin:
         raise NotImplementedError
 
     def try_strong_completion(self, A: Structure) -> CompletionResult:
-        raise NotImplementedError
+        """Strong completion of A: a screen fault as ``_read`` gives it, else
+        the kernel's completion or the plugin's certificate."""
+        states, fault = self._read(A)
+        if fault is not None:
+            return fault
+        kind, data = self._decide(A.vertices, states)
+        if kind is None:
+            return CompletionResult("completed", completed=self._completed(A.vertices, data))
+        return self._refute(A, kind, data)
 
     def _read(self, A: Structure) -> tuple:
         raise NotImplementedError
@@ -174,6 +187,9 @@ class ClassPlugin:
         raise NotImplementedError
 
     def _completed(self, verts: Sequence[str], data) -> Structure:
+        raise NotImplementedError
+
+    def _refute(self, A: Structure, kind: str, data) -> CompletionResult:
         raise NotImplementedError
 
     def _pattern(self, k: int, states: Sequence[int]) -> Structure:
@@ -228,9 +244,9 @@ def _hereditary_walk(plugin: ClassPlugin, n: int, fails) -> None:
     ``fails(verts, vec, part_fails)`` judges each vector and returns whether
     it fails; ``part_fails`` says whether some part that drops one vertex
     failed.  Dropping a vertex from a pair vector is a fixed index selection
-    that gives the part's vector on the previous size, relabelled in order;
-    the failing vectors of that size are kept with all their images under
-    vertex permutations, so each part's verdict is one set lookup.
+    (``_part_positions``) that gives the part's vector on the previous
+    size; the failing vectors of that size are kept with all their images
+    under vertex permutations, so each part's verdict is one set lookup.
     """
     if n < 0:
         raise PreconditionError(f"the pattern size cap must be at least 0, not {n}")
@@ -238,7 +254,7 @@ def _hereditary_walk(plugin: ClassPlugin, n: int, fails) -> None:
     failing: set[tuple[int, ...]] = set() if plugin._decide((), ())[0] is None else {()}
     for k in range(1, n + 1):
         verts = _pattern_vertices(k)
-        drops = _vertex_drops(k)
+        drops = _part_positions(k, k - 1)
         # nothing reads the failing vectors of the last size
         reads = _pair_perm_reads(k, flip) if k < n else None
         failing_k: set[tuple[int, ...]] = set()
@@ -285,11 +301,15 @@ def _pair_perm_reads(
     return reads
 
 
-def _vertex_drops(k: int) -> list[tuple[int, ...]]:
-    """Per vertex v, the pair positions avoiding v: selecting them from a
-    vector on k vertices gives the vector of the part without v."""
-    pairs = list(itertools.combinations(range(k), 2))
-    return [tuple(q for q, pair in enumerate(pairs) if v not in pair) for v in range(k)]
+def _part_positions(k: int, size: int) -> list[tuple[int, ...]]:
+    """Per part of ``size`` of the vertices 0..k-1, in combinations order,
+    the positions of its pairs: selecting them from a vector on k vertices
+    gives the part's vector, relabelled in order."""
+    index = {pair: p for p, pair in enumerate(itertools.combinations(range(k), 2))}
+    return [
+        tuple([index[pair] for pair in itertools.combinations(part, 2)])
+        for part in itertools.combinations(range(k), size)
+    ]
 
 
 def _canonical_pair_vectors(
@@ -553,6 +573,8 @@ class PosetPlugin(ClassPlugin):
     pair_flip = _ORIENTED_FLIP
 
     def membership(self, A: Structure) -> bool:
+        if A.language != self.language:
+            return False
         # prec inside the linear leq is antisymmetric
         prec = A.tuples("prec")
         if linear_order(A) is None or not prec <= A.tuples("leq"):
@@ -606,14 +628,8 @@ class PosetPlugin(ClassPlugin):
             states.append(3 if up else 1 if fwd else 4 if down else 2 if bwd else 0)
         return states, None
 
-    def try_strong_completion(self, A: Structure) -> CompletionResult:
-        states, fault = self._read(A)
-        if fault is not None:
-            return fault
+    def _refute(self, A: Structure, kind: str, data) -> CompletionResult:
         vs = A.vertices
-        kind, data = self._decide(vs, states)
-        if kind is None:
-            return CompletionResult("completed", completed=self._completed(vs, data))
         if kind == "frozen-prec-gap":
             qc = quasi_cycle_scan(A)
             if qc is not None:
@@ -724,17 +740,11 @@ class MetricPlugin(ClassPlugin):
             return None, _fail("malformed-distance-graph", A.vertices, note=str(exc))
         return [ranks.get(pair, -1) + 1 for pair in itertools.combinations(A.vertices, 2)], None
 
-    def try_strong_completion(self, A: Structure) -> CompletionResult:
+    def _refute(self, A: Structure, kind: str, data) -> CompletionResult:
         from .rsf import format_rational
 
-        states, fault = self._read(A)
-        if fault is not None:
-            return fault
-        vs = A.vertices
-        kind, data = self._decide(vs, states)
-        if kind is None:
-            return CompletionResult("completed", completed=self._completed(vs, data))
         # the walk's edges, then the recorded pair, by rank
+        vs = A.vertices
         i, j, recorded, shortest, walk, edges = data
         names, values = self.S._symbols, self.S._values
         walk = tuple(vs[w] for w in walk)
@@ -796,20 +806,14 @@ class ForbiddenPlugin(ClassPlugin):
         self._clique_size = min((len(F.vertices) for F in self.forbidden), default=None)
         self.name = name
 
-    def _forbidden_witness(self, A: Structure):
-        for F in self.forbidden:
-            for m in search_morphisms(F, A, "embedding"):
-                return F, m
-        return None
-
     def membership(self, A: Structure) -> bool:
-        if linear_order(A) is None:
+        if A.language != self.language or linear_order(A) is None:
             return False
         edges = A.tuples("E")
         for (u, v) in edges:
             if u == v or (v, u) not in edges:
                 return False
-        return self._forbidden_witness(A) is None
+        return forb_membership(A, self.forbidden, "embedding").member
 
     def _read(self, A: Structure) -> tuple:
         _check_language(A, self)
@@ -843,20 +847,13 @@ class ForbiddenPlugin(ClassPlugin):
             states.append((3 if there else 1) if fwd else (4 if there else 2) if bwd else 0)
         return states, None
 
-    def try_strong_completion(self, A: Structure) -> CompletionResult:
-        states, fault = self._read(A)
-        if fault is not None:
-            return fault
-        vs = A.vertices
-        kind, data = self._decide(vs, states)
-        if kind is None:
-            return CompletionResult("completed", completed=self._completed(vs, data))
+    def _refute(self, A: Structure, kind: str, data) -> CompletionResult:
         if kind == "order-cycle":
-            return _fail(kind, tuple(vs[i] for i in data))
-        F, m = data
+            return _fail(kind, tuple(A.vertices[i] for i in data))
+        m = data.witness
         return _fail(
             "forbidden-member", sorted(m.image_vertices()),
-            note=f"embeds a forbidden structure on {len(F.vertices)} vertices",
+            note=f"embeds a forbidden structure on {len(data.forbidden.vertices)} vertices",
             extra=[("witness:" + src, dst) for src, dst in m.map],
         )
 
@@ -870,10 +867,10 @@ class ForbiddenPlugin(ClassPlugin):
         so an embedded member is an E-clique of its size, and every such
         clique contains one of the smallest member size.  Only when the
         completion has such a clique is its structure built and searched
-        for an embedded forbidden member, which fails with the member and
-        the embedding as data.  Otherwise the data are ``(adj, topo)``: the
-        completion's symmetric edge bitmasks over vertex indices and its
-        linear order; ``_completed`` builds the structure.
+        for an embedded forbidden member (``pieces.forb_membership``), which
+        fails with its report as data.  Otherwise the data are ``(adj,
+        topo)``: the completion's symmetric edge bitmasks over vertex
+        indices and its linear order; ``_completed`` builds the structure.
         """
         k = len(verts)
         order, edge = _oriented_masks(k, states)
@@ -885,9 +882,9 @@ class ForbiddenPlugin(ClassPlugin):
             for b in _bits(edge[a]):
                 adj[b] |= 1 << a
         if self._clique_size is not None and _mask_clique(adj, self._clique_size):
-            witness = self._forbidden_witness(self._completed(verts, (adj, topo)))
-            if witness is not None:
-                return "forbidden-member", witness
+            report = forb_membership(self._completed(verts, (adj, topo)), self.forbidden, "embedding")
+            if not report.member:
+                return "forbidden-member", report
         return None, (adj, topo)
 
     def _completed(self, verts: Sequence[str], data) -> Structure:
@@ -1074,13 +1071,11 @@ def try_completion(A: Structure, plugin: ClassPlugin) -> Optional[tuple[Morphism
     verts = A.vertices
     blocks, (kind, data) = [[v] for v in verts], plugin._decide(verts, states)
     if kind is not None:
-        k = len(verts)
-        index = {pair: p for p, pair in enumerate(itertools.combinations(range(k), 2))}
-        for part in itertools.combinations(range(k), 3) if k > 3 else ():
-            tokens = [verts[i] for i in part]
-            sub = [states[index[pair]] for pair in itertools.combinations(part, 2)]
-            if plugin._decide(tokens, sub)[0] is not None:
-                if _completing_quotient(plugin, tokens, sub) is None:
+        part_verts = _pattern_vertices(3)
+        for part in _part_positions(len(verts), 3) if len(verts) > 3 else ():
+            sub = [states[p] for p in part]
+            if plugin._decide(part_verts, sub)[0] is not None:
+                if _completing_quotient(plugin, part_verts, sub) is None:
                     return None
         found = _completing_quotient(plugin, verts, states)
         if found is None:
@@ -1209,12 +1204,8 @@ def probe_local_finiteness(
     seen = set()
     for k in range(n + 1, size_cap + 1):
         verts = _pattern_vertices(k)
-        index = {pair: p for p, pair in enumerate(itertools.combinations(range(k), 2))}
         # the bound counts parts of one vertex or more, so n = 0 leaves none
-        parts = [
-            [index[pair] for pair in itertools.combinations(part, 2)]
-            for part in (itertools.combinations(range(k), n) if n else ())
-        ]
+        parts = _part_positions(k, n) if n else ()
         for vec in _pullback_vectors(c0vec, len(C0.vertices), k):
             examined += 1
             if examined > budget:

@@ -368,14 +368,16 @@ def structure_ranks(A: Structure, S: DistanceSet) -> dict[tuple[str, str], int]:
     a well-formed S-graph, naming the first fault: first the least declared
     symbol that is not a binary distance symbol of S, before any tuple is
     read; then loops, one-way tuples, or two distances on a pair, symbols
-    in distance order and tuples sorted."""
+    in distance order and tuples sorted.  A distance of S that the
+    structure does not declare holds on no pair."""
     foreign = set(A.language.symbols) - set(S._language.symbols)
     if foreign:
         name, arity = min(foreign)
         raise StructureError(f"symbol {name!r} of arity {arity} is not a distance symbol of the set")
     ranks: dict[tuple[str, str], int] = {}
+    relations = A.relations
     for r, name in enumerate(S._symbols):
-        ts = A.tuples(name)
+        ts = relations.get(name, ())
         faults = []
         for t in ts:
             u, v = t

@@ -64,6 +64,7 @@ from ramseyforge.structures import (
     Structure,
     canonical_key,
     induced_substructure,
+    search_morphisms,
     verify_morphism,
 )
 
@@ -324,15 +325,15 @@ def forbidden_completion(plugin: ForbiddenPlugin, A: Structure) -> CompletionRes
     completed = Structure(
         ORDERED_GRAPH, vs, {"E": sorted(edges), "leq": linear_order_tuples(topo)}
     )
-    witness = plugin._forbidden_witness(completed)
-    if witness is not None:
-        F, m = witness
-        return _fail(
-            "forbidden-member",
-            sorted(m.image_vertices()),
-            note=f"embeds a forbidden structure on {len(F.vertices)} vertices",
-            extra=tuple(("witness:" + src, dst) for src, dst in m.map),
-        )
+    # the first embedding of the first member that embeds
+    for F in plugin.forbidden:
+        for m in search_morphisms(F, completed, "embedding"):
+            return _fail(
+                "forbidden-member",
+                sorted(m.image_vertices()),
+                note=f"embeds a forbidden structure on {len(F.vertices)} vertices",
+                extra=tuple(("witness:" + src, dst) for src, dst in m.map),
+            )
     return CompletionResult("completed", completed=completed)
 
 

@@ -361,6 +361,25 @@ class TestMetricGraphCli:
         code, payload = run_json(capsys, ["metric", "complete", files["S13.json"], str(path)])
         assert code == 0 and payload["status"] == "completed"
 
+    def test_partial_declaration_is_read(self, files, capsys, tmp_path):
+        # a {1, 3}-graph declaring d:1 only: metric complete and scan read
+        # d:3 as empty (they exited 3 on "unknown symbol 'd:3'"), while
+        # complete run still refuses the language
+        from ramseyforge.structures import language
+
+        path = tmp_path / "partial.rsf"
+        rsf.dump(Structure(language(("d:1", 2)), ["a", "b", "c"],
+                           {"d:1": [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]}), path)
+        code, payload = run_json(capsys, ["metric", "complete", files["S13.json"], str(path)])
+        assert code == 0 and payload["status"] == "completed"
+        assert ["a", "c"] in payload["structure"]["relations"]["d:1"]
+        code, payload = run_json(capsys, ["metric", "scan", files["S13.json"], str(path)])
+        assert code == 0 and payload["non_metric_cycle"] is None
+        code = run(["complete", "run", "--class", "metric:1,3", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert err == "error: the structure must live in the plugin's language\n"
+
 
 class TestLiftMaximalCli:
     def test_stable_lift(self, files, capsys, tmp_path):
@@ -518,10 +537,3 @@ class TestOutput:
         assert code == 0
         assert json.loads(target.read_text())["blocks"] == [["1"], ["3"]]
         assert capsys.readouterr().out == ""
-
-    def test_env_cap(self, files, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("RAMSEYFORGE_CAP", "3")
-        code, payload = run_json(
-            capsys, ["complete", "obstacles", "--class", "metric:1,2,3,4"]
-        )
-        assert code == 0 and payload["cap"] == 3 and payload["count"] == 3

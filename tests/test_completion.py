@@ -1,12 +1,15 @@
 import hashlib
+import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from ramseyforge.build import ORDERED_GRAPH, POSET, graph, ordered_graph, poset
+from ramseyforge.build import GRAPH, ORDERED_GRAPH, POSET, complete_graph, graph, ordered_graph, poset
 from ramseyforge.completion import (
     ClassPlugin,
     CompletionResult,
+    ForbiddenPlugin,
     MetricPlugin,
     ObstacleCertificate,
     PosetPlugin,
@@ -19,6 +22,7 @@ from ramseyforge.completion import (
     probe_local_finiteness,
     quasi_cycle_scan,
     try_completion,
+    _part_positions,
 )
 from ramseyforge.errors import PreconditionError
 from ramseyforge.metric import SGraph, distance_set, sgraph_to_structure, structure_to_sgraph
@@ -205,6 +209,54 @@ class TestLanguageGuard:
         assert complete_with(B, get_plugin("posets")).ok
 
 
+def _ordered_leq(verts):
+    return [(u, v) for i, u in enumerate(verts) for v in verts[i:]]
+
+
+# Structures outside every built-in plugin's language.
+FOREIGN = {
+    "K3": complete_graph(3),
+    "leq-only": Structure(language(("leq", 2), order_symbol="leq"), ["a"], {"leq": [("a", "a")]}),
+    "ordered-K3-plus-U": Structure(
+        language(("E", 2), ("leq", 2), ("U", 1), order_symbol="leq"), ["a", "b", "c"],
+        {"E": [(u, v) for u in "abc" for v in "abc" if u != v], "leq": _ordered_leq("abc")},
+    ),
+    "ternary-E": Structure(
+        language(("E", 3), ("leq", 2), order_symbol="leq"), ["a", "b"],
+        {"E": [("a", "b", "a")], "leq": _ordered_leq("ab")},
+    ),
+    "unary-E": Structure(
+        language(("E", 1), ("leq", 2), order_symbol="leq"), ["a"],
+        {"E": [("a",)], "leq": [("a", "a")]},
+    ),
+    "empty-graph": Structure(GRAPH, [], {}),
+    "poset-plus-U": Structure(
+        language(("prec", 2), ("leq", 2), ("U", 1), order_symbol="leq"), ["a"],
+        {"prec": [("a", "a")], "leq": [("a", "a")], "U": [("a",)]},
+    ),
+}
+BUILT_IN = [PosetPlugin(), MetricPlugin(distance_set(1, 3)), kfree_plugin(3)]
+
+
+class TestMembershipOutsideTheLanguage:
+    """Membership answers False outside the class's language and never
+    raises: the posets plugin raised "unknown symbol 'prec'" on K3 (and
+    took a poset with an extra symbol for a member) and the forbidden
+    plugin raised "unknown symbol 'E'" on a structure over leq alone."""
+
+    @pytest.mark.parametrize("plugin", BUILT_IN, ids=lambda p: p.name)
+    @pytest.mark.parametrize("name", sorted(FOREIGN))
+    def test_foreign_structure_is_no_member(self, plugin, name):
+        assert plugin.membership(FOREIGN[name]) is False
+
+    @pytest.mark.parametrize("plugin", BUILT_IN, ids=lambda p: p.name)
+    def test_other_classes_patterns_are_no_members(self, plugin):
+        for other in BUILT_IN:
+            if other is not plugin:
+                for P in other.patterns(2):
+                    assert not plugin.membership(P), (plugin.name, other.name, P)
+
+
 class TestMembershipNeedsLinearOrder:
     """Both ordered plugins read ``leq`` through ``structures.linear_order``."""
 
@@ -382,6 +434,100 @@ class _SingleLoopPlugin(ClassPlugin):
     def _pattern(self, k, states):
         verts = [f"v{i}" for i in range(k)]
         return Structure(self.language, verts, {"E": [(v, v) for v in verts]})
+
+
+class _SmallCliquePlugin(ClassPlugin):
+    """A toy class that supplies only the hooks: loopless complete graphs
+    on at most three vertices, holes completing to edges."""
+
+    name = "toy-small-cliques"
+    language = GRAPH
+    pair_flip = (0, 1)  # 0 a hole, 1 an edge
+
+    def membership(self, A):
+        return A.language == self.language and len(A.vertices) <= 3 and A.tuples("E") == {
+            (u, v) for u in A.vertices for v in A.vertices if u != v
+        }
+
+    def _read(self, A):
+        if A.language != self.language:
+            raise PreconditionError("the structure must live in the plugin's language")
+        edges = A.tuples("E")
+        for u, v in sorted(edges):
+            if u == v or (v, u) not in edges:
+                return None, CompletionResult(
+                    "no-completion", certificate=ObstacleCertificate("bad-edge", (u, v))
+                )
+        return [int(pair in edges) for pair in itertools.combinations(A.vertices, 2)], None
+
+    def _decide(self, verts, states):
+        return ("too-big", len(verts)) if len(verts) > 3 else (None, None)
+
+    def _completed(self, verts, data):
+        return Structure(self.language, verts, {"E": [(u, v) for u in verts for v in verts if u != v]})
+
+    def _refute(self, A, kind, data):
+        return CompletionResult(
+            "no-completion", certificate=ObstacleCertificate(kind, A.vertices, note=f"{data} vertices")
+        )
+
+    def _pattern(self, k, states):
+        verts = [f"v{i}" for i in range(k)]
+        edges = [pair for pair, s in zip(itertools.combinations(verts, 2), states) if s]
+        return graph(verts, edges)
+
+
+class TestSharedStrongCompletion:
+    """``ClassPlugin.try_strong_completion`` is the one strong completion:
+    read, decide, then ``_completed`` or ``_refute``."""
+
+    @pytest.mark.parametrize("cls", [PosetPlugin, MetricPlugin, ForbiddenPlugin, _SmallCliquePlugin])
+    def test_no_plugin_overrides_it(self, cls):
+        assert "try_strong_completion" not in cls.__dict__
+
+    def test_completes_through_the_hooks(self, p3):
+        result = _SmallCliquePlugin().try_strong_completion(p3)
+        assert result.ok and result.completed == graph(p3.vertices, itertools.combinations(p3.vertices, 2))
+
+    def test_refutes_through_the_hooks(self):
+        result = _SmallCliquePlugin().try_strong_completion(graph("abcd", []))
+        assert not result.ok
+        assert result.certificate == ObstacleCertificate("too-big", ("a", "b", "c", "d"), note="4 vertices")
+
+    def test_screen_fault_is_returned_as_it_is(self):
+        looped = Structure(GRAPH, ["a"], {"E": [("a", "a")]})
+        result = _SmallCliquePlugin().try_strong_completion(looped)
+        assert result.certificate == ObstacleCertificate("bad-edge", ("a", "a"))
+
+    def test_shared_machinery_runs_on_the_hooks(self):
+        plugin = _SmallCliquePlugin()
+        # every graph on four vertices is minimal: its parts complete
+        assert len(plugin.obstacles_up_to(4)) == 11
+        assert complete_with(complete_graph(2), plugin).ok
+        assert try_completion(graph("abcd", []), plugin) is not None
+        assert try_completion(complete_graph(4), plugin) is None
+
+
+class TestPartPositions:
+    """Selecting a part's pair positions from a pattern's vector gives the
+    vector ``_read`` finds on the induced part."""
+
+    @pytest.mark.parametrize("plugin", [PosetPlugin(), MetricPlugin(distance_set(1, 2, 3, 4))],
+                             ids=lambda p: p.name)
+    @pytest.mark.parametrize("k", range(7))
+    def test_selection_reads_the_induced_part(self, plugin, k):
+        rng = random.Random(k)
+        verts = [f"v{i}" for i in range(k)]
+        for _ in range(10):
+            vec = [rng.randrange(len(plugin.pair_flip)) for _ in range(k * (k - 1) // 2)]
+            P = plugin._pattern(k, vec)
+            for size in range(k + 1):
+                parts = list(itertools.combinations(range(k), size))
+                positions = _part_positions(k, size)
+                assert len(positions) == len(parts)
+                for part, pos in zip(parts, positions):
+                    sub = induced_substructure(P, [verts[i] for i in part])
+                    assert [vec[p] for p in pos] == plugin._read(sub)[0], (k, vec, part)
 
 
 class TestCompletionVerdictOracle:

@@ -448,3 +448,18 @@ class TestStructureRanksLanguage:
 
         A = self.structure((("d:3", 2), ("d:1", 2)), {"d:3": [("a", "b"), ("b", "a")]})
         assert structure_ranks(A, S13) == {("a", "b"): 1}
+
+    def test_undeclared_distance_holds_on_no_pair(self):
+        # an S-graph that declares d:1 only; reading d:3 raised "unknown
+        # symbol 'd:3'"
+        from ramseyforge.metric import structure_ranks, structure_to_sgraph
+        from ramseyforge.structures import Structure, language
+
+        ones = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]
+        A = Structure(language(("d:1", 2)), ["a", "b", "c"], {"d:1": ones})
+        assert structure_ranks(A, S13) == {("a", "b"): 0, ("b", "c"): 0}
+        G = structure_to_sgraph(A, S13)
+        assert G.dist == {("a", "b"): 1, ("b", "c"): 1}
+        result = complete_metric_graph(G, S13)
+        assert result.completed and result.space.dist[("a", "c")] == 1
+        assert structure_ranks(Structure(language(), [], {}), S13) == {}
